@@ -340,6 +340,16 @@ def witness_from_traces(
     subtracted from every estimate, using the dark trace when given and the
     chain's analytic floor otherwise.
     """
+    return witness_with_spectra(ab_trace, reference_trace, rbw, band, dark, gain_mode, fixed_gain)[0]
+
+
+def witness_with_spectra(ab_trace, reference_trace, rbw, band, dark=None,
+                         gain_mode="dc_balance", fixed_gain=0.95):
+    """witness_from_traces, plus the corrected spectra its report averages.
+
+    Returns (report, psd_sum, psd_diff): the sum and difference PSDs at the
+    report's gain, with electronic noise removed.
+    """
     if gain_mode not in GAIN_MODES:
         raise ValueError("gain_mode must be one of %s" % (GAIN_MODES,))
     chain = ab_trace.chain
@@ -385,7 +395,7 @@ def witness_from_traces(
     duan_sigma = duan * math.hypot(num_sigma / (sum_mean + diff_mean), rel_qnl)
     db = 10.0 * math.log10(duan / 4.0)
 
-    return WitnessReport(
+    report = WitnessReport(
         freq=0.5 * (band[0] + band[1]),
         var_sum=vp,
         var_diff=vm,
@@ -404,3 +414,4 @@ def witness_from_traces(
             "db": 10.0 / math.log(10.0) * duan_sigma / duan,
         },
     )
+    return report, psd_sum, psd_diff

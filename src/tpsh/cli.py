@@ -13,18 +13,11 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
 
-from .analyzer import (
-    analytic_dark_spectrum,
-    correct_electronic_noise,
-    cross_spectral_matrix,
-    gain_balance_from_dc,
-    witness_from_traces,
-)
+from .analyzer import witness_from_traces, witness_with_spectra
 from .cavity import steady_state
 from .config import RunConfig, load_config
 from .noise import (
@@ -34,20 +27,7 @@ from .noise import (
     witness_report,
 )
 from .synth import dark_trace, shot_noise_pair, witness_arm_traces, synthesize
-from .traceio import read_trace, write_trace
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+from .traceio import atomic_write, read_trace, write_trace
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -61,23 +41,13 @@ def _log(cfg: RunConfig, message: str) -> None:
         fh.write("%s %s\n" % (time.strftime("%Y-%m-%dT%H:%M:%S"), message))
 
 
-def _model_csv(spec) -> str:
-    lines = ["freq_hz,s_x1,s_x2,s_y1,s_y2,c_x,c_y"]
-    for i in range(len(spec.frequencies)):
-        lines.append(",".join("%.17g" % v for v in (
-            spec.frequencies[i], spec.s_x1[i], spec.s_x2[i],
-            spec.s_y1[i], spec.s_y2[i], spec.c_x[i], spec.c_y[i],
-        )))
-    return "\n".join(lines) + "\n"
+def _write_csv(path: str, header: str, rows) -> None:
+    lines = [header] + [",".join("%.17g" % v for v in row) for row in rows]
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
-def _measured_csv(ns) -> str:
-    lines = ["freq_hz,power,sigma"]
-    for i in range(len(ns.frequencies)):
-        lines.append(",".join("%.17g" % v for v in (
-            ns.frequencies[i], ns.power[i], ns.sigma[i],
-        )))
-    return "\n".join(lines) + "\n"
+def _write_json(path: str, payload: dict) -> None:
+    atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
 
 
 def _print_json(payload: dict) -> None:
@@ -101,7 +71,9 @@ def cmd_steady_state(cfg: RunConfig, args) -> int:
 def cmd_spectra(cfg: RunConfig, args) -> int:
     spec = _detected_spectra(cfg)
     path = _out_path(cfg, "spectra.csv")
-    _atomic_write(path, _model_csv(spec))
+    _write_csv(path, "freq_hz,s_x1,s_x2,s_y1,s_y2,c_x,c_y", zip(
+        spec.frequencies, spec.s_x1, spec.s_x2, spec.s_y1, spec.s_y2, spec.c_x, spec.c_y,
+    ))
     _log(cfg, "spectra")
     _print_json({"written": path, "rows": len(spec.frequencies)})
     return 0
@@ -127,28 +99,14 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
     dark = read_trace(args.dark, chain=cfg.chain) if args.dark else None
     a = cfg.analysis
 
-    if a.gain_mode == "fixed":
-        gain = a.fixed_gain
-    else:
-        gain = gain_balance_from_dc(trace)
-    matrix = cross_spectral_matrix(trace, a.rbw)
-    dark_matrix = cross_spectral_matrix(dark, a.rbw) if dark is not None else None
-    spectra = {}
-    for mode, name in (("sum", "sum_spectrum.csv"), ("difference", "difference_spectrum.csv")):
-        raw = matrix.combination(gain, mode)
-        floor = (dark_matrix.combination(gain, mode) if dark_matrix is not None
-                 else analytic_dark_spectrum(trace, gain, raw))
-        corrected = correct_electronic_noise(raw, floor)
-        path = _out_path(cfg, name)
-        _atomic_write(path, _measured_csv(corrected))
-        spectra[mode] = path
-
-    report = witness_from_traces(
+    report, psd_sum, psd_diff = witness_with_spectra(
         trace, reference, a.rbw, (a.band_low, a.band_high),
         dark=dark, gain_mode=a.gain_mode, fixed_gain=a.fixed_gain,
     )
-    report_path = _out_path(cfg, "report.json")
-    _atomic_write(report_path, json.dumps(report.as_dict(), indent=2) + "\n")
+    for ns, name in ((psd_sum, "sum_spectrum.csv"), (psd_diff, "difference_spectrum.csv")):
+        _write_csv(_out_path(cfg, name), "freq_hz,power,sigma",
+                   zip(ns.frequencies, ns.power, ns.sigma))
+    _write_json(_out_path(cfg, "report.json"), report.as_dict())
     _log(cfg, "analyze %s" % args.trace)
     _print_json(report.as_dict())
     return 0
@@ -168,8 +126,7 @@ def cmd_witness(cfg: RunConfig, args) -> int:
         ab, reference, a.rbw, (a.band_low, a.band_high),
         dark=dark, gain_mode=a.gain_mode, fixed_gain=a.fixed_gain,
     )
-    path = _out_path(cfg, "witness.json")
-    _atomic_write(path, json.dumps(report.as_dict(), indent=2) + "\n")
+    _write_json(_out_path(cfg, "witness.json"), report.as_dict())
     _log(cfg, "witness seed=%d" % cfg.seed)
     _print_json(report.as_dict())
     return 0
@@ -190,11 +147,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         spec = apply_detection_loss(quadrature_spectra(steady_state(params), grid), eta)
         rep = witness_report(spec, freq)
         rows.append((pump, rep.var_sum, rep.var_diff, rep.duan_sum, rep.v, rep.db))
-    lines = ["pump_w,var_plus,var_minus,duan_sum,v,db"]
-    for row in rows:
-        lines.append(",".join("%.17g" % v for v in row))
     path = _out_path(cfg, "sweep.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_csv(path, "pump_w,var_plus,var_minus,duan_sum,v,db", rows)
     _log(cfg, "sweep enl_scale=%g" % args.enl_scale)
     _print_json({
         "written": path,

@@ -15,10 +15,9 @@ import os
 import re
 from dataclasses import dataclass, field
 
+from .analyzer import GAIN_MODES
 from .cavity import CavityParams
 from .synth import DetectionChain
-
-GAIN_MODES = ("fixed", "optimal", "dc_balance")
 
 # longest suffixes first so "mW" wins over "W"
 _SUFFIXES = (
@@ -86,7 +85,7 @@ def parse_scalar(text: str) -> float:
 
 
 def _field_names(cls):
-    return [f.name for f in dataclasses.fields(cls) if not f.name.startswith("_")]
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 _SECTIONS = {

@@ -6,19 +6,24 @@ to PSDs as
 
     P_11 = dc_1 * s_x1,   P_22 = dc_2 * s_x2,   P_12 = sqrt(dc_1 dc_2) * c_x / 2
 
-(the 1/2 undoes the symmetrized-cross-spectrum convention).  Traces are
-synthesized in the frequency domain: per-bin Cholesky factorization of the
-2x2 spectral matrix drives independent complex Gaussian draws (circulant
-embedding), then the chain applies, in order, electronic noise, AC-coupling
-bandpass, detector pole, spur injection, and quantization.  The sample
-stream is the AC-coupled fluctuation; mean currents ride along as metadata
-because the bandpass would remove any embedded DC anyway.
+(the 1/2 undoes the symmetrized-cross-spectrum convention).  One primitive,
+_synthesize_matrix, turns such a normalized matrix (s_11, s_22, c_12 on a
+frequency grid) plus the DC pair into traces; synthesize,
+witness_arm_traces, shot_noise_pair and dark_trace only build that matrix.
+Traces are synthesized in the frequency domain: per-bin Cholesky
+factorization of the 2x2 spectral matrix drives independent complex
+Gaussian draws (circulant embedding), then the chain applies, in order,
+electronic noise, AC-coupling bandpass, detector pole, spur injection, and
+quantization.  The sample stream is the AC-coupled fluctuation; mean
+currents ride along as metadata because the bandpass would remove any
+embedded DC anyway.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -37,7 +42,7 @@ _RMS_GRID = 65537
 _FULL_SCALE_SIGMAS = 6.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionChain:
     """Measurement-chain parameters shared by synthesis and analysis.
 
@@ -52,6 +57,11 @@ class DetectionChain:
     spur_freq            Hz, residual rf modulation line
     spur_amplitude       sinusoid amplitude per channel in units of the shot
                          RMS in SPUR_REFERENCE_BANDWIDTH (scales with sqrt(dc))
+
+    A chain is immutable and hashable: derived values (the ADC scaling, the
+    response on the synthesis grid) are cached by the chain's value, so they
+    cannot go stale.  Vary a chain with dataclasses.replace, which builds and
+    validates a new one.
     """
 
     sample_rate: float = 200e6
@@ -64,14 +74,13 @@ class DetectionChain:
     detector_pole: float = 12e6
     spur_freq: float = 15.8e6
     spur_amplitude: float = 5.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sample_rate <= 40e6:
             raise ValueError("sample_rate must exceed twice the 20 MHz analysis band")
         if not 8 <= int(self.adc_bits) <= 24:
             raise ValueError("adc_bits must lie in [8, 24]")
-        self.adc_bits = int(self.adc_bits)
+        object.__setattr__(self, "adc_bits", int(self.adc_bits))
         if self.dc_current_1 < 0 or self.dc_current_2 < 0:
             raise ValueError("dc currents must be >= 0")
         if self.electronic_noise_rel < 0:
@@ -90,27 +99,17 @@ class DetectionChain:
         """White electronic noise PSD in current^2/Hz, a fixed chain property."""
         return self.electronic_noise_rel * 0.5 * (self.dc_current_1 + self.dc_current_2)
 
-    def _digital_filters(self):
-        key = ("coef", self.sample_rate)
-        if key not in self._cache:
-            w_ac = 2.0 * math.pi * self.ac_coupling_center
-            bp = signal.bilinear([w_ac / self.ac_coupling_q, 0.0],
-                                 [1.0, w_ac / self.ac_coupling_q, w_ac ** 2],
-                                 fs=self.sample_rate)
-            w_p = 2.0 * math.pi * self.detector_pole
-            lp = signal.bilinear([1.0], [1.0 / w_p, 1.0], fs=self.sample_rate)
-            self._cache[key] = (bp, lp)
-        return self._cache[key]
-
     def response(self, freqs: np.ndarray) -> np.ndarray:
         """Complex chain transfer function (AC coupling times pole) at freqs (Hz)."""
-        key = ("resp", len(freqs), float(freqs[0]), float(freqs[-1]))
-        if key not in self._cache:
-            (b_bp, a_bp), (b_lp, a_lp) = self._digital_filters()
-            _, h_bp = signal.freqz(b_bp, a_bp, worN=freqs, fs=self.sample_rate)
-            _, h_lp = signal.freqz(b_lp, a_lp, worN=freqs, fs=self.sample_rate)
-            self._cache[key] = h_bp * h_lp
-        return self._cache[key]
+        fs = self.sample_rate
+        w_ac = 2.0 * math.pi * self.ac_coupling_center
+        b_bp, a_bp = signal.bilinear([w_ac / self.ac_coupling_q, 0.0],
+                                     [1.0, w_ac / self.ac_coupling_q, w_ac ** 2], fs=fs)
+        w_p = 2.0 * math.pi * self.detector_pole
+        b_lp, a_lp = signal.bilinear([1.0], [1.0 / w_p, 1.0], fs=fs)
+        _, h_bp = signal.freqz(b_bp, a_bp, worN=freqs, fs=fs)
+        _, h_lp = signal.freqz(b_lp, a_lp, worN=freqs, fs=fs)
+        return h_bp * h_lp
 
     def spur_current_amplitude(self, dc: float) -> float:
         return self.spur_amplitude * math.sqrt(dc * SPUR_REFERENCE_BANDWIDTH)
@@ -122,18 +121,32 @@ class DetectionChain:
         fixed frequency grid, so traces of every kind taken at the same DC
         share the same ADC scaling exactly.
         """
-        key = ("rms", float(dc))
-        if key not in self._cache:
-            f = np.linspace(0.0, self.sample_rate / 2.0, _RMS_GRID)
-            h2 = np.abs(self.response(f)) ** 2
-            var = np.trapezoid(h2 * (dc + self.electronic_noise_psd), f)
-            var += 0.5 * self.spur_current_amplitude(dc) ** 2
-            self._cache[key] = math.sqrt(var)
-        return self._cache[key]
+        return _analytic_rms(self, float(dc))
 
     def lsb(self, dc: float) -> float:
         """ADC code size in current units for a channel at mean current dc."""
         return _FULL_SCALE_SIGMAS * self.analytic_rms(dc) / 2 ** (self.adc_bits - 1)
+
+
+# a 65537-point response per call (about 10 ms), asked for several times per
+# trace; keyed by the chain's value
+@functools.lru_cache(maxsize=256)
+def _analytic_rms(chain: DetectionChain, dc: float) -> float:
+    f = np.linspace(0.0, chain.sample_rate / 2.0, _RMS_GRID)
+    h2 = np.abs(chain.response(f)) ** 2
+    var = np.trapezoid(h2 * (dc + chain.electronic_noise_psd), f)
+    var += 0.5 * chain.spur_current_amplitude(dc) ** 2
+    return math.sqrt(var)
+
+
+# the response on the grid rfftfreq(n, 1/fs) takes 0.2-2 s at 200 MS/s and is
+# shared by the traces of one run (signal, reference, dark); only the latest
+# grid is kept, so at most one such array outlives its chain
+@functools.lru_cache(maxsize=1)
+def _synthesis_response(chain: DetectionChain, n: int) -> np.ndarray:
+    h = chain.response(np.fft.rfftfreq(n, 1.0 / chain.sample_rate)).astype(np.complex64)
+    h.flags.writeable = False
+    return h
 
 
 @dataclass
@@ -168,22 +181,30 @@ class TwoChannelTrace:
         return len(self.samples_1)
 
 
-def _interp(freqs, spec_freqs, values):
-    return np.interp(freqs, spec_freqs, values)
+def _synthesize_matrix(matrix, dc_pair, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
+    """Trace pair realizing a normalized 2x2 spectral matrix at the given DC pair.
 
-
-def _synthesize_core(p11_fn, p22_fn, p12_fn, chain, duration, seed, dc_pair):
-    """Shared frequency-domain synthesis; p*_fn map a frequency grid to PSDs."""
+    matrix = (spec_freqs, s11, s22, c12) holds normalized spectra on
+    spec_freqs; each is interpolated onto the synthesis grid (clamped beyond
+    the ends) and then scaled to P11 = dc1 s11, P22 = dc2 s22 and
+    P12 = sqrt(dc1 dc2) c12 / 2.
+    """
+    spec_freqs, s11, s22, c12 = matrix
+    dc1, dc2 = (float(dc) for dc in dc_pair)
+    if duration < 10e-3:
+        raise ValueError("duration must be >= 10 ms")
+    if np.min(spec_freqs) > 0.5e6 + 1.0 or np.max(spec_freqs) < 20e6 - 1.0:
+        raise ValueError("input spectra must cover 0.5 to 20 MHz")
+    if dc1 < 0 or dc2 < 0:
+        raise ValueError("dc currents must be >= 0")
     fs = chain.sample_rate
     n = int(round(duration * fs))
-    if n < 2:
-        raise ValueError("duration too short for the sample rate")
     nfreq = n // 2 + 1
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
 
-    p11 = np.asarray(p11_fn(freqs), dtype=float) + chain.electronic_noise_psd
-    p22 = np.asarray(p22_fn(freqs), dtype=float) + chain.electronic_noise_psd
-    p12 = np.asarray(p12_fn(freqs), dtype=float)
+    p11 = dc1 * np.interp(freqs, spec_freqs, s11) + chain.electronic_noise_psd
+    p22 = dc2 * np.interp(freqs, spec_freqs, s22) + chain.electronic_noise_psd
+    p12 = math.sqrt(dc1 * dc2) / 2.0 * np.interp(freqs, spec_freqs, c12)
 
     bad = (p11 < 0) | (p22 < 0)
     det = p11 * p22 - p12 * p12
@@ -226,7 +247,7 @@ def _synthesize_core(p11_fn, p22_fn, p12_fn, chain, duration, seed, dc_pair):
         if n % 2 == 0:
             x[-1] = math.sqrt(2.0) * x[-1].real
 
-    h = chain.response(freqs).astype(np.complex64)
+    h = _synthesis_response(chain, n)
     x1 *= h
     x2 *= h
 
@@ -234,13 +255,13 @@ def _synthesize_core(p11_fn, p22_fn, p12_fn, chain, duration, seed, dc_pair):
     if chain.spur_amplitude > 0:
         k0 = int(round(chain.spur_freq * n / fs))
         if 0 < k0 < nfreq - 1:
-            for x, dc, ph in ((x1, dc_pair[0], phases[0]), (x2, dc_pair[1], phases[1])):
+            for x, dc, ph in ((x1, dc1, phases[0]), (x2, dc2, phases[1])):
                 x[k0] += chain.spur_current_amplitude(dc) * (n / 2.0) * np.exp(1j * ph)
 
     top = 2 ** (chain.adc_bits - 1)
     out = []
     clips = []
-    for x, dc in ((x1, dc_pair[0]), (x2, dc_pair[1])):
+    for x, dc in ((x1, dc1), (x2, dc2)):
         lsb = chain.lsb(dc)
         if lsb == 0.0:
             # silent channel: no signal, no noise, nothing to resolve
@@ -262,16 +283,11 @@ def _synthesize_core(p11_fn, p22_fn, p12_fn, chain, duration, seed, dc_pair):
         chain=chain,
         duration=duration,
         seed=int(seed),
-        dc_1=float(dc_pair[0]),
-        dc_2=float(dc_pair[1]),
+        dc_1=dc1,
+        dc_2=dc2,
         clipped_1=clips[0],
         clipped_2=clips[1],
     )
-
-
-def _check_coverage(spec: QuadSpectra):
-    if spec.frequencies.min() > 0.5e6 + 1.0 or spec.frequencies.max() < 20e6 - 1.0:
-        raise ValueError("input spectra must cover 0.5 to 20 MHz")
 
 
 def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
@@ -280,18 +296,9 @@ def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: 
     duration >= 10 ms; the spectra grid must cover 0.5 to 20 MHz (values are
     interpolated onto the synthesis grid and clamped beyond the ends).
     """
-    if duration < 10e-3:
-        raise ValueError("duration must be >= 10 ms")
-    _check_coverage(spec)
-    dc1 = chain.dc_current_1
-    dc2 = chain.dc_current_2
-    cross = math.sqrt(dc1 * dc2) / 2.0
-    return _synthesize_core(
-        lambda f: dc1 * _interp(f, spec.frequencies, spec.s_x1),
-        lambda f: dc2 * _interp(f, spec.frequencies, spec.s_x2),
-        lambda f: cross * _interp(f, spec.frequencies, spec.c_x),
-        chain, duration, seed, (dc1, dc2),
-    )
+    matrix = (spec.frequencies, spec.s_x1, spec.s_x2, spec.c_x)
+    dc_pair = (chain.dc_current_1, chain.dc_current_2)
+    return _synthesize_matrix(matrix, dc_pair, chain, duration, seed)
 
 
 def witness_arm_traces(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
@@ -302,19 +309,11 @@ def witness_arm_traces(spec: QuadSpectra, chain: DetectionChain, duration: float
     2 S_Y - C_Y, which fixes the arm auto- and cross-spectra to
     (vp + vm)/4 and (vp - vm)/2 in normalized units.
     """
-    if duration < 10e-3:
-        raise ValueError("duration must be >= 10 ms")
-    _check_coverage(spec)
     vp, vm = witness_pair(spec)
     s_arm = (vp + vm) / 4.0
-    c_arm = (vp - vm) / 2.0
     dc_arm = 0.5 * (chain.dc_current_1 + chain.dc_current_2)
-    return _synthesize_core(
-        lambda f: dc_arm * _interp(f, spec.frequencies, s_arm),
-        lambda f: dc_arm * _interp(f, spec.frequencies, s_arm),
-        lambda f: (dc_arm / 2.0) * _interp(f, spec.frequencies, c_arm),
-        chain, duration, seed, (dc_arm, dc_arm),
-    )
+    matrix = (spec.frequencies, s_arm, s_arm, (vp - vm) / 2.0)
+    return _synthesize_matrix(matrix, (dc_arm, dc_arm), chain, duration, seed)
 
 
 def shot_noise_pair(dc_1: float, dc_2: float, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
@@ -324,16 +323,9 @@ def shot_noise_pair(dc_1: float, dc_2: float, chain: DetectionChain, duration: f
     channel at zero current records electronic noise only; dc_1 = dc_2 = 0
     yields a dark trace.
     """
-    if duration < 10e-3:
-        raise ValueError("duration must be >= 10 ms")
-    if dc_1 < 0 or dc_2 < 0:
-        raise ValueError("dc currents must be >= 0")
-    zeros = lambda f: np.zeros_like(f)
-    return _synthesize_core(
-        lambda f: np.full_like(f, float(dc_1)),
-        lambda f: np.full_like(f, float(dc_2)),
-        zeros, chain, duration, seed, (float(dc_1), float(dc_2)),
-    )
+    # flat unit auto-spectra and no cross term; interpolating constants is exact
+    matrix = (np.array([0.0, chain.sample_rate / 2.0]), np.ones(2), np.ones(2), np.zeros(2))
+    return _synthesize_matrix(matrix, (dc_1, dc_2), chain, duration, seed)
 
 
 def dark_trace(chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:

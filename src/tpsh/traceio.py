@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 import warnings
 
 import numpy as np
@@ -36,6 +35,26 @@ HEADER_SIZE = 64
 _HEADER = struct.Struct("<4sHdBBdQdd")
 _SAMPLE_DTYPE = np.dtype("<i2")
 _FRAME_BYTES = 2 * _SAMPLE_DTYPE.itemsize
+
+
+def atomic_write(path: str, *chunks) -> None:
+    """Write byte chunks to path through a temporary file in its directory.
+
+    The temporary file is renamed into place, so readers never observe a
+    partial file; it is created like a plain open() would create it (mode
+    0o666 less the umask).
+    """
+    tmp = "%s.%s.tmp" % (os.path.abspath(path), os.urandom(6).hex())
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_trace(trace: TwoChannelTrace, path: str) -> None:
@@ -61,17 +80,7 @@ def write_trace(trace: TwoChannelTrace, path: str) -> None:
     frames[:, 0] = trace.samples_1
     frames[:, 1] = trace.samples_2
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(frames.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, header, frames)
 
 
 def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrace:

@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from tpsh.analyzer import correct_electronic_noise, cross_spectral_matrix
 from tpsh.cavity import CavityParams, steady_state
 from tpsh.cli import main
 from tpsh.synth import DetectionChain, dark_trace, shot_noise_pair
-from tpsh.traceio import write_trace
+from tpsh.traceio import read_trace, write_trace
 
 
 @pytest.fixture
@@ -88,6 +89,47 @@ class TestCommands:
         assert rc == 0
         report = json.loads(out)
         assert report["var_sum"] == pytest.approx(1.654, abs=0.15)
+
+    def test_optimal_mode_spectra_match_report_gain(self, capsys, fast_conf, tmp_path):
+        with open(fast_conf, "a") as fh:
+            fh.write("analysis.gain_mode = optimal\n")
+        rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf, "--seed", "5")
+        trace_path = json.loads(out)["written"]
+        chain = DetectionChain(sample_rate=50e6)
+        dark_path = str(tmp_path / "dark.bin")
+        write_trace(dark_trace(chain, 0.010, seed=7), dark_path)
+        rc, out, _ = run_cli(capsys, "analyze", trace_path, "--config", fast_conf,
+                             "--dark", dark_path)
+        assert rc == 0
+        gain = json.loads(out)["optimal_gain"]
+        matrix = cross_spectral_matrix(read_trace(trace_path, chain), 100e3)
+        dark = cross_spectral_matrix(read_trace(dark_path, chain), 100e3)
+        outdir = os.path.dirname(trace_path)
+        for mode, name in (("sum", "sum_spectrum.csv"),
+                           ("difference", "difference_spectrum.csv")):
+            want = correct_electronic_noise(matrix.combination(gain, mode),
+                                            dark.combination(gain, mode))
+            data = np.genfromtxt(os.path.join(outdir, name), delimiter=",", names=True)
+            np.testing.assert_allclose(data["freq_hz"], want.frequencies, rtol=1e-12)
+            np.testing.assert_allclose(data["power"], want.power, rtol=1e-12)
+            np.testing.assert_allclose(data["sigma"], want.sigma, rtol=1e-12)
+
+    def test_artifacts_get_the_mode_of_a_plain_open(self, capsys, fast_conf, tmp_path):
+        outdir = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            for argv in (["witness"], ["synth"], ["spectra"], ["sweep", "--points", "3"],
+                         ["analyze", str(outdir / "trace.bin")]):
+                rc, _, _ = run_cli(capsys, *argv, "--config", fast_conf)
+                assert rc == 0
+        finally:
+            os.umask(old)
+        names = sorted(os.listdir(outdir))
+        assert names == ["difference_spectrum.csv", "report.json", "run.log", "spectra.csv",
+                         "sum_spectrum.csv", "sweep.csv", "trace.bin", "witness.json"]
+        want = oct(os.stat(outdir / "run.log").st_mode)
+        modes = {name: oct(os.stat(outdir / name).st_mode) for name in names}
+        assert modes == dict.fromkeys(names, want)
 
     def test_rbw_flag_changes_grid(self, capsys, fast_conf):
         rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf, "--seed", "5")

@@ -1,5 +1,7 @@
 """Trace synthesis: normalization, chain effects, and round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,36 @@ class TestDeterminismAndValidation:
     def test_negative_dc_rejected(self):
         with pytest.raises(ValueError):
             shot_noise_pair(-1e-3, 1e-3, quiet_chain(), 0.010, seed=1)
+
+
+class TestImmutableChain:
+    def test_replace_gives_a_fresh_chain(self):
+        chain = DetectionChain(sample_rate=50e6)
+        grid = np.linspace(0.0, 20e6, 201)
+        chain.analytic_rms(1.0), chain.lsb(1.0), chain.response(grid)
+        copy = dataclasses.replace(chain, detector_pole=3e6)
+        fresh = DetectionChain(sample_rate=50e6, detector_pole=3e6)
+        assert copy.analytic_rms(1.0) == fresh.analytic_rms(1.0)
+        assert copy.lsb(1.0) == fresh.lsb(1.0)
+        np.testing.assert_array_equal(copy.response(grid), fresh.response(grid))
+        assert copy.analytic_rms(1.0) != chain.analytic_rms(1.0)
+
+    def test_response_follows_interior_grid_points(self):
+        # same length and endpoints, different interior points
+        chain = DetectionChain(sample_rate=50e6)
+        linear = np.linspace(0.0, 20e6, 201)
+        quadratic = linear ** 2 / 20e6
+        h_linear = chain.response(linear)
+        h_quadratic = chain.response(quadratic)
+        fresh = DetectionChain(sample_rate=50e6)
+        np.testing.assert_array_equal(h_quadratic, fresh.response(quadratic))
+        np.testing.assert_array_equal(h_linear, fresh.response(linear))
+        assert not np.array_equal(h_linear, h_quadratic)
+
+    def test_fields_cannot_be_assigned(self):
+        chain = DetectionChain()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chain.detector_pole = 3e6
 
 
 class TestChainImperfections:
