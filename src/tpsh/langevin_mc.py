@@ -14,6 +14,13 @@ Discrete model per quadrature sector (q in {x, y}, damping D_q):
 with dW ~ N(0, dt) and x[i] independent of the step-i increments
 (non-anticipating).  The raw one-sided Welch level of a vacuum input is 2,
 so estimates are halved to the shot-noise = 1 normalization.
+
+The Welch estimate (root-periodic-Hann window, 50 % overlap, constant
+detrend per segment, density scaling, cross density <conj(X1) X2>; Welch
+1967, IEEE Trans. Audio Electroacoust. 15, 70) is written out here rather
+than taken from analyzer.py: an oracle that shared the estimator under test
+could not catch its faults.  Only the AR(1) step uses scipy.signal, imported
+where it runs, so importing tpsh does not load it.
 """
 
 from __future__ import annotations
@@ -22,10 +29,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cavity import SteadyState
 from .noise import QuadSpectra
+
+# samples per block of Welch segments: bounds the transient arrays to a few
+# 8 MiB float64/complex128 blocks whatever the record length
+_BLOCK_SAMPLES = 1 << 20
 
 
 @dataclass
@@ -38,9 +49,52 @@ class MCSpectra:
     dt: float
 
 
+def _welch_setup(nperseg: int, fs: float):
+    """Frequencies, root-periodic-Hann window and density scale of _welch_pair."""
+    window = np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg))
+    scale = 1.0 / (fs * np.sum(window * window))
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), window, scale
+
+
+def _welch_pair(rec1: np.ndarray, rec2: np.ndarray, window: np.ndarray, scale: float):
+    """One-sided Welch densities P11, P22 and cross density <conj(X1) X2>.
+
+    Segments of len(window) samples overlap by half and lose their mean
+    before windowing; the three products are summed over blocks of segments.
+    """
+    nperseg = len(window)
+    step = nperseg - nperseg // 2
+    n_segments = (len(rec1) - nperseg) // step + 1
+    block = max(1, _BLOCK_SAMPLES // nperseg)
+    bins = nperseg // 2 + 1
+    p11 = np.zeros(bins)
+    p22 = np.zeros(bins)
+    p12 = np.zeros(bins, dtype=complex)
+    for first in range(0, n_segments, block):
+        stop = (min(first + block, n_segments) - 1) * step + nperseg
+        spectra = []
+        for rec in (rec1, rec2):
+            seg = sliding_window_view(rec[first * step:stop], nperseg)[::step]
+            seg = seg - seg.mean(axis=1, keepdims=True)
+            seg *= window
+            spectra.append(np.fft.rfft(seg, axis=1))
+        x1, x2 = spectra
+        p11 += np.sum(x1.real ** 2 + x1.imag ** 2, axis=0)
+        p22 += np.sum(x2.real ** 2 + x2.imag ** 2, axis=0)
+        p12 += np.sum(x1.conj() * x2, axis=0)
+    # fold in the negative frequencies: all bins but DC (and an even Nyquist)
+    fold = np.full(bins, 2.0 * scale / n_segments)
+    fold[0] /= 2.0
+    if nperseg % 2 == 0:
+        fold[-1] /= 2.0
+    return p11 * fold, p22 * fold, p12 * fold
+
+
 def _ar1(drive: np.ndarray, decay: float) -> np.ndarray:
+    from scipy.signal import lfilter  # deferred: only the oracle needs scipy.signal
+
     # x[i] = decay*x[i-1] + drive[i-1]; lfilter output is then shifted by one
-    y = signal.lfilter([1.0], [1.0, -decay], drive)
+    y = lfilter([1.0], [1.0, -decay], drive)
     out = np.empty_like(y)
     out[0] = 0.0
     out[1:] = y[:-1]
@@ -97,42 +151,26 @@ def mc_spectra(
     fs = 1.0 / dt
     if np.any(freqs >= fs / 2):
         raise ValueError("requested frequency above simulation Nyquist")
+    if n_steps < nperseg:
+        raise ValueError("n_steps must be >= nperseg")
     burn = int(10.0 / (dx * dt)) + 1
 
     rng = np.random.default_rng(seed)
-    window = np.sqrt(signal.windows.hann(nperseg, sym=False))
-    wargs = dict(
-        fs=fs, window=window, nperseg=nperseg, noverlap=nperseg // 2, detrend="constant"
-    )
+    f, window, scale = _welch_setup(nperseg, fs)
+    centers = np.array([int(np.argmin(np.abs(f - ft))) for ft in freqs])
+    if np.any(centers - avg_bins < 1) or np.any(centers + avg_bins >= len(f)):
+        raise ValueError("frequency too close to the simulation grid edge")
+    sel = centers[:, None] + np.arange(-avg_bins, avg_bins + 1)[None, :]
 
     per_real = {k: [] for k in ("s_x1", "s_x2", "c_x", "s_y1", "s_y2", "c_y")}
-    bin_freqs = None
     for _ in range(n_realizations):
-        x1, x2 = _sector(rng, n_steps + burn, dt, glin_pair, (g1, g2), dx)
-        y1, y2 = _sector(rng, n_steps + burn, dt, glin_pair, (g1, g2), dy)
-        x1, x2, y1, y2 = (a[burn:] for a in (x1, x2, y1, y2))
-
-        f, p_x1 = signal.welch(x1, **wargs)
-        _, p_x2 = signal.welch(x2, **wargs)
-        _, p_y1 = signal.welch(y1, **wargs)
-        _, p_y2 = signal.welch(y2, **wargs)
-        _, cs_x = signal.csd(x1, x2, **wargs)
-        _, cs_y = signal.csd(y1, y2, **wargs)
-
-        if bin_freqs is None:
-            centers = np.array([int(np.argmin(np.abs(f - ft))) for ft in freqs])
-            if np.any(centers - avg_bins < 1) or np.any(centers + avg_bins >= len(f)):
-                raise ValueError("frequency too close to the simulation grid edge")
-            sel = centers[:, None] + np.arange(-avg_bins, avg_bins + 1)[None, :]
-            bin_freqs = f[centers]
-
-        # one-sided vacuum level is 2; cross convention matches noise.QuadSpectra
-        per_real["s_x1"].append(np.mean(p_x1[sel], axis=1) / 2.0)
-        per_real["s_x2"].append(np.mean(p_x2[sel], axis=1) / 2.0)
-        per_real["s_y1"].append(np.mean(p_y1[sel], axis=1) / 2.0)
-        per_real["s_y2"].append(np.mean(p_y2[sel], axis=1) / 2.0)
-        per_real["c_x"].append(np.mean(np.real(cs_x[sel]), axis=1))
-        per_real["c_y"].append(np.mean(np.real(cs_y[sel]), axis=1))
+        for sector, damping in (("x", dx), ("y", dy)):
+            out1, out2 = _sector(rng, n_steps + burn, dt, glin_pair, (g1, g2), damping)
+            p1, p2, cs = _welch_pair(out1[burn:], out2[burn:], window, scale)
+            # one-sided vacuum level is 2; cross convention matches noise.QuadSpectra
+            per_real["s_%s1" % sector].append(np.mean(p1[sel], axis=1) / 2.0)
+            per_real["s_%s2" % sector].append(np.mean(p2[sel], axis=1) / 2.0)
+            per_real["c_%s" % sector].append(np.mean(np.real(cs[sel]), axis=1))
 
     means = {}
     ses = {}
@@ -143,8 +181,8 @@ def mc_spectra(
         ses[key] = stack.std(axis=0, ddof=1) / root_n
 
     return MCSpectra(
-        spec=QuadSpectra(frequencies=bin_freqs, **means),
-        se=QuadSpectra(frequencies=bin_freqs, **ses),
+        spec=QuadSpectra(frequencies=f[centers], **means),
+        se=QuadSpectra(frequencies=f[centers], **ses),
         n_realizations=n_realizations,
         dt=dt,
     )

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 from scipy.fft import irfft
 
 from .noise import QuadSpectra, witness_pair
@@ -103,12 +102,14 @@ class DetectionChain:
         """Complex chain transfer function (AC coupling times pole) at freqs (Hz)."""
         fs = self.sample_rate
         w_ac = 2.0 * math.pi * self.ac_coupling_center
-        b_bp, a_bp = signal.bilinear([w_ac / self.ac_coupling_q, 0.0],
-                                     [1.0, w_ac / self.ac_coupling_q, w_ac ** 2], fs=fs)
+        b_bp, a_bp = _bilinear([w_ac / self.ac_coupling_q, 0.0],
+                               [1.0, w_ac / self.ac_coupling_q, w_ac ** 2], fs)
         w_p = 2.0 * math.pi * self.detector_pole
-        b_lp, a_lp = signal.bilinear([1.0], [1.0 / w_p, 1.0], fs=fs)
-        _, h_bp = signal.freqz(b_bp, a_bp, worN=freqs, fs=fs)
-        _, h_lp = signal.freqz(b_lp, a_lp, worN=freqs, fs=fs)
+        b_lp, a_lp = _bilinear([1.0], [1.0 / w_p, 1.0], fs)
+        # the digital frequency of each point, as scipy.signal.freqz forms it
+        zm1 = np.exp(-1j * (2 * np.pi * np.asarray(freqs, dtype=float) / fs))
+        h_bp = _polyval(b_bp, zm1) / _polyval(a_bp, zm1)
+        h_lp = _polyval(b_lp, zm1) / _polyval(a_lp, zm1)
         return h_bp * h_lp
 
     def spur_current_amplitude(self, dc: float) -> float:
@@ -128,6 +129,34 @@ class DetectionChain:
         return _FULL_SCALE_SIGMAS * self.analytic_rms(dc) / 2 ** (self.adc_bits - 1)
 
 
+def _bilinear(b, a, fs: float):
+    """Digital (b, a) of the analog filter b(s)/a(s) by the bilinear transform.
+
+    Coefficients run from the highest power down.  s = 2 fs (z - 1)/(z + 1),
+    with the factor 2 fs split evenly between the (z + 1) and (z - 1)
+    polynomials and the result normalized to a[0] = 1: the construction of
+    scipy.signal.bilinear, so the coefficients agree to the last bit.
+    """
+    fac = math.sqrt(fs * 2)
+    zp1 = np.polynomial.Polynomial((+1, 1)) / fac
+    zm1 = np.polynomial.Polynomial((-1, 1)) * fac
+    n = max(len(a), len(b)) - 1
+
+    def expand(coef):
+        return sum(c * zp1 ** (n - q) * zm1 ** q for q, c in enumerate(coef[::-1])).coef[::-1]
+
+    num, den = expand(b), expand(a)
+    return num / den[0], den / den[0]
+
+
+def _polyval(coef: np.ndarray, zm1: np.ndarray) -> np.ndarray:
+    """Horner evaluation of sum_k coef[k] zm1**k, in scipy.signal.freqz's order."""
+    h = np.full(zm1.shape, coef[-1], dtype=complex)
+    for c in coef[-2::-1]:
+        h = c + h * zm1
+    return h
+
+
 # a 65537-point response per call (about 10 ms), asked for several times per
 # trace; keyed by the chain's value
 @functools.lru_cache(maxsize=256)
@@ -139,9 +168,11 @@ def _analytic_rms(chain: DetectionChain, dc: float) -> float:
     return math.sqrt(var)
 
 
-# the response on the grid rfftfreq(n, 1/fs) takes 0.2-2 s at 200 MS/s and is
-# shared by the traces of one run (signal, reference, dark); only the latest
-# grid is kept, so at most one such array outlives its chain
+# the response on the grid rfftfreq(n, 1/fs) takes about 0.17 s for a 10 ms
+# trace at 200 MS/s (1 000 001 bins, 2-vCPU x86 host), in proportion to the
+# duration, and is shared by the traces of one run (signal, reference,
+# dark); only the latest grid is kept, so at most one such array outlives
+# its chain
 @functools.lru_cache(maxsize=1)
 def _synthesis_response(chain: DetectionChain, n: int) -> np.ndarray:
     h = chain.response(np.fft.rfftfreq(n, 1.0 / chain.sample_rate)).astype(np.complex64)
@@ -153,7 +184,10 @@ def _synthesis_response(chain: DetectionChain, n: int) -> np.ndarray:
 class TwoChannelTrace:
     """Quantized two-channel recording plus the metadata needed to undo it.
 
-    samples are ADC codes; dc_1/dc_2 are the mean photocurrents of this
+    samples are ADC codes: int32 arrays from synthesis, read-only int16
+    views of the file's bytes from traceio.read_trace (the analyzer converts
+    codes to currents block by block, so neither is widened to a
+    full-length float copy); dc_1/dc_2 are the mean photocurrents of this
     particular trace (witness arms, for instance, run at the average of the
     two configured currents).  clipped_1/2 count full-scale violations.
     """

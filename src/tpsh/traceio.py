@@ -86,10 +86,11 @@ def write_trace(trace: TwoChannelTrace, path: str) -> None:
 def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrace:
     """Read a trace file back into memory.
 
-    The file stores acquisition metadata only; analysis parameters (filter
-    corners, noise levels) come from the chain argument when provided,
-    otherwise from chain defaults.  A provided chain must agree with the
-    header's sample rate and bit depth.
+    The channels are read-only int16 views of the file's bytes, which are
+    read once and not copied again.  The file stores acquisition metadata
+    only; analysis parameters (filter corners, noise levels) come from the
+    chain argument when provided, otherwise from chain defaults.  A provided
+    chain must agree with the header's sample rate and bit depth.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -124,12 +125,12 @@ def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrac
                 % (chain.adc_bits, adc_bits)
             )
 
-    payload = raw[HEADER_SIZE:]
+    payload = memoryview(raw)[HEADER_SIZE:]
     expected = int(round(duration * sample_rate))
     found, leftover = divmod(len(payload), _FRAME_BYTES)
     if len(payload) == 0 and expected > 0:
         warnings.warn("header-only trace file: expected %d samples, found none" % expected)
-        empty = np.empty(0, dtype=np.int32)
+        empty = np.empty(0, dtype=_SAMPLE_DTYPE)
         return TwoChannelTrace(
             samples_1=empty, samples_2=empty.copy(), chain=chain,
             duration=duration, seed=seed, dc_1=dc_1, dc_2=dc_2,
@@ -140,10 +141,11 @@ def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrac
             "channel, found %s" % (expected, len(payload) / _FRAME_BYTES)
         )
 
+    # read-only int16 views of the file's bytes: no copy of the payload
     frames = np.frombuffer(payload, dtype=_SAMPLE_DTYPE).reshape(-1, 2)
     return TwoChannelTrace(
-        samples_1=frames[:, 0].astype(np.int32),
-        samples_2=frames[:, 1].astype(np.int32),
+        samples_1=frames[:, 0],
+        samples_2=frames[:, 1],
         chain=chain,
         duration=duration,
         seed=seed,

@@ -7,9 +7,10 @@ a small fraction of comparisons may exceed 3 SE, none may exceed 6 SE.
 """
 
 import numpy as np
+import pytest
 
 from tpsh.cavity import CavityParams, steady_state
-from tpsh.langevin_mc import mc_spectra
+from tpsh.langevin_mc import _BLOCK_SAMPLES, _welch_pair, _welch_setup, mc_spectra
 from tpsh.noise import quadrature_spectra
 
 FIELDS = ("s_x1", "s_x2", "c_x", "s_y1", "s_y2", "c_y")
@@ -51,3 +52,39 @@ def test_mc_deterministic_for_seed():
     b = mc_spectra(ss, [6e6], seed=42, n_realizations=2, n_steps=1 << 16)
     assert np.array_equal(a.spec.s_x1, b.spec.s_x1)
     assert np.array_equal(a.spec.c_y, b.spec.c_y)
+
+
+def test_mc_rejects_records_shorter_than_a_segment():
+    ss = steady_state(CavityParams())
+    with pytest.raises(ValueError, match="nperseg"):
+        mc_spectra(ss, [6e6], seed=1, n_realizations=2, n_steps=1 << 15)
+
+
+@pytest.mark.parametrize("nperseg, n_samples", [
+    (1 << 16, 1 << 16),  # one segment, as in a 65 536-step run
+    # more segments than one block holds, and not a multiple of it
+    (4096, 2048 * (2 * (_BLOCK_SAMPLES // 4096) + 37) + 4096 + 999),
+    (385, 385 * 40 + 101),  # odd nperseg
+])
+def test_welch_pair_matches_scipy(nperseg, n_samples):
+    # the oracle's own Welch estimate against scipy.signal (the reference
+    # here only) with the oracle's window arguments
+    from scipy import signal
+
+    fs = 3.7e9
+    rng = np.random.default_rng(nperseg)
+    rec1 = rng.standard_normal(n_samples) + 0.2
+    rec2 = 0.6 * rec1 + rng.standard_normal(n_samples) - 0.4
+    kwargs = dict(fs=fs, window=np.sqrt(signal.windows.hann(nperseg, sym=False)),
+                  nperseg=nperseg, noverlap=nperseg // 2, detrend="constant")
+    f, p11 = signal.welch(rec1, **kwargs)
+    _, p22 = signal.welch(rec2, **kwargs)
+    _, p12 = signal.csd(rec1, rec2, **kwargs)
+
+    freqs, window, scale = _welch_setup(nperseg, fs)
+    q11, q22, q12 = _welch_pair(rec1, rec2, window, scale)
+    assert np.array_equal(freqs, f)
+    assert np.max(np.abs(q11 / p11 - 1.0)) <= 1e-10
+    assert np.max(np.abs(q22 / p22 - 1.0)) <= 1e-10
+    # the cross density passes through zero; compare on the auto scale
+    assert np.max(np.abs(q12 - p12) / np.sqrt(p11 * p22)) <= 1e-10

@@ -14,6 +14,7 @@ from tpsh.noise import (
     sumdiff_variance,
 )
 from tpsh.synth import (
+    _RMS_GRID,
     DetectionChain,
     TwoChannelTrace,
     dark_trace,
@@ -179,6 +180,37 @@ class TestImmutableChain:
         chain = DetectionChain()
         with pytest.raises(dataclasses.FrozenInstanceError):
             chain.detector_pole = 3e6
+
+
+class TestResponseMatchesSciPy:
+    """The chain's NumPy bilinear transform and Horner evaluation reproduce
+    scipy.signal.bilinear + freqz bit for bit (SciPy is the reference here only)."""
+
+    @staticmethod
+    def scipy_response(chain, freqs):
+        from scipy import signal
+
+        fs = chain.sample_rate
+        w_ac = 2.0 * np.pi * chain.ac_coupling_center
+        b_bp, a_bp = signal.bilinear([w_ac / chain.ac_coupling_q, 0.0],
+                                     [1.0, w_ac / chain.ac_coupling_q, w_ac ** 2], fs=fs)
+        w_p = 2.0 * np.pi * chain.detector_pole
+        b_lp, a_lp = signal.bilinear([1.0], [1.0 / w_p, 1.0], fs=fs)
+        _, h_bp = signal.freqz(b_bp, a_bp, worN=freqs, fs=fs)
+        _, h_lp = signal.freqz(b_lp, a_lp, worN=freqs, fs=fs)
+        return h_bp * h_lp
+
+    @pytest.mark.parametrize("sample_rate", [50e6, 200e6])
+    @pytest.mark.parametrize("changed", [
+        {},
+        {"ac_coupling_q": 1.3, "ac_coupling_center": 2.1e6, "detector_pole": 7.5e6},
+    ])
+    def test_bit_identical_on_rms_and_synthesis_grids(self, sample_rate, changed):
+        chain = dataclasses.replace(DetectionChain(sample_rate=sample_rate), **changed)
+        rms_grid = np.linspace(0.0, sample_rate / 2.0, _RMS_GRID)  # Nyquist included
+        synthesis_grid = np.fft.rfftfreq(int(round(0.010 * sample_rate)), 1.0 / sample_rate)
+        for grid in (rms_grid, synthesis_grid):
+            assert np.array_equal(chain.response(grid), self.scipy_response(chain, grid))
 
 
 class TestChainImperfections:

@@ -49,6 +49,17 @@ class TestRoundTrip:
         assert back.chain.adc_bits == tr.chain.adc_bits
         assert np.array_equal(back.samples_1, tr.samples_1)
 
+    def test_channels_are_read_only_int16_views(self, tmp_path):
+        path = str(tmp_path / "trace.bin")
+        write_trace(small_trace(), path)
+        back = read_trace(path)
+        for samples in (back.samples_1, back.samples_2):
+            assert samples.dtype == np.int16
+            assert not samples.flags.writeable
+            assert not samples.flags.owndata
+        # both channels are strided views of the one buffer the file was read into
+        assert back.samples_1.base is back.samples_2.base
+
 
 class TestValidation:
     def test_wide_adc_rejected_on_write(self, tmp_path):
