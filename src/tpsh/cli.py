@@ -1,9 +1,9 @@
 """Command-line surface: model, synthesis, analysis, and sweeps.
 
 Every command is deterministic for a fixed config and seed; output bytes
-do not embed timestamps (those go to the sidecar run.log).  Files are
-written atomically.  Errors leave one machine-readable JSON line on stderr
-and a nonzero exit status.
+do not embed timestamps or the peak memory of the run (those go to the
+sidecar run.log).  Files are written atomically.  Errors leave one
+machine-readable JSON line on stderr and a nonzero exit status.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import sys
 import time
 
@@ -36,9 +37,11 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 
 def _log(cfg: RunConfig, message: str) -> None:
-    # the one place a timestamp is allowed to appear
+    # the one place a timestamp, or a measurement of this run such as the
+    # process's peak RSS (ru_maxrss is in KiB on Linux), may appear
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with open(_out_path(cfg, "run.log"), "a") as fh:
-        fh.write("%s %s\n" % (time.strftime("%Y-%m-%dT%H:%M:%S"), message))
+        fh.write("%s %s peak_rss_mib=%.1f\n" % (time.strftime("%Y-%m-%dT%H:%M:%S"), message, peak_mib))
 
 
 def _write_csv(path: str, header: str, rows) -> None:

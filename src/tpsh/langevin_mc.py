@@ -91,14 +91,14 @@ def _welch_pair(rec1: np.ndarray, rec2: np.ndarray, window: np.ndarray, scale: f
 
 
 def _ar1(drive: np.ndarray, decay: float) -> np.ndarray:
+    """x[0] = 0, x[i] = decay*x[i-1] + drive[i-1], written over drive."""
     from scipy.signal import lfilter  # deferred: only the oracle needs scipy.signal
 
-    # x[i] = decay*x[i-1] + drive[i-1]; lfilter output is then shifted by one
-    y = lfilter([1.0], [1.0, -decay], drive)
-    out = np.empty_like(y)
-    out[0] = 0.0
-    out[1:] = y[:-1]
-    return out
+    # the filter is causal, so filtering drive[:-1] gives the first n - 1
+    # outputs of filtering all of drive
+    drive[1:] = lfilter([1.0], [1.0, -decay], drive[:-1])
+    drive[0] = 0.0
+    return drive
 
 
 def _sector(rng, n_steps, dt, glin_pair, gk, damping):
@@ -106,19 +106,29 @@ def _sector(rng, n_steps, dt, glin_pair, gk, damping):
     g_in, g_l = glin_pair
     g1, g2 = gk
     sd = math.sqrt(dt)
-    dw0 = rng.normal(0.0, sd, n_steps)
+    # drive = -(sqrt(2 g_in) dW0 + sqrt(2 g_l) dWl + 2 sqrt(g1) dW1
+    # + 2 sqrt(g2) dW2), summed in place in that order; each increment is
+    # drawn when it is needed, which keeps the generator's order
+    drive = rng.normal(0.0, sd, n_steps)  # dW0
+    drive *= math.sqrt(2.0 * g_in)
     dwl = rng.normal(0.0, sd, n_steps)
+    dwl *= math.sqrt(2.0 * g_l)
+    drive += dwl
+    del dwl
     dw1 = rng.normal(0.0, sd, n_steps)
     dw2 = rng.normal(0.0, sd, n_steps)
-    drive = -(
-        math.sqrt(2.0 * g_in) * dw0
-        + math.sqrt(2.0 * g_l) * dwl
-        + 2.0 * math.sqrt(g1) * dw1
-        + 2.0 * math.sqrt(g2) * dw2
-    )
+    drive += 2.0 * math.sqrt(g1) * dw1
+    drive += 2.0 * math.sqrt(g2) * dw2
+    np.negative(drive, out=drive)
     x = _ar1(drive, 1.0 - damping * dt)
-    out1 = dw1 / dt + 2.0 * math.sqrt(g1) * x
-    out2 = dw2 / dt + 2.0 * math.sqrt(g2) * x
+    # out_k = dWk / dt + 2 sqrt(g_k) x, built over dWk
+    out1 = dw1
+    out1 /= dt
+    out1 += 2.0 * math.sqrt(g1) * x
+    out2 = dw2
+    out2 /= dt
+    x *= 2.0 * math.sqrt(g2)
+    out2 += x
     return out1, out2
 
 

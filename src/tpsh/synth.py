@@ -16,7 +16,10 @@ Gaussian draws (circulant embedding), then the chain applies, in order,
 electronic noise, AC-coupling bandpass, detector pole, spur injection, and
 quantization.  The sample stream is the AC-coupled fluctuation; mean
 currents ride along as metadata because the bandpass would remove any
-embedded DC anyway.
+embedded DC anyway.  Codes are int16 for ADCs of up to 16 bits (int32
+above).  No float64 array spans the synthesis grid: the spectra, Cholesky
+factors and chain response are evaluated in blocks of _BIN_BLOCK bins, and
+the complex64 draws are mixed and filtered in place.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ _RMS_GRID = 65537
 
 # Full scale = this many analytic RMS; clipping beyond it is counted.
 _FULL_SCALE_SIGMAS = 6.0
+
+# bins of the synthesis grid per block: the float64 spectra and Cholesky
+# factors and the complex128 chain response exist one block (0.5-1 MiB per
+# array) at a time, whatever the trace length
+_BIN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,14 +176,30 @@ def _analytic_rms(chain: DetectionChain, dc: float) -> float:
     return math.sqrt(var)
 
 
+def _grid_blocks(n: int, fs: float):
+    """(bins, freqs) over the grid rfftfreq(n, 1/fs) in blocks of _BIN_BLOCK.
+
+    bins is the block's slice of the grid; freqs are formed as rfftfreq
+    forms them (integer bin times 1/(n d)), so they agree to the last bit.
+    """
+    nfreq = n // 2 + 1
+    df = 1.0 / (n * (1.0 / fs))
+    for lo in range(0, nfreq, _BIN_BLOCK):
+        hi = min(lo + _BIN_BLOCK, nfreq)
+        yield slice(lo, hi), np.arange(lo, hi) * df
+
+
 # the response on the grid rfftfreq(n, 1/fs) takes about 0.17 s for a 10 ms
 # trace at 200 MS/s (1 000 001 bins, 2-vCPU x86 host), in proportion to the
 # duration, and is shared by the traces of one run (signal, reference,
-# dark); only the latest grid is kept, so at most one such array outlives
-# its chain
+# dark); it is evaluated block by block into the complex64 result (8 MB at
+# that size, with no full-length complex128 transient), and only the latest
+# grid is kept, so at most one such array outlives its chain
 @functools.lru_cache(maxsize=1)
 def _synthesis_response(chain: DetectionChain, n: int) -> np.ndarray:
-    h = chain.response(np.fft.rfftfreq(n, 1.0 / chain.sample_rate)).astype(np.complex64)
+    h = np.empty(n // 2 + 1, dtype=np.complex64)
+    for bins, freqs in _grid_blocks(n, chain.sample_rate):
+        h[bins] = chain.response(freqs)
     h.flags.writeable = False
     return h
 
@@ -184,12 +208,13 @@ def _synthesis_response(chain: DetectionChain, n: int) -> np.ndarray:
 class TwoChannelTrace:
     """Quantized two-channel recording plus the metadata needed to undo it.
 
-    samples are ADC codes: int32 arrays from synthesis, read-only int16
-    views of the file's bytes from traceio.read_trace (the analyzer converts
-    codes to currents block by block, so neither is widened to a
-    full-length float copy); dc_1/dc_2 are the mean photocurrents of this
-    particular trace (witness arms, for instance, run at the average of the
-    two configured currents).  clipped_1/2 count full-scale violations.
+    samples are ADC codes: from synthesis, int16 arrays for ADCs of up to
+    16 bits and int32 above; from traceio.read_trace, read-only int16 views
+    of the file's bytes (the analyzer converts codes to currents block by
+    block, so none is widened to a full-length float copy); dc_1/dc_2 are
+    the mean photocurrents of this particular trace (witness arms, for
+    instance, run at the average of the two configured currents).
+    clipped_1/2 count full-scale violations.
     """
 
     samples_1: np.ndarray
@@ -215,6 +240,60 @@ class TwoChannelTrace:
         return len(self.samples_1)
 
 
+def _complex_normal(rng, size: int) -> np.ndarray:
+    """Complex64 standard normals: all real parts are drawn, then all imaginary.
+
+    Each part is drawn block by block into place; the generator's stream
+    runs on across calls, so the values equal one full-length draw.
+    """
+    z = np.empty(size, dtype=np.complex64)
+    for part in (z.real, z.imag):
+        for lo in range(0, size, _BIN_BLOCK):
+            part[lo:lo + _BIN_BLOCK] = rng.standard_normal(min(_BIN_BLOCK, size - lo), dtype=np.float32)
+    return z
+
+
+def _mix(x1: np.ndarray, x2: np.ndarray, matrix, dc_pair, chain: DetectionChain, n: int) -> None:
+    """Turn the draws z1, z2 in x1, x2 into x1 = a11 z1, x2 = a21 z1 + a22 z2.
+
+    a11, a21 and a22 are the Cholesky factors of the PSD matrix, scaled to
+    the n-point grid, evaluated and applied in place one block of bins at a
+    time; they are rounded to single precision, as PSD estimates live at the
+    percent level.  Raises at the first bin where the matrix is not positive
+    semidefinite.
+    """
+    spec_freqs, s11, s22, c12 = matrix
+    dc1, dc2 = dc_pair
+    psd_e = chain.electronic_noise_psd
+    g12 = math.sqrt(dc1 * dc2) / 2.0
+    scale = math.sqrt(n * chain.sample_rate / 4.0)
+    for bins, freqs in _grid_blocks(n, chain.sample_rate):
+        p11 = dc1 * np.interp(freqs, spec_freqs, s11) + psd_e
+        p22 = dc2 * np.interp(freqs, spec_freqs, s22) + psd_e
+        p12 = g12 * np.interp(freqs, spec_freqs, c12)
+
+        bad = (p11 < 0) | (p22 < 0)
+        det = p11 * p22 - p12 * p12
+        bad |= det < -1e-12 * np.maximum(p11 * p22, 1e-300)
+        if np.any(bad):
+            f_bad = float(freqs[np.argmax(bad)])
+            raise ValueError(
+                "spectral matrix is not positive semidefinite at %.6g Hz" % f_bad
+            )
+
+        l11 = np.sqrt(p11)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            l21 = np.where(l11 > 0, p12 / np.where(l11 > 0, l11, 1.0), 0.0)
+        l22 = np.sqrt(np.maximum(p22 - l21 * l21, 0.0))
+
+        a11, a21, a22 = ((scale * l).astype(np.float32) for l in (l11, l21, l22))
+        z1, z2 = x1[bins], x2[bins]
+        t = a21 * z1
+        z2 *= a22
+        z2 += t
+        z1 *= a11
+
+
 def _synthesize_matrix(matrix, dc_pair, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
     """Trace pair realizing a normalized 2x2 spectral matrix at the given DC pair.
 
@@ -223,7 +302,7 @@ def _synthesize_matrix(matrix, dc_pair, chain: DetectionChain, duration: float, 
     the ends) and then scaled to P11 = dc1 s11, P22 = dc2 s22 and
     P12 = sqrt(dc1 dc2) c12 / 2.
     """
-    spec_freqs, s11, s22, c12 = matrix
+    spec_freqs = matrix[0]
     dc1, dc2 = (float(dc) for dc in dc_pair)
     if duration < 10e-3:
         raise ValueError("duration must be >= 10 ms")
@@ -234,47 +313,12 @@ def _synthesize_matrix(matrix, dc_pair, chain: DetectionChain, duration: float, 
     fs = chain.sample_rate
     n = int(round(duration * fs))
     nfreq = n // 2 + 1
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-
-    p11 = dc1 * np.interp(freqs, spec_freqs, s11) + chain.electronic_noise_psd
-    p22 = dc2 * np.interp(freqs, spec_freqs, s22) + chain.electronic_noise_psd
-    p12 = math.sqrt(dc1 * dc2) / 2.0 * np.interp(freqs, spec_freqs, c12)
-
-    bad = (p11 < 0) | (p22 < 0)
-    det = p11 * p22 - p12 * p12
-    bad |= det < -1e-12 * np.maximum(p11 * p22, 1e-300)
-    if np.any(bad):
-        f_bad = float(freqs[np.argmax(bad)])
-        raise ValueError(
-            "spectral matrix is not positive semidefinite at %.6g Hz" % f_bad
-        )
-
-    l11 = np.sqrt(p11)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        l21 = np.where(l11 > 0, p12 / np.where(l11 > 0, l11, 1.0), 0.0)
-    l22 = np.sqrt(np.maximum(p22 - l21 * l21, 0.0))
-
-    # single precision from here on: PSD estimates live at the percent level
-    scale = math.sqrt(n * fs / 4.0)
-    a11 = (scale * l11).astype(np.float32)
-    a21 = (scale * l21).astype(np.float32)
-    a22 = (scale * l22).astype(np.float32)
-    del l11, l21, l22, p11, p22, p12
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z1 = rng.standard_normal(nfreq, dtype=np.float32) + 1j * rng.standard_normal(
-        nfreq, dtype=np.float32
-    )
-    z2 = rng.standard_normal(nfreq, dtype=np.float32) + 1j * rng.standard_normal(
-        nfreq, dtype=np.float32
-    )
+    x1 = _complex_normal(rng, nfreq)
+    x2 = _complex_normal(rng, nfreq)
     phases = rng.uniform(0.0, 2.0 * math.pi, 2)
-
-    x2 = a21 * z1
-    x2 += a22 * z2
-    x1 = z1
-    x1 *= a11
-    del z2, a11, a21, a22
+    _mix(x1, x2, matrix, (dc1, dc2), chain, n)
 
     for x in (x1, x2):
         x[0] = 0.0
@@ -292,36 +336,45 @@ def _synthesize_matrix(matrix, dc_pair, chain: DetectionChain, duration: float, 
             for x, dc, ph in ((x1, dc1, phases[0]), (x2, dc2, phases[1])):
                 x[k0] += chain.spur_current_amplitude(dc) * (n / 2.0) * np.exp(1j * ph)
 
-    top = 2 ** (chain.adc_bits - 1)
-    out = []
-    clips = []
-    for x, dc in ((x1, dc1), (x2, dc2)):
-        lsb = chain.lsb(dc)
-        if lsb == 0.0:
-            # silent channel: no signal, no noise, nothing to resolve
-            out.append(np.zeros(n, dtype=np.int32))
-            clips.append(0)
-            continue
-        y = irfft(x, n=n)
-        y /= np.float32(lsb)
-        codes = np.rint(y, out=y)
-        clipped = int(np.count_nonzero((codes < -top) | (codes > top - 1)))
-        codes = np.clip(codes, -top, top - 1, out=codes)
-        out.append(codes.astype(np.int32))
-        clips.append(clipped)
-    del x1, x2
+    # the list holds the only reference to each spectrum, so _quantize frees
+    # it as soon as its irfft is done
+    spectra = [x1, x2]
+    del x1, x2, x
+    codes_1, clipped_1 = _quantize(spectra.pop(0), n, chain, dc1)
+    codes_2, clipped_2 = _quantize(spectra.pop(0), n, chain, dc2)
 
     return TwoChannelTrace(
-        samples_1=out[0],
-        samples_2=out[1],
+        samples_1=codes_1,
+        samples_2=codes_2,
         chain=chain,
         duration=duration,
         seed=int(seed),
         dc_1=dc1,
         dc_2=dc2,
-        clipped_1=clips[0],
-        clipped_2=clips[1],
+        clipped_1=clipped_1,
+        clipped_2=clipped_2,
     )
+
+
+def _quantize(x: np.ndarray, n: int, chain: DetectionChain, dc: float):
+    """ADC codes of the n-sample signal with half spectrum x, and the clip count.
+
+    Codes are int16 for ADCs of up to 16 bits and int32 above.  x is
+    released once transformed, if the caller holds no other reference.
+    """
+    dtype = np.int16 if chain.adc_bits <= 16 else np.int32
+    lsb = chain.lsb(dc)
+    if lsb == 0.0:
+        # silent channel: no signal, no noise, nothing to resolve
+        return np.zeros(n, dtype=dtype), 0
+    y = irfft(x, n=n)
+    del x
+    top = 2 ** (chain.adc_bits - 1)
+    y /= np.float32(lsb)
+    codes = np.rint(y, out=y)
+    clipped = int(np.count_nonzero((codes < -top) | (codes > top - 1)))
+    codes = np.clip(codes, -top, top - 1, out=codes)
+    return codes.astype(dtype), clipped
 
 
 def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +200,18 @@ class TestDeterminism:
         assert rc == 0
         log = open(tmp_path / "out" / "run.log").read()
         assert "spectra" in log and "T" in log  # ISO stamp lives here only
+
+
+    def test_run_log_records_peak_rss(self, capsys, fast_conf, tmp_path):
+        for argv in (["spectra"], ["synth", "--seed", "3"], ["witness", "--seed", "3"]):
+            rc, _, _ = run_cli(capsys, *argv, "--config", fast_conf)
+            assert rc == 0
+        lines = open(tmp_path / "out" / "run.log").read().splitlines()
+        assert len(lines) == 3
+        for line, command in zip(lines, ("spectra", "synth", "witness")):
+            assert command in line
+            peak = float(re.search(r" peak_rss_mib=(\d+\.\d)$", line).group(1))
+            assert 10.0 < peak < 4096.0
 
 
 class TestErrors:

@@ -1,6 +1,8 @@
 """Trace synthesis: normalization, chain effects, and round trips."""
 
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from tpsh.synth import (
     witness_arm_traces,
 )
 from tpsh import analyzer as an
+from tpsh import synth
 
 
 def coherent_spectra():
@@ -211,6 +214,98 @@ class TestResponseMatchesSciPy:
         synthesis_grid = np.fft.rfftfreq(int(round(0.010 * sample_rate)), 1.0 / sample_rate)
         for grid in (rms_grid, synthesis_grid):
             assert np.array_equal(chain.response(grid), self.scipy_response(chain, grid))
+
+
+def operating_point_spectra():
+    params = CavityParams(pump_power=0.023)
+    spec = quadrature_spectra(steady_state(params), default_frequency_grid())
+    return apply_detection_loss(spec, params.total_detection_efficiency)
+
+
+class TestBlockwiseSynthesis:
+    """The synthesis grid is walked in blocks of _BIN_BLOCK bins; the block
+    size bounds memory and must not change a single code."""
+
+    @staticmethod
+    def all_kinds(chain):
+        spec = operating_point_spectra()
+        f = spec.frequencies
+        loud = dataclasses.replace(spec, s_x1=25 * np.ones_like(f), s_x2=25 * np.ones_like(f),
+                                   c_x=np.zeros_like(f))
+        return [
+            synthesize(spec, chain, 0.010, seed=5),
+            synthesize(loud, chain, 0.010, seed=6),  # clips
+            witness_arm_traces(spec, chain, 0.010, seed=7),
+            shot_noise_pair(1.0, 0.5, chain, 0.010, seed=8),
+            dark_trace(chain, 0.010, seed=9),
+        ]
+
+    def test_block_size_does_not_change_codes(self, monkeypatch):
+        chain = DetectionChain(sample_rate=50e6)
+        nfreq = int(round(0.010 * chain.sample_rate)) // 2 + 1
+        want = self.all_kinds(chain)
+        assert want[1].clipped_1 > 0 and want[1].clipped_2 > 0
+        assert nfreq % 4099 != 0
+        monkeypatch.setattr(synth, "_BIN_BLOCK", 4099)
+        synth._synthesis_response.cache_clear()
+        try:
+            got = self.all_kinds(chain)
+        finally:
+            synth._synthesis_response.cache_clear()
+        for a, b in zip(want, got):
+            assert np.array_equal(a.samples_1, b.samples_1)
+            assert np.array_equal(a.samples_2, b.samples_2)
+            assert (a.clipped_1, a.clipped_2) == (b.clipped_1, b.clipped_2)
+
+    @pytest.mark.parametrize("sample_rate, n", [(50e6, 500_000), (50e6, 500_001), (200e6, 2_000_000)])
+    def test_response_equals_whole_grid_evaluation(self, sample_rate, n):
+        chain = DetectionChain(sample_rate=sample_rate)
+        synth._synthesis_response.cache_clear()
+        whole = chain.response(np.fft.rfftfreq(n, 1.0 / sample_rate)).astype(np.complex64)
+        assert np.array_equal(synth._synthesis_response(chain, n), whole)
+
+    def test_non_psd_in_a_later_block_names_the_first_bad_frequency(self):
+        chain = quiet_chain()
+        spec = coherent_spectra()
+        spec.c_x[spec.frequencies >= 12e6] = 2.5
+        n = int(round(0.010 * chain.sample_rate))
+        # the whole-grid check the block-wise one replaces
+        freqs = np.fft.rfftfreq(n, 1.0 / chain.sample_rate)
+        p11 = 1e-3 * np.interp(freqs, spec.frequencies, spec.s_x1)
+        p22 = 1e-3 * np.interp(freqs, spec.frequencies, spec.s_x2)
+        p12 = 1e-3 / 2.0 * np.interp(freqs, spec.frequencies, spec.c_x)
+        bad = p11 * p22 - p12 * p12 < -1e-12 * np.maximum(p11 * p22, 1e-300)
+        first = int(np.argmax(bad))
+        assert bad[first] and first >= synth._BIN_BLOCK
+        with pytest.raises(ValueError, match=re.escape("at %.6g Hz" % freqs[first])):
+            synthesize(spec, chain, 0.010, seed=1)
+
+
+class TestMemoryAndCodeDtype:
+    def test_witness_synthesis_memory_is_bounded(self):
+        # 50 MS/s, 10 ms: 250 001 bins, 2 MB per complex64 spectrum; whole-grid
+        # float64 scratch arrays and int32 codes took 32.7 MiB here
+        spec = operating_point_spectra()
+        chain = DetectionChain(sample_rate=50e6)
+        synth._synthesis_response.cache_clear()
+        tracemalloc.start()
+        try:
+            witness_arm_traces(spec, chain, 0.010, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20
+
+    def test_code_dtype_follows_adc_bits(self):
+        for bits, dtype in ((14, np.int16), (16, np.int16), (20, np.int32)):
+            chain = DetectionChain(sample_rate=50e6, adc_bits=bits)
+            tr = shot_noise_pair(1.0, 1.0, chain, 0.010, seed=4)
+            assert tr.samples_1.dtype == dtype and tr.samples_2.dtype == dtype
+        # codes beyond 16 bits still go through the estimator
+        csm = an.cross_spectral_matrix(tr, 100e3)
+        band = (csm.frequencies >= 1e6) & (csm.frequencies <= 10e6)
+        assert np.all(np.isfinite(csm.p11)) and np.all(csm.p11[band] > 0)
+        assert np.max(np.abs(tr.samples_1)) > 2 ** 15
 
 
 class TestChainImperfections:
