@@ -7,19 +7,26 @@ cross-spectral matrix: each channel is cut once into segments, the segments
 are transformed in fixed-size blocks by a batched single-precision FFT, and
 P11, P22 and P12 = <X1* X2> are summed in double precision.  Every channel
 combination then follows algebraically, PSD(i1 +/- g i2) = P11 + g^2 P22
-+/- 2g Re P12, so the sum, the difference, the shot-noise reference and the
-optimal-gain fit of one trace all come from that single estimate.  Memory
-stays bounded by the block size, whatever the record length.  The quoted
-n_averages is the non-overlapping segment count and sigma = power /
-sqrt(n_averages), which slightly overstates the error of the overlapped
-estimate; headline numbers inherit that conservatism.
++/- 2g Re P12.  Memory stays bounded by the block size, whatever the record
+length.  The quoted n_averages is the non-overlapping segment count and
+sigma = power / sqrt(n_averages), which slightly overstates the error of
+the overlapped estimate; headline numbers inherit that conservatism.
+
+The witness is a function of three such matrices, witness_from_matrices:
+the signal pair, a shot-noise reference pair and a dark record.  One gain,
+resolved once from the signal matrix, sets the sum, the difference and the
+reference combination alike.  A missing reference or dark record is
+replaced by a model matrix with P12 = 0 built from the chain and the DC pair
+of the estimate it stands in for: the shot noise dc_k |H|^2, or the
+electronic floor e |H|^2 plus the quantization density lsb_k^2 / (6 fs).  A
+model matrix has n_averages = inf, so its sigma is zero, and every estimate
+is corrected the same way, by linear subtraction of its floor matrix's
+combination at the same gain.
 
 Shot-noise referencing follows the measurement convention: the difference
 PSD of an uncorrelated reference pair is used directly as the pair quantum
-noise limit.  A reference gain below 1 therefore lowers the QNL and can only
-shrink, never inflate, any nonclassical effect.  Electronic noise is removed
-by linear power subtraction, either from a recorded dark trace or from the
-chain's analytic noise floor.
+noise limit.  A gain below 1 therefore lowers the QNL and can only shrink,
+never inflate, any nonclassical effect.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
 
-from .noise import WitnessReport
+from .noise import WitnessReport, minimizing_gain
 from .synth import DetectionChain, TwoChannelTrace
 
 GAIN_MODES = ("fixed", "optimal", "dc_balance")
@@ -49,13 +56,14 @@ class NoiseSpectrum:
     """Averaged one-sided PSD with per-bin statistical error.
 
     power is in (current units)^2/Hz unless stated otherwise; rbw is the bin
-    spacing sample_rate/nperseg; sigma = power/sqrt(n_averages).
+    spacing sample_rate/nperseg; sigma = power/sqrt(n_averages), zero for a
+    model spectrum (n_averages = inf).
     """
 
     frequencies: np.ndarray
     power: np.ndarray
     rbw: float
-    n_averages: int
+    n_averages: float
     sigma: np.ndarray
 
 
@@ -75,7 +83,9 @@ class CrossSpectralMatrix:
 
     p11 and p22 are the auto densities and p12 = <X1* X2> the cross density
     (the scipy.signal.csd convention), in (current units)^2/Hz; rbw and
-    n_averages are as in NoiseSpectrum.
+    n_averages are as in NoiseSpectrum, with n_averages = inf for a model
+    matrix, whose combinations carry zero sigma.  dc_1 and dc_2 are the
+    mean photocurrents of the record.
     """
 
     frequencies: np.ndarray
@@ -83,7 +93,9 @@ class CrossSpectralMatrix:
     p22: np.ndarray
     p12: np.ndarray
     rbw: float
-    n_averages: int
+    n_averages: float
+    dc_1: float
+    dc_2: float
 
     def combination(self, gain: float, mode: str) -> NoiseSpectrum:
         """PSD of i1 -/+ gain*i2; mode is 'difference' or 'sum'."""
@@ -172,41 +184,26 @@ def welch_psd(x: np.ndarray, sample_rate: float, rbw: float) -> NoiseSpectrum:
     return _noise_spectrum(freqs, power, rbw, n_averages)
 
 
-def _trace_channels(trace: TwoChannelTrace, channels, rbw: float):
+def cross_spectral_matrix(trace: TwoChannelTrace, rbw: float) -> CrossSpectralMatrix:
+    """Cross-spectral matrix of a trace's two channels in current units."""
     # codes to current units in single precision: percent-level estimates
     # at about half the FFT cost of double
     chain = trace.chain
-    samples = {1: trace.samples_1, 2: trace.samples_2}
-    dc = {1: trace.dc_1, 2: trace.dc_2}
-    return _averaged_periodograms(
-        [samples[c] for c in channels], [chain.lsb(dc[c]) for c in channels],
+    freqs, (p11, p22, p12), rbw, n_averages = _averaged_periodograms(
+        (trace.samples_1, trace.samples_2), (chain.lsb(trace.dc_1), chain.lsb(trace.dc_2)),
         chain.sample_rate, rbw, np.float32,
     )
-
-
-def cross_spectral_matrix(trace: TwoChannelTrace, rbw: float) -> CrossSpectralMatrix:
-    """Cross-spectral matrix of a trace's two channels in current units."""
-    freqs, (p11, p22, p12), rbw, n_averages = _trace_channels(trace, (1, 2), rbw)
-    return CrossSpectralMatrix(freqs, p11, p22, p12, rbw, n_averages)
-
-
-def welch_spectrum(trace: TwoChannelTrace, channel: int, rbw: float) -> NoiseSpectrum:
-    """PSD of one trace channel in current units."""
-    if channel not in (1, 2):
-        raise ValueError("channel must be 1 or 2")
-    freqs, (power,), rbw, n_averages = _trace_channels(trace, (channel,), rbw)
-    return _noise_spectrum(freqs, power, rbw, n_averages)
+    return CrossSpectralMatrix(freqs, p11, p22, p12, rbw, n_averages, trace.dc_1, trace.dc_2)
 
 
 def combined_spectrum(trace: TwoChannelTrace, gain: float, mode: str, rbw: float) -> NoiseSpectrum:
-    """PSD of i1 -/+ gain*i2 after DC removal; mode is 'difference' or 'sum'."""
+    """PSD of i1 -/+ gain*i2 after DC removal; mode is 'difference' or 'sum'.
+
+    A one-call view of cross_spectral_matrix(trace, rbw).combination; it
+    stays public because benchmark tracing and user code name it.
+    """
     _check_combination(gain, mode)  # bad arguments fail before the estimate
     return cross_spectral_matrix(trace, rbw).combination(gain, mode)
-
-
-def shot_noise_reference(trace: TwoChannelTrace, gain: float = 0.95, rbw: float = 100e3) -> NoiseSpectrum:
-    """Difference PSD of an uncorrelated pair, used directly as the pair QNL."""
-    return combined_spectrum(trace, gain, "difference", rbw)
 
 
 def correct_electronic_noise(spec: NoiseSpectrum, dark: NoiseSpectrum) -> NoiseSpectrum:
@@ -231,47 +228,48 @@ def chain_power_response(chain: DetectionChain, frequencies: np.ndarray) -> np.n
     return np.abs(chain.response(np.asarray(frequencies, dtype=float))) ** 2
 
 
-def analytic_dark_spectrum(trace: TwoChannelTrace, gain: float, grid: NoiseSpectrum) -> NoiseSpectrum:
-    """Chain noise floor for i1 -/+ gain*i2 on an existing spectrum's grid.
+def _model_matrix(grid: CrossSpectralMatrix, p11: np.ndarray, p22: np.ndarray) -> CrossSpectralMatrix:
+    # noise-free: n_averages = inf makes every combination's sigma zero
+    return CrossSpectralMatrix(grid.frequencies, p11, p22, np.zeros_like(p11), grid.rbw,
+                               math.inf, grid.dc_1, grid.dc_2)
 
-    Electronic noise is white before the chain filters; quantization noise
-    enters after them.  Both channels share the electronic PSD, so sum and
-    difference combinations have the same floor.
+
+def analytic_dark_matrix(chain: DetectionChain, grid: CrossSpectralMatrix) -> CrossSpectralMatrix:
+    """Chain noise floor as a model matrix on grid's bins, at grid's DC pair.
+
+    Electronic noise is white before the chain filters and shared by both
+    channels; quantization noise, lsb(dc_k)^2 / (6 fs), enters after them.
+    The channels are independent, so sum and difference see the same floor.
     """
-    chain = trace.chain
+    electronic = chain.electronic_noise_psd * chain_power_response(chain, grid.frequencies)
+    quant = 6.0 * chain.sample_rate
+    return _model_matrix(grid, electronic + chain.lsb(grid.dc_1) ** 2 / quant,
+                         electronic + chain.lsb(grid.dc_2) ** 2 / quant)
+
+
+def analytic_qnl_matrix(chain: DetectionChain, grid: CrossSpectralMatrix) -> CrossSpectralMatrix:
+    """Shot noise dc_k |H|^2 of grid's DC pair as a model matrix on its bins."""
     h2 = chain_power_response(chain, grid.frequencies)
-    scale = 1.0 + gain * gain
-    quant = (chain.lsb(trace.dc_1) ** 2 + (gain * chain.lsb(trace.dc_2)) ** 2) / (
-        6.0 * chain.sample_rate
-    )
-    power = scale * chain.electronic_noise_psd * h2 + quant
-    return NoiseSpectrum(
-        frequencies=grid.frequencies,
-        power=power,
-        rbw=grid.rbw,
-        n_averages=grid.n_averages,
-        sigma=np.zeros_like(power),
-    )
+    return _model_matrix(grid, grid.dc_1 * h2, grid.dc_2 * h2)
 
 
-def analytic_qnl_spectrum(trace: TwoChannelTrace, gain: float, grid: NoiseSpectrum) -> NoiseSpectrum:
-    """Shot-noise PSD of i1 -/+ gain*i2 implied by the trace DC currents."""
-    h2 = chain_power_response(trace.chain, grid.frequencies)
-    power = (trace.dc_1 + gain * gain * trace.dc_2) * h2
-    return NoiseSpectrum(
-        frequencies=grid.frequencies,
-        power=power,
-        rbw=grid.rbw,
-        n_averages=grid.n_averages,
-        sigma=np.zeros_like(power),
-    )
+def analytic_dark_spectrum(trace: TwoChannelTrace, gain: float, grid: NoiseSpectrum) -> NoiseSpectrum:
+    """Chain noise floor of i1 -/+ gain*i2 for trace's DC pair on grid's bins.
+
+    A NoiseSpectrum view of analytic_dark_matrix; it stays public because
+    benchmark tracing and user code name it.
+    """
+    empty = np.zeros_like(grid.frequencies)
+    bins = CrossSpectralMatrix(grid.frequencies, empty, empty, empty, grid.rbw, math.inf,
+                               trace.dc_1, trace.dc_2)
+    return analytic_dark_matrix(trace.chain, bins).combination(gain, "sum")
 
 
-def gain_balance_from_dc(trace: TwoChannelTrace) -> float:
-    """DC balancing gain dc_1/dc_2, clamped to [0.5, 2]."""
-    if trace.dc_1 <= 0 or trace.dc_2 <= 0:
+def gain_balance_from_dc(record) -> float:
+    """DC balancing gain dc_1/dc_2 of a trace or its matrix, clamped to [0.5, 2]."""
+    if record.dc_1 <= 0 or record.dc_2 <= 0:
         raise ValueError("gain balancing requires nonzero DC on both channels")
-    return float(min(max(trace.dc_1 / trace.dc_2, 0.5), 2.0))
+    return float(min(max(record.dc_1 / record.dc_2, 0.5), 2.0))
 
 
 def _band_mask(freqs: np.ndarray, band, chain: DetectionChain, rbw: float) -> np.ndarray:
@@ -297,86 +295,57 @@ def _band_stats(spec: NoiseSpectrum, mask: np.ndarray):
     return mean, sigma
 
 
-def _resolve_gain(trace, matrix, gain_mode, fixed_gain, band):
+def _resolve_gain(signal: CrossSpectralMatrix, gain_mode, fixed_gain, mask) -> float:
     if gain_mode == "fixed":
         if fixed_gain <= 0:
             raise ValueError("fixed gain must be > 0")
         return float(fixed_gain)
-    if gain_mode == "dc_balance":
-        return gain_balance_from_dc(trace)
-    # optimal: closed-form minimizer applied to band-averaged measured spectra
-    mask = _band_mask(matrix.frequencies, band, trace.chain, matrix.rbw)
-    s1 = float(np.mean(matrix.p11[mask]))
-    s2 = float(np.mean(matrix.p22[mask]))
-    c = 2.0 * float(np.mean(matrix.p12.real[mask]))
-    if c == 0.0:
-        return gain_balance_from_dc(trace)
-    d = s2 - s1
-    g = (d - math.sqrt(d * d + c * c)) / c
-    # the electronic scale factor is a small balancing correction; when the
-    # measured cross term is insignificant the minimizer wanders (it can even
-    # go negative), so anything far from unity falls back to DC balance
-    if not 0.5 <= g <= 2.0:
-        return gain_balance_from_dc(trace)
-    return g
+    if gain_mode == "optimal":
+        # closed-form minimizer applied to the band-averaged measured matrix
+        c = 2.0 * float(np.mean(signal.p12.real[mask]))
+        if c != 0.0:
+            g = minimizing_gain(float(np.mean(signal.p11[mask])), float(np.mean(signal.p22[mask])), c)
+            # the electronic scale factor is a small balancing correction; when
+            # the measured cross term is insignificant the minimizer wanders (it
+            # can even go negative), so anything far from unity falls back to
+            # DC balance
+            if 0.5 <= g <= 2.0:
+                return g
+    return gain_balance_from_dc(signal)
 
 
-def witness_from_traces(
-    ab_trace: TwoChannelTrace,
-    reference_trace: TwoChannelTrace | None,
-    rbw: float,
-    band,
-    dark: TwoChannelTrace | None = None,
-    gain_mode: str = "dc_balance",
-    fixed_gain: float = 0.95,
-) -> WitnessReport:
-    """Witness evaluation from a post-beamsplitter trace pair.
+def witness_from_matrices(signal: CrossSpectralMatrix, reference: CrossSpectralMatrix | None,
+                          dark: CrossSpectralMatrix | None, chain: DetectionChain, band,
+                          gain_mode: str = "dc_balance", fixed_gain: float = 0.95):
+    """Witness evaluation from the matrices of a post-beamsplitter pair.
 
     var_plus = 2 PSD_sum / QNL_pair and var_minus = 2 PSD_diff / QNL_pair,
-    band-averaged with the spur region excluded.  The pair QNL comes from
-    the reference trace's difference PSD (the conservative measurement
-    convention); without a reference trace it falls back on the analytic
-    shot level implied by the trace DC currents.  Electronic noise is
-    subtracted from every estimate, using the dark trace when given and the
-    chain's analytic floor otherwise.
-    """
-    return witness_with_spectra(ab_trace, reference_trace, rbw, band, dark, gain_mode, fixed_gain)[0]
-
-
-def witness_with_spectra(ab_trace, reference_trace, rbw, band, dark=None,
-                         gain_mode="dc_balance", fixed_gain=0.95):
-    """witness_from_traces, plus the corrected spectra its report averages.
+    band-averaged with the spur region excluded, all at the one gain that
+    gain_mode resolves from signal.  The pair QNL is the difference PSD of
+    the reference matrix (the conservative measurement convention) or,
+    without one, the analytic shot level of the signal's DC pair.  Each
+    estimate has its electronic floor subtracted: the dark matrix when
+    given, else the chain's analytic floor at that estimate's DC pair.  The
+    matrices share chain and frequency grid.
 
     Returns (report, psd_sum, psd_diff): the sum and difference PSDs at the
     report's gain, with electronic noise removed.
     """
     if gain_mode not in GAIN_MODES:
         raise ValueError("gain_mode must be one of %s" % (GAIN_MODES,))
-    chain = ab_trace.chain
-    # one cross-spectral matrix per trace; every spectrum below derives from them
-    ab = cross_spectral_matrix(ab_trace, rbw)
-    dark_matrix = cross_spectral_matrix(dark, rbw) if dark is not None else None
-    g = _resolve_gain(ab_trace, ab, gain_mode, fixed_gain, band)
+    mask = _band_mask(signal.frequencies, band, chain, signal.rbw)
+    g = _resolve_gain(signal, gain_mode, fixed_gain, mask)
 
-    def corrected(trace, matrix, gain, mode):
-        spec = matrix.combination(gain, mode)
-        if dark_matrix is not None:
-            floor = dark_matrix.combination(gain, mode)
-        else:
-            floor = analytic_dark_spectrum(trace, gain, spec)
-        return correct_electronic_noise(spec, floor)
+    def corrected(m, mode):
+        floor = dark if dark is not None else analytic_dark_matrix(chain, m)
+        return correct_electronic_noise(m.combination(g, mode), floor.combination(g, mode))
 
-    psd_sum = corrected(ab_trace, ab, g, "sum")
-    psd_diff = corrected(ab_trace, ab, g, "difference")
-
-    if reference_trace is not None:
-        reference = cross_spectral_matrix(reference_trace, rbw)
-        g_ref = _resolve_gain(reference_trace, reference, gain_mode, fixed_gain, band)
-        qnl = corrected(reference_trace, reference, g_ref, "difference")
+    psd_sum = corrected(signal, "sum")
+    psd_diff = corrected(signal, "difference")
+    if reference is not None:
+        qnl = corrected(reference, "difference")
     else:
-        qnl = analytic_qnl_spectrum(ab_trace, g, psd_sum)
-
-    mask = _band_mask(psd_sum.frequencies, band, chain, psd_sum.rbw)
+        qnl = analytic_qnl_matrix(chain, signal).combination(g, "difference")
     if np.any(qnl.power[mask] <= 0):
         raise ValueError("shot-noise reference vanishes inside the band")
 
@@ -415,3 +384,21 @@ def witness_with_spectra(ab_trace, reference_trace, rbw, band, dark=None,
         },
     )
     return report, psd_sum, psd_diff
+
+
+def witness_from_traces(
+    ab_trace: TwoChannelTrace,
+    reference_trace: TwoChannelTrace | None,
+    rbw: float,
+    band,
+    dark: TwoChannelTrace | None = None,
+    gain_mode: str = "dc_balance",
+    fixed_gain: float = 0.95,
+) -> WitnessReport:
+    """witness_from_matrices on the cross-spectral matrix of each trace.
+
+    The report only; None stands for a missing reference or dark trace.
+    """
+    matrices = [None if t is None else cross_spectral_matrix(t, rbw)
+                for t in (ab_trace, reference_trace, dark)]
+    return witness_from_matrices(*matrices, ab_trace.chain, band, gain_mode, fixed_gain)[0]

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .analyzer import witness_from_traces, witness_with_spectra
+from .analyzer import cross_spectral_matrix, witness_from_matrices
 from .cavity import steady_state
 from .config import RunConfig, load_config
 from .noise import (
@@ -97,14 +97,14 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_analyze(cfg: RunConfig, args) -> int:
-    trace = read_trace(args.trace, chain=cfg.chain)
-    reference = read_trace(args.reference, chain=cfg.chain) if args.reference else None
-    dark = read_trace(args.dark, chain=cfg.chain) if args.dark else None
     a = cfg.analysis
-
-    report, psd_sum, psd_diff = witness_with_spectra(
-        trace, reference, a.rbw, (a.band_low, a.band_high),
-        dark=dark, gain_mode=a.gain_mode, fixed_gain=a.fixed_gain,
+    # each file is reduced to its matrix before the next is read
+    signal, reference, dark = (
+        cross_spectral_matrix(read_trace(path, chain=cfg.chain), a.rbw) if path else None
+        for path in (args.trace, args.reference, args.dark)
+    )
+    report, psd_sum, psd_diff = witness_from_matrices(
+        signal, reference, dark, cfg.chain, (a.band_low, a.band_high), a.gain_mode, a.fixed_gain,
     )
     for ns, name in ((psd_sum, "sum_spectrum.csv"), (psd_diff, "difference_spectrum.csv")):
         _write_csv(_out_path(cfg, name), "freq_hz,power,sigma",
@@ -118,17 +118,17 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 def cmd_witness(cfg: RunConfig, args) -> int:
     spec = _detected_spectra(cfg)
     chain = cfg.chain
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(3, dtype=np.uint64)
-    ab = witness_arm_traces(spec, chain, cfg.duration, int(seeds[0]))
-    reference = shot_noise_pair(
-        chain.dc_current_1, chain.dc_current_2, chain, cfg.duration, int(seeds[1])
-    )
-    dark = dark_trace(chain, cfg.duration, int(seeds[2]))
     a = cfg.analysis
-    report = witness_from_traces(
-        ab, reference, a.rbw, (a.band_low, a.band_high),
-        dark=dark, gain_mode=a.gain_mode, fixed_gain=a.fixed_gain,
-    )
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(3, dtype=np.uint64)
+    # each trace is reduced to its matrix before the next is synthesized
+    signal = cross_spectral_matrix(
+        witness_arm_traces(spec, chain, cfg.duration, int(seeds[0])), a.rbw)
+    reference = cross_spectral_matrix(shot_noise_pair(
+        chain.dc_current_1, chain.dc_current_2, chain, cfg.duration, int(seeds[1])), a.rbw)
+    dark = cross_spectral_matrix(dark_trace(chain, cfg.duration, int(seeds[2])), a.rbw)
+    report = witness_from_matrices(
+        signal, reference, dark, chain, (a.band_low, a.band_high), a.gain_mode, a.fixed_gain,
+    )[0]
     _write_json(_out_path(cfg, "witness.json"), report.as_dict())
     _log(cfg, "witness seed=%d" % cfg.seed)
     _print_json(report.as_dict())

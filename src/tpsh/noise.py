@@ -219,6 +219,11 @@ def optimal_gain(spec: QuadSpectra, freq: float) -> float:
             return 1.0
         warnings.warn("uncorrelated asymmetric channels: optimal gain is degenerate, returning 0")
         return 0.0
+    return minimizing_gain(s1, s2, c)
+
+
+def minimizing_gain(s1: float, s2: float, c: float) -> float:
+    """The optimal_gain root g* for c != 0; callers handle c = 0 and range."""
     d = s2 - s1
     return (d - math.sqrt(d * d + c * c)) / c
 

@@ -14,9 +14,9 @@ import pytest
 
 from tpsh.analyzer import (
     analytic_dark_spectrum,
-    analytic_qnl_spectrum,
-    combined_spectrum,
+    analytic_qnl_matrix,
     correct_electronic_noise,
+    cross_spectral_matrix,
     welch_psd,
     witness_from_traces,
 )
@@ -96,10 +96,11 @@ def test_criterion_2_intensity_correlations(chain):
     trace = synthesize(spec, chain, 0.080, seed=202)
     band = (5.5e6, 6.5e6)
     pulls = {}
+    matrix = cross_spectral_matrix(trace, RBW)
     for mode in ("sum", "difference"):
-        raw = combined_spectrum(trace, 1.0, mode, RBW)
+        raw = matrix.combination(1.0, mode)
         corr = correct_electronic_noise(raw, analytic_dark_spectrum(trace, 1.0, raw))
-        qnl = analytic_qnl_spectrum(trace, 1.0, raw)
+        qnl = analytic_qnl_matrix(chain, matrix).combination(1.0, mode)
         mask = (raw.frequencies >= band[0]) & (raw.frequencies <= band[1])
         measured = np.mean(corr.power[mask]) / np.mean(qnl.power[mask])
         sigma = np.sqrt(np.sum(corr.sigma[mask] ** 2)) / mask.sum() / np.mean(qnl.power[mask])

@@ -87,7 +87,8 @@ class TestWelchEstimator:
         rels = []
         for ms in (20, 80, 320):
             tr = synthesize(spec, chain, ms * 1e-3, seed=5)
-            est = an.welch_spectrum(tr, 1, 100e3)
+            # gain 0: channel 1 alone, with its sigma
+            est = an.cross_spectral_matrix(tr, 100e3).combination(0.0, "sum")
             rels.append(float(np.mean(est.sigma / est.power)))
         assert rels[0] / rels[1] == pytest.approx(2.0, rel=0.10)
         assert rels[1] / rels[2] == pytest.approx(2.0, rel=0.10)
@@ -98,8 +99,8 @@ class TestCombinedSpectrum:
         chain = quiet_chain()
         tr = shot_noise_pair(1e-3, 1e-3, chain, 0.010, seed=6)
         combo = an.combined_spectrum(tr, 0.0, "difference", 100e3)
-        solo = an.welch_spectrum(tr, 1, 100e3)
-        assert np.allclose(combo.power, solo.power, rtol=1e-6)
+        solo = an.cross_spectral_matrix(tr, 100e3).p11
+        assert np.allclose(combo.power, solo, rtol=1e-6)
 
     def test_mode_validated(self):
         chain = quiet_chain()
@@ -121,7 +122,7 @@ class TestCombinedSpectrum:
         sel = None
         psd_sum = an.combined_spectrum(tr, 1.0, "sum", 100e3)
         psd_diff = an.combined_spectrum(tr, 1.0, "difference", 100e3)
-        qnl = an.shot_noise_reference(ref, 0.95, 100e3)
+        qnl = an.cross_spectral_matrix(ref, 100e3).combination(0.95, "difference")
         sel = (psd_sum.frequencies >= 5.5e6) & (psd_sum.frequencies <= 6.5e6)
         ratio_db = 10 * np.log10(np.mean(psd_sum.power[sel]) / np.mean(psd_diff.power[sel]))
         assert ratio_db == pytest.approx(-0.9, abs=0.25)
@@ -170,7 +171,6 @@ class TestSciPyEquivalence:
         psd = an.welch_psd(cur1.astype(np.float32), 50e6, rbw)
         assert np.array_equal(psd.frequencies, f)
         assert rel(psd.power, ref11) <= 1e-5
-        assert rel(an.welch_spectrum(tr, 2, rbw).power, ref22) <= 1e-5
 
         m = an.cross_spectral_matrix(tr, rbw)
         assert rel(m.p11, ref11) <= 1e-5 and rel(m.p22, ref22) <= 1e-5
@@ -192,7 +192,7 @@ class TestSciPyEquivalence:
         c = 2.0 * float(np.mean(ref12.real[mask]))
         want_gain = (s2 - s1 - math.hypot(s2 - s1, c)) / c
         assert 0.5 <= want_gain <= 2.0
-        got_gain = an._resolve_gain(tr, m, "optimal", 0.95, band)
+        got_gain = an._resolve_gain(m, "optimal", 0.95, mask)
         assert got_gain == pytest.approx(want_gain, rel=1e-5)
 
 
@@ -200,8 +200,9 @@ class TestShotNoiseReference:
     def test_default_gain_is_conservative(self):
         chain = quiet_chain()
         tr = shot_noise_pair(1e-3, 1e-3, chain, 0.020, seed=9)
-        lowered = an.shot_noise_reference(tr, 0.95, 100e3)
-        exact = an.shot_noise_reference(tr, 1.0, 100e3)
+        m = an.cross_spectral_matrix(tr, 100e3)
+        lowered = m.combination(0.95, "difference")
+        exact = m.combination(1.0, "difference")
         sel = (exact.frequencies >= 4e6) & (exact.frequencies <= 8e6)
         ratio = float(np.mean(lowered.power[sel]) / np.mean(exact.power[sel]))
         assert ratio == pytest.approx((1 + 0.95 ** 2) / 2, abs=0.01)
@@ -210,8 +211,9 @@ class TestShotNoiseReference:
     def test_unit_gain_matches_analytic_pair_shot(self):
         chain = quiet_chain()
         tr = shot_noise_pair(1e-3, 1e-3, chain, 0.020, seed=10)
-        ref = an.shot_noise_reference(tr, 1.0, 100e3)
-        qnl = an.analytic_qnl_spectrum(tr, 1.0, ref)
+        m = an.cross_spectral_matrix(tr, 100e3)
+        ref = m.combination(1.0, "difference")
+        qnl = an.analytic_qnl_matrix(chain, m).combination(1.0, "difference")
         sel = (ref.frequencies >= 4e6) & (ref.frequencies <= 8e6)
         z = (ref.power[sel] - qnl.power[sel]) / ref.sigma[sel]
         assert abs(float(np.mean(z))) * math.sqrt(np.count_nonzero(sel)) < 3.0
@@ -390,3 +392,71 @@ class TestRoundTrip:
             z = np.abs(est.power[sel] - model) / est.sigma[sel]
             worst = max(worst, float(z.max()))
         assert worst < 3.0
+
+
+class TestWitnessFromMatrices:
+    """The matrix-level core against its trace-level view and the old closed forms."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        params = CavityParams(pump_power=0.023)
+        spec = apply_detection_loss(
+            quadrature_spectra(steady_state(params), default_frequency_grid()),
+            params.total_detection_efficiency,
+        )
+        # unequal configured currents: the reference pair's DCs differ from
+        # the arms' (which run at their mean), so each floor has its own pair
+        chain = DetectionChain(sample_rate=50e6, dc_current_1=1e-3, dc_current_2=1.1e-3)
+        ab = witness_arm_traces(spec, chain, 0.010, seed=90)
+        ref = shot_noise_pair(1e-3, 1.1e-3, chain, 0.010, seed=91)
+        dark = dark_trace(chain, 0.010, seed=92)
+        return chain, ab, ref, dark
+
+    @pytest.mark.parametrize("gain_mode", an.GAIN_MODES)
+    @pytest.mark.parametrize("with_dark", (False, True))
+    @pytest.mark.parametrize("with_reference", (False, True))
+    def test_path_equivalence(self, records, gain_mode, with_dark, with_reference):
+        chain, ab, ref, dark = records
+        ref = ref if with_reference else None
+        dark = dark if with_dark else None
+        band = (4.5e6, 5.5e6)
+        report = an.witness_from_traces(ab, ref, 100e3, band, dark=dark,
+                                        gain_mode=gain_mode, fixed_gain=0.9)
+        matrices = [None if t is None else an.cross_spectral_matrix(t, 100e3)
+                    for t in (ab, ref, dark)]
+        core, _, _ = an.witness_from_matrices(*matrices, chain, band, gain_mode, 0.9)
+        assert core == report
+
+        # the model floors reproduce the closed forms they replaced, noise-free
+        g = report.optimal_gain
+        h2 = an.chain_power_response(chain, matrices[0].frequencies)
+        for m in matrices[:2]:
+            if m is None:
+                continue
+            dark_floor = ((1.0 + g * g) * chain.electronic_noise_psd * h2
+                          + (chain.lsb(m.dc_1) ** 2 + (g * chain.lsb(m.dc_2)) ** 2)
+                          / (6.0 * chain.sample_rate))
+            shot = (m.dc_1 + g * g * m.dc_2) * h2
+            for model, want in ((an.analytic_dark_matrix(chain, m), dark_floor),
+                                (an.analytic_qnl_matrix(chain, m), shot)):
+                for mode in ("sum", "difference"):
+                    got = model.combination(g, mode)
+                    assert np.all(np.abs(got.power - want) <= 1e-15 * want)
+                    assert not np.any(got.sigma)
+
+    def test_optimal_mode_takes_the_qnl_at_the_signal_gain(self, records):
+        # the reference pair is uncorrelated, so a gain fitted on it is noise;
+        # the QNL must be the reference's difference PSD at the signal's gain
+        chain, ab, ref, dark = records
+        band = (4.5e6, 5.5e6)
+        for floor in (None, dark):
+            opt = an.witness_from_traces(ab, ref, 100e3, band, dark=floor, gain_mode="optimal")
+            assert opt.optimal_gain != an.gain_balance_from_dc(ab)  # the fit, not a fallback
+            at_gain = an.witness_from_traces(ab, ref, 100e3, band, dark=floor,
+                                             gain_mode="fixed", fixed_gain=opt.optimal_gain)
+            for key, want in dataclasses.asdict(at_gain).items():
+                if key == "uncertainty":
+                    for name, sigma in want.items():
+                        assert opt.uncertainty[name] == pytest.approx(sigma, rel=1e-12)
+                else:
+                    assert getattr(opt, key) == pytest.approx(want, rel=1e-12), key

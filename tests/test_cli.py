@@ -3,12 +3,14 @@
 import json
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from tpsh.analyzer import correct_electronic_noise, cross_spectral_matrix
 from tpsh.cavity import CavityParams, steady_state
+from tpsh import cli
 from tpsh.cli import main
 from tpsh.synth import DetectionChain, dark_trace, shot_noise_pair
 from tpsh.traceio import read_trace, write_trace
@@ -212,6 +214,47 @@ class TestDeterminism:
             assert command in line
             peak = float(re.search(r" peak_rss_mib=(\d+\.\d)$", line).group(1))
             assert 10.0 < peak < 4096.0
+
+
+class TestOneTraceAtATime:
+    """Each trace is reduced to its matrix before the next one exists."""
+
+    @staticmethod
+    def record_traces(monkeypatch, names):
+        alive = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                assert [ref for ref in alive if ref() is not None] == []
+                trace = fn(*args, **kwargs)
+                alive.append(weakref.ref(trace))
+                return trace
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        return alive
+
+    def test_witness(self, capsys, fast_conf, monkeypatch):
+        alive = self.record_traces(
+            monkeypatch, ("witness_arm_traces", "shot_noise_pair", "dark_trace"))
+        rc, _, _ = run_cli(capsys, "witness", "--config", fast_conf)
+        assert rc == 0
+        assert len(alive) == 3
+
+    def test_analyze(self, capsys, fast_conf, tmp_path, monkeypatch):
+        rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
+        trace_path = json.loads(out)["written"]
+        chain = DetectionChain(sample_rate=50e6)
+        ref_path, dark_path = str(tmp_path / "ref.bin"), str(tmp_path / "dark.bin")
+        write_trace(shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, 0.010, seed=6),
+                    ref_path)
+        write_trace(dark_trace(chain, 0.010, seed=7), dark_path)
+        alive = self.record_traces(monkeypatch, ("read_trace",))
+        rc, _, _ = run_cli(capsys, "analyze", trace_path, "--config", fast_conf,
+                           "--reference", ref_path, "--dark", dark_path)
+        assert rc == 0
+        assert len(alive) == 3
 
 
 class TestErrors:

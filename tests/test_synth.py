@@ -60,49 +60,49 @@ class TestNormalization:
         # whitened by the chain response, a coherent pair sits at PSD = dc
         chain = quiet_chain()
         tr = synthesize(coherent_spectra(), chain, 0.020, seed=101)
-        for ch in (1, 2):
-            spec = an.welch_spectrum(tr, ch, 100e3)
-            sel = (spec.frequencies >= 0.5e6) & (spec.frequencies <= 20e6)
-            h2 = an.chain_power_response(chain, spec.frequencies[sel])
-            ratio = spec.power[sel] / (1e-3 * h2)
-            z = (ratio - 1.0) / (spec.sigma[sel] / spec.power[sel])
+        m = an.cross_spectral_matrix(tr, 100e3)
+        sel = (m.frequencies >= 0.5e6) & (m.frequencies <= 20e6)
+        h2 = an.chain_power_response(chain, m.frequencies[sel])
+        for power in (m.p11, m.p22):
+            ratio = power[sel] / (1e-3 * h2)
+            z = (ratio - 1.0) * np.sqrt(m.n_averages)  # relative sigma 1/sqrt(n_averages)
             assert np.all(np.abs(z) < 3.0)
 
     def test_chain_inversion_recovers_flat_spectrum(self):
         chain = quiet_chain()
         tr = synthesize(coherent_spectra(), chain, 0.020, seed=7)
-        spec = an.welch_spectrum(tr, 1, 200e3)
+        spec = an.cross_spectral_matrix(tr, 200e3)
         sel = (spec.frequencies >= 1e6) & (spec.frequencies <= 18e6)
-        flat = spec.power[sel] / an.chain_power_response(chain, spec.frequencies[sel])
+        flat = spec.p11[sel] / an.chain_power_response(chain, spec.frequencies[sel])
         mean, sigma = float(flat.mean()), float(flat.std() / np.sqrt(flat.size))
         assert abs(mean - 1e-3) < 3 * sigma + 1e-6 * 1e-3
 
     def test_electronic_noise_rides_on_top(self):
         chain = quiet_chain(electronic_noise_rel=0.2)
         tr = shot_noise_pair(1e-3, 1e-3, chain, 0.020, seed=3)
-        spec = an.welch_spectrum(tr, 1, 100e3)
+        spec = an.cross_spectral_matrix(tr, 100e3)
         sel = (spec.frequencies >= 4e6) & (spec.frequencies <= 8e6)
         h2 = an.chain_power_response(chain, spec.frequencies[sel])
-        ratio = float(np.mean(spec.power[sel] / h2)) / 1e-3
+        ratio = float(np.mean(spec.p11[sel] / h2)) / 1e-3
         assert abs(ratio - 1.2) < 0.02
 
     def test_zero_current_channel_keeps_electronic_floor(self):
         chain = quiet_chain(electronic_noise_rel=0.1)
         tr = shot_noise_pair(1e-3, 0.0, chain, 0.020, seed=4)
-        lit = an.welch_spectrum(tr, 1, 100e3)
-        dark = an.welch_spectrum(tr, 2, 100e3)
-        m_lit, _ = band_mean(lit, 4e6, 8e6)
-        m_dark, _ = band_mean(dark, 4e6, 8e6)
+        m = an.cross_spectral_matrix(tr, 100e3)
+        sel = (m.frequencies >= 4e6) & (m.frequencies <= 8e6)
+        m_lit = float(m.p11[sel].mean())
+        m_dark = float(m.p22[sel].mean())
         # floor = rel * mean(configured dcs) = 1e-4 vs lit 1e-3 + 1e-4
         assert m_dark / m_lit == pytest.approx(0.1 / 1.1, rel=0.10)
 
     def test_dark_trace_is_electronic_only(self):
         chain = quiet_chain(electronic_noise_rel=0.1)
         tr = dark_trace(chain, 0.020, seed=5)
-        spec = an.welch_spectrum(tr, 1, 100e3)
+        spec = an.cross_spectral_matrix(tr, 100e3)
         sel = (spec.frequencies >= 4e6) & (spec.frequencies <= 8e6)
         h2 = an.chain_power_response(chain, spec.frequencies[sel])
-        level = float(np.mean(spec.power[sel] / h2))
+        level = float(np.mean(spec.p11[sel] / h2))
         assert level == pytest.approx(chain.electronic_noise_psd, rel=0.05)
 
 
@@ -312,11 +312,12 @@ class TestChainImperfections:
     def test_spur_is_a_single_visible_line(self):
         chain = DetectionChain(sample_rate=50e6, dc_current_1=1e-3, dc_current_2=1e-3)
         tr = shot_noise_pair(1e-3, 1e-3, chain, 0.020, seed=11)
-        spec = an.welch_spectrum(tr, 1, 100e3)
+        spec = an.cross_spectral_matrix(tr, 100e3)
+        power = spec.p11
         k0 = int(np.argmin(np.abs(spec.frequencies - chain.spur_freq)))
         assert abs(spec.frequencies[k0] - 15.8e6) <= spec.rbw / 2
-        local = np.r_[spec.power[k0 - 9:k0 - 3], spec.power[k0 + 4:k0 + 10]]
-        peak_db = 10 * np.log10(spec.power[k0] / np.median(local))
+        local = np.r_[power[k0 - 9:k0 - 3], power[k0 + 4:k0 + 10]]
+        peak_db = 10 * np.log10(power[k0] / np.median(local))
         assert 10.0 < peak_db < 40.0
 
     def test_quantization_is_gentle_at_14_bits(self):
@@ -325,10 +326,11 @@ class TestChainImperfections:
         kw = dict(sample_rate=50e6, dc_current_1=1e-3, dc_current_2=1e-3)
         coarse = synthesize(spec, DetectionChain(adc_bits=14, **kw), 0.020, seed=21)
         fine = synthesize(spec, DetectionChain(adc_bits=24, **kw), 0.020, seed=21)
-        pc = an.welch_spectrum(coarse, 1, 100e3)
-        pf = an.welch_spectrum(fine, 1, 100e3)
-        mc, _ = band_mean(pc, 4e6, 8e6)
-        mf, _ = band_mean(pf, 4e6, 8e6)
+        pc = an.cross_spectral_matrix(coarse, 100e3)
+        pf = an.cross_spectral_matrix(fine, 100e3)
+        sel = (pc.frequencies >= 4e6) & (pc.frequencies <= 8e6)
+        mc = float(pc.p11[sel].mean())
+        mf = float(pf.p11[sel].mean())
         assert abs(10 * np.log10(mc / mf)) < 0.05
         assert coarse.clipped_1 == 0 and coarse.clipped_2 == 0
 
@@ -365,8 +367,9 @@ class TestModelRoundTrip:
         )
         chain = quiet_chain(adc_bits=16)
         tr = synthesize(spec, chain, 0.040, seed=51)
-        psd_sum = an.combined_spectrum(tr, 1.0, "sum", 100e3)
-        qnl = an.analytic_qnl_spectrum(tr, 1.0, psd_sum)
+        m = an.cross_spectral_matrix(tr, 100e3)
+        psd_sum = m.combination(1.0, "sum")
+        qnl = an.analytic_qnl_matrix(chain, m).combination(1.0, "sum")
         sel = (psd_sum.frequencies >= 5.5e6) & (psd_sum.frequencies <= 6.5e6)
         measured = float(np.mean(psd_sum.power[sel] / qnl.power[sel]))
         sigma = float(np.mean(psd_sum.sigma[sel] / qnl.power[sel]) / np.sqrt(np.count_nonzero(sel)))
