@@ -206,14 +206,17 @@ def combined_spectrum(trace: TwoChannelTrace, gain: float, mode: str, rbw: float
     return cross_spectral_matrix(trace, rbw).combination(gain, mode)
 
 
+def _check_same_grid(a, b, names: str) -> None:
+    """Raise unless spectra or matrices a and b share frequencies and rbw."""
+    if len(a.frequencies) != len(b.frequencies) or not np.allclose(a.frequencies, b.frequencies):
+        raise ValueError("%s are on different frequency grids" % names)
+    if abs(a.rbw - b.rbw) > 1e-9 * a.rbw:
+        raise ValueError("%s have different rbw" % names)
+
+
 def correct_electronic_noise(spec: NoiseSpectrum, dark: NoiseSpectrum) -> NoiseSpectrum:
     """Linear power subtraction of the dark spectrum, floored at zero."""
-    if len(spec.frequencies) != len(dark.frequencies) or not np.allclose(
-        spec.frequencies, dark.frequencies
-    ):
-        raise ValueError("signal and dark spectra are on different frequency grids")
-    if abs(spec.rbw - dark.rbw) > 1e-9 * spec.rbw:
-        raise ValueError("signal and dark spectra have different rbw")
+    _check_same_grid(spec, dark, "signal and dark spectra")
     return NoiseSpectrum(
         frequencies=spec.frequencies,
         power=np.maximum(spec.power - dark.power, 0.0),
@@ -326,13 +329,17 @@ def witness_from_matrices(signal: CrossSpectralMatrix, reference: CrossSpectralM
     without one, the analytic shot level of the signal's DC pair.  Each
     estimate has its electronic floor subtracted: the dark matrix when
     given, else the chain's analytic floor at that estimate's DC pair.  The
-    matrices share chain and frequency grid.
+    matrices share the chain; a reference or dark matrix on another
+    frequency grid or rbw than signal's raises ValueError.
 
     Returns (report, psd_sum, psd_diff): the sum and difference PSDs at the
     report's gain, with electronic noise removed.
     """
     if gain_mode not in GAIN_MODES:
         raise ValueError("gain_mode must be one of %s" % (GAIN_MODES,))
+    for name, m in (("reference", reference), ("dark", dark)):
+        if m is not None:
+            _check_same_grid(signal, m, "signal and %s matrices" % name)
     mask = _band_mask(signal.frequencies, band, chain, signal.rbw)
     g = _resolve_gain(signal, gain_mode, fixed_gain, mask)
 

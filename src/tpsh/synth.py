@@ -17,9 +17,11 @@ electronic noise, AC-coupling bandpass, detector pole, spur injection, and
 quantization.  The sample stream is the AC-coupled fluctuation; mean
 currents ride along as metadata because the bandpass would remove any
 embedded DC anyway.  Codes are int16 for ADCs of up to 16 bits (int32
-above).  No float64 array spans the synthesis grid: the spectra, Cholesky
-factors and chain response are evaluated in blocks of _BIN_BLOCK bins, and
-the complex64 draws are mixed and filtered in place.
+above).  No float64 array spans the synthesis grid: one pass over blocks of
+_BIN_BLOCK bins evaluates the spectra and Cholesky factors and mixes and
+filters the complex64 draws in place.  A block over which the matrix is
+constant (every block of the flat reference and dark matrices, and those
+beyond the end of the spectra's grid) is factored once.
 """
 
 from __future__ import annotations
@@ -192,9 +194,10 @@ def _grid_blocks(n: int, fs: float):
 # the response on the grid rfftfreq(n, 1/fs) takes about 0.17 s for a 10 ms
 # trace at 200 MS/s (1 000 001 bins, 2-vCPU x86 host), in proportion to the
 # duration, and is shared by the traces of one run (signal, reference,
-# dark); it is evaluated block by block into the complex64 result (8 MB at
-# that size, with no full-length complex128 transient), and only the latest
-# grid is kept, so at most one such array outlives its chain
+# dark), whose _mix multiplies it in block by block; it is evaluated block
+# by block into the complex64 result (8 MB at that size, with no
+# full-length complex128 transient), and only the latest grid is kept, so
+# at most one such array outlives its chain
 @functools.lru_cache(maxsize=1)
 def _synthesis_response(chain: DetectionChain, n: int) -> np.ndarray:
     h = np.empty(n // 2 + 1, dtype=np.complex64)
@@ -254,20 +257,31 @@ def _complex_normal(rng, size: int) -> np.ndarray:
 
 
 def _mix(x1: np.ndarray, x2: np.ndarray, matrix, dc_pair, chain: DetectionChain, n: int) -> None:
-    """Turn the draws z1, z2 in x1, x2 into x1 = a11 z1, x2 = a21 z1 + a22 z2.
+    """Turn the draws z1, z2 in x1, x2 into the filtered half spectra.
 
-    a11, a21 and a22 are the Cholesky factors of the PSD matrix, scaled to
-    the n-point grid, evaluated and applied in place one block of bins at a
-    time; they are rounded to single precision, as PSD estimates live at the
-    percent level.  Raises at the first bin where the matrix is not positive
-    semidefinite.
+    x1 = a11 z1 and x2 = a21 z1 + a22 z2, with a11, a21 and a22 the Cholesky
+    factors of the PSD matrix scaled to the n-point grid and rounded to
+    single precision, as PSD estimates live at the percent level; then the
+    DC bin is zeroed, the Nyquist bin of an even n set to sqrt(2) times its
+    real part, and both are multiplied by the chain response.  It is done
+    in place in one pass over blocks of bins.  Where the spec-grid points
+    that np.interp reads for a block (its brackets, and the ends where it
+    clamps) hold equal values, np.interp returns that value exactly at
+    every bin, so the block is factored once, at its first bin, and the
+    factors broadcast.  Raises at the first bin where the matrix is not
+    positive semidefinite.
     """
     spec_freqs, s11, s22, c12 = matrix
     dc1, dc2 = dc_pair
     psd_e = chain.electronic_noise_psd
     g12 = math.sqrt(dc1 * dc2) / 2.0
     scale = math.sqrt(n * chain.sample_rate / 4.0)
+    h = _synthesis_response(chain, n)
     for bins, freqs in _grid_blocks(n, chain.sample_rate):
+        lo, hi = np.searchsorted(spec_freqs, freqs[[0, -1]], side="right")
+        brackets = slice(max(lo - 1, 0), hi + 1)
+        if all(np.all(s[brackets] == s[brackets][0]) for s in (s11, s22, c12)):
+            freqs = freqs[:1]
         p11 = dc1 * np.interp(freqs, spec_freqs, s11) + psd_e
         p22 = dc2 * np.interp(freqs, spec_freqs, s22) + psd_e
         p12 = g12 * np.interp(freqs, spec_freqs, c12)
@@ -292,6 +306,12 @@ def _mix(x1: np.ndarray, x2: np.ndarray, matrix, dc_pair, chain: DetectionChain,
         z2 *= a22
         z2 += t
         z1 *= a11
+        for z in (z1, z2):
+            if bins.start == 0:
+                z[0] = 0.0
+            if n % 2 == 0 and bins.stop == len(h):
+                z[-1] = math.sqrt(2.0) * z[-1].real
+            z *= h[bins]
 
 
 def _synthesize_matrix(matrix, dc_pair, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
@@ -320,26 +340,18 @@ def _synthesize_matrix(matrix, dc_pair, chain: DetectionChain, duration: float, 
     phases = rng.uniform(0.0, 2.0 * math.pi, 2)
     _mix(x1, x2, matrix, (dc1, dc2), chain, n)
 
-    for x in (x1, x2):
-        x[0] = 0.0
-        if n % 2 == 0:
-            x[-1] = math.sqrt(2.0) * x[-1].real
-
-    h = _synthesis_response(chain, n)
-    x1 *= h
-    x2 *= h
-
     # spur rides in after the filters, at the nearest representable bin
     if chain.spur_amplitude > 0:
         k0 = int(round(chain.spur_freq * n / fs))
         if 0 < k0 < nfreq - 1:
             for x, dc, ph in ((x1, dc1, phases[0]), (x2, dc2, phases[1])):
                 x[k0] += chain.spur_current_amplitude(dc) * (n / 2.0) * np.exp(1j * ph)
+            del x
 
     # the list holds the only reference to each spectrum, so _quantize frees
     # it as soon as its irfft is done
     spectra = [x1, x2]
-    del x1, x2, x
+    del x1, x2
     codes_1, clipped_1 = _quantize(spectra.pop(0), n, chain, dc1)
     codes_2, clipped_2 = _quantize(spectra.pop(0), n, chain, dc2)
 

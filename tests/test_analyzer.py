@@ -444,6 +444,21 @@ class TestWitnessFromMatrices:
                     assert np.all(np.abs(got.power - want) <= 1e-15 * want)
                     assert not np.any(got.sigma)
 
+    @pytest.mark.parametrize("with_other", (False, True))
+    @pytest.mark.parametrize("off_grid", ("reference", "dark"))
+    def test_record_on_another_grid_rejected(self, records, off_grid, with_other):
+        # 200 kHz against the signal's 100 kHz, with or without the other record
+        chain, ab, ref, dark = records
+        rbw = {"reference": 100e3, "dark": 100e3, off_grid: 200e3}
+        matrices = {name: an.cross_spectral_matrix(t, rbw[name])
+                    for name, t in (("reference", ref), ("dark", dark))
+                    if with_other or name == off_grid}
+        signal = an.cross_spectral_matrix(ab, 100e3)
+        for gain_mode in an.GAIN_MODES:
+            with pytest.raises(ValueError, match="signal and %s matrices" % off_grid):
+                an.witness_from_matrices(signal, matrices.get("reference"), matrices.get("dark"),
+                                         chain, (4.5e6, 5.5e6), gain_mode)
+
     def test_optimal_mode_takes_the_qnl_at_the_signal_gain(self, records):
         # the reference pair is uncorrelated, so a gain fitted on it is noise;
         # the QNL must be the reference's difference PSD at the signal's gain

@@ -222,6 +222,58 @@ def operating_point_spectra():
     return apply_detection_loss(spec, params.total_detection_efficiency)
 
 
+def per_bin_synthesis(matrix, dc_pair, chain, duration, seed):
+    """Reference synthesis that treats every bin of the grid on its own.
+
+    Whole-grid interpolation, PSD check and Cholesky factors, then the DC
+    and Nyquist fix-up and a full-length multiply by the chain response,
+    each as its own pass.  Returns (codes_1, codes_2, clipped_1, clipped_2).
+    """
+    spec_freqs, s11, s22, c12 = matrix
+    dc1, dc2 = dc_pair
+    fs = chain.sample_rate
+    n = int(round(duration * fs))
+    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    z = []
+    for _ in range(2):
+        x = np.empty(len(freqs), dtype=np.complex64)
+        x.real = rng.standard_normal(len(freqs), dtype=np.float32)
+        x.imag = rng.standard_normal(len(freqs), dtype=np.float32)
+        z.append(x)
+    phases = rng.uniform(0.0, 2.0 * np.pi, 2)
+
+    psd_e = chain.electronic_noise_psd
+    p11 = dc1 * np.interp(freqs, spec_freqs, s11) + psd_e
+    p22 = dc2 * np.interp(freqs, spec_freqs, s22) + psd_e
+    p12 = np.sqrt(dc1 * dc2) / 2.0 * np.interp(freqs, spec_freqs, c12)
+    bad = (p11 < 0) | (p22 < 0)
+    bad |= p11 * p22 - p12 * p12 < -1e-12 * np.maximum(p11 * p22, 1e-300)
+    if np.any(bad):
+        raise ValueError("spectral matrix is not positive semidefinite at %.6g Hz"
+                         % freqs[np.argmax(bad)])
+    l11 = np.sqrt(p11)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l21 = np.where(l11 > 0, p12 / np.where(l11 > 0, l11, 1.0), 0.0)
+    l22 = np.sqrt(np.maximum(p22 - l21 * l21, 0.0))
+    scale = np.sqrt(n * fs / 4.0)
+    a11, a21, a22 = ((scale * l).astype(np.float32) for l in (l11, l21, l22))
+    x1, x2 = a11 * z[0], a22 * z[1] + a21 * z[0]
+
+    h = chain.response(freqs).astype(np.complex64)
+    for x in (x1, x2):
+        x[0] = 0.0
+        if n % 2 == 0:
+            x[-1] = np.sqrt(2.0) * x[-1].real
+        x *= h
+    k0 = int(round(chain.spur_freq * n / fs))
+    if chain.spur_amplitude > 0 and 0 < k0 < len(freqs) - 1:
+        for x, dc, ph in ((x1, dc1, phases[0]), (x2, dc2, phases[1])):
+            x[k0] += chain.spur_current_amplitude(dc) * (n / 2.0) * np.exp(1j * ph)
+    (c1, k1), (c2, k2) = (synth._quantize(x, n, chain, dc) for x, dc in ((x1, dc1), (x2, dc2)))
+    return c1, c2, k1, k2
+
+
 class TestBlockwiseSynthesis:
     """The synthesis grid is walked in blocks of _BIN_BLOCK bins; the block
     size bounds memory and must not change a single code."""
@@ -256,6 +308,72 @@ class TestBlockwiseSynthesis:
             assert np.array_equal(a.samples_1, b.samples_1)
             assert np.array_equal(a.samples_2, b.samples_2)
             assert (a.clipped_1, a.clipped_2) == (b.clipped_1, b.clipped_2)
+
+    @staticmethod
+    def plateau_spectra():
+        # a 100 kHz linear grid; the auto-spectra are constant over 4.1-8.1 MHz
+        # and the cross spectrum over 2.1-6.1 MHz, so each is flat on blocks
+        # where the other is not.  With 4099-bin blocks of 100 Hz bins, one
+        # block starts at 4.099 MHz, between the grid points below and at the
+        # start of the common plateau, and another ends at 6.1484 MHz,
+        # between its last point and the next
+        spec = operating_point_spectra()
+        f = np.linspace(0.5e6, 20e6, 196)
+        s_x, c_x = (np.where((f > lo) & (f < hi), level, np.interp(f, spec.frequencies, curve))
+                    for lo, hi, level, curve in ((4.05e6, 8.15e6, 0.8, spec.s_x1),
+                                                 (2.05e6, 6.15e6, -0.3, spec.c_x)))
+        ones = np.ones_like(f)
+        return QuadSpectra(frequencies=f, s_x1=s_x, s_x2=s_x.copy(), c_x=c_x,
+                           s_y1=ones, s_y2=ones, c_y=0 * ones)
+
+    def test_codes_equal_the_per_bin_reference(self, monkeypatch):
+        """Flat blocks factored once and the response applied in the block
+        pass give the codes of per-bin factors and separate passes."""
+        chain = DetectionChain(sample_rate=50e6)
+        calls = []
+        whole = synth._synthesize_matrix
+
+        def recording(*args):
+            calls.append(args)
+            return whole(*args)
+
+        monkeypatch.setattr(synth, "_synthesize_matrix", recording)
+        # 61 blocks: the clamped top 5 MHz and the plateau are flat, the rest not
+        monkeypatch.setattr(synth, "_BIN_BLOCK", 4099)
+        synth._synthesis_response.cache_clear()
+        try:
+            got = self.all_kinds(chain) + [
+                synthesize(self.plateau_spectra(), chain, 0.010, seed=10),
+                synthesize(operating_point_spectra(), chain, 0.010 + 1 / chain.sample_rate, seed=11),
+            ]
+        finally:
+            synth._synthesis_response.cache_clear()
+        assert got[-1].n_samples % 2 == 1 and len(calls) == len(got) == 7
+        assert got[1].clipped_1 > 0 and got[1].clipped_2 > 0
+        for args, tr in zip(calls, got):
+            c1, c2, k1, k2 = per_bin_synthesis(*args)
+            assert np.array_equal(tr.samples_1, c1)
+            assert np.array_equal(tr.samples_2, c2)
+            assert (tr.clipped_1, tr.clipped_2) == (k1, k2)
+
+    def test_non_psd_on_a_flat_stretch_names_the_whole_grid_frequency(self, monkeypatch):
+        # good up to the last bin of block 29, then non-PSD and constant from
+        # the first bin of block 30 (12.297 MHz) on: a flat block is the
+        # first to fail, and it must name its first bin
+        monkeypatch.setattr(synth, "_BIN_BLOCK", 4099)
+        chain = quiet_chain()
+        f_b = 30 * 4099 * 100.0
+        f = np.sort(np.r_[default_frequency_grid(), f_b - 70.0, f_b - 30.0])
+        ones = np.ones_like(f)
+        c_x = np.where(f > f_b - 50.0, 2.5, 0.0)
+        spec = QuadSpectra(frequencies=f, s_x1=ones, s_x2=ones, c_x=c_x,
+                           s_y1=ones, s_y2=ones, c_y=0 * ones)
+        dc = (chain.dc_current_1, chain.dc_current_2)
+        with pytest.raises(ValueError) as whole_grid:
+            per_bin_synthesis((f, ones, ones, c_x), dc, chain, 0.010, seed=1)
+        assert ("at %.6g Hz" % f_b) in str(whole_grid.value)
+        with pytest.raises(ValueError, match=re.escape(str(whole_grid.value))):
+            synthesize(spec, chain, 0.010, seed=1)
 
     @pytest.mark.parametrize("sample_rate, n", [(50e6, 500_000), (50e6, 500_001), (200e6, 2_000_000)])
     def test_response_equals_whole_grid_evaluation(self, sample_rate, n):

@@ -1,0 +1,121 @@
+"""sha256 of every artifact of a fixed set of tpsh runs: the byte comparison.
+
+    python3 tools/artifact_hashes.py > hashes.txt
+
+Runs the CLI of the checkout this file lives in (its src/ goes first on
+sys.path) in a temporary directory, which is removed afterwards, and prints
+one sorted "sha256  path" line per artifact, the path relative to that
+directory.  Two checkouts produce the same bytes when a diff of their
+outputs is empty.
+
+The recipe, at 50 and 200 MS/s with 10 ms traces, seed 11 and 23 mW pump:
+  - synth: trace.bin;
+  - witness in dc_balance and in optimal gain mode: witness.json;
+  - ref.bin and dark.bin from shot_noise_pair and dark_trace, on the seeds
+    witness gives its reference and dark traces;
+  - analyze of trace.bin in fixed, optimal and dc_balance gain mode, each
+    with no record, --reference, --dark and both: report.json and the sum
+    and difference spectrum CSVs;
+  - spectra: spectra.csv; sweep: sweep.csv.
+run.log holds timestamps and is not hashed.  Needs tpsh and its NumPy.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+import numpy as np  # noqa: E402
+
+from tpsh import cli  # noqa: E402
+from tpsh.config import load_config  # noqa: E402
+from tpsh.synth import dark_trace, shot_noise_pair  # noqa: E402
+from tpsh.traceio import write_trace  # noqa: E402
+
+SAMPLE_RATES_MHZ = (50, 200)
+GAIN_MODES = ("fixed", "optimal", "dc_balance")
+CONFIG = """\
+cavity.pump_power = 23 mW
+chain.sample_rate = {rate} MHz
+run.duration = 10 ms
+run.seed = 11
+analysis.gain_mode = {mode}
+"""
+
+
+def _run(argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(argv)
+    if status != 0:
+        raise SystemExit("tpsh %s exited with status %d" % (" ".join(argv), status))
+
+
+def _write_records(config: str, out: str) -> None:
+    """ref.bin and dark.bin, synthesized as witness synthesizes its own."""
+    cfg = load_config(config)
+    chain = cfg.chain
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(3, dtype=np.uint64)
+    write_trace(shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain,
+                                cfg.duration, int(seeds[1])), os.path.join(out, "ref.bin"))
+    write_trace(dark_trace(chain, cfg.duration, int(seeds[2])), os.path.join(out, "dark.bin"))
+
+
+def produce(root: str) -> None:
+    """Write every artifact of the recipe under root."""
+    for rate in SAMPLE_RATES_MHZ:
+        base = os.path.join(root, "%dMSps" % rate)
+        os.makedirs(base)
+        config = {}
+        for mode in GAIN_MODES:
+            config[mode] = os.path.join(base, "%s.conf" % mode)
+            with open(config[mode], "w") as fh:
+                fh.write(CONFIG.format(rate=rate, mode=mode))
+        records = os.path.join(base, "records")
+        default = config["dc_balance"]
+        _run(["synth", "--config", default, "--out", records])
+        _write_records(default, records)
+        for command in ("spectra", "sweep"):
+            _run([command, "--config", default, "--out", os.path.join(base, command)])
+        for mode in ("dc_balance", "optimal"):
+            _run(["witness", "--config", config[mode], "--out", os.path.join(base, "witness-" + mode)])
+        trace = os.path.join(records, "trace.bin")
+        for mode in GAIN_MODES:
+            for name, extra in (("none", []),
+                                ("ref", ["--reference", os.path.join(records, "ref.bin")]),
+                                ("dark", ["--dark", os.path.join(records, "dark.bin")]),
+                                ("both", ["--reference", os.path.join(records, "ref.bin"),
+                                          "--dark", os.path.join(records, "dark.bin")])):
+                out = os.path.join(base, "analyze-%s-%s" % (mode, name))
+                _run(["analyze", trace, "--config", config[mode], "--out", out] + extra)
+
+
+def hashes(root: str):
+    """Sorted "sha256  path" lines for every artifact under root."""
+    lines = []
+    for folder, _, files in os.walk(root):
+        for name in files:
+            if name == "run.log" or name.endswith(".conf"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append("%s  %s" % (digest, os.path.relpath(path, root)))
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def main() -> int:
+    os.environ.pop("TPSH_DEFAULTS", None)
+    with tempfile.TemporaryDirectory(prefix="tpsh-hashes-") as root:
+        produce(root)
+        print("\n".join(hashes(root)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
