@@ -9,6 +9,7 @@ machine-readable JSON line on stderr and a nonzero exit status.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -27,7 +28,7 @@ from .noise import (
     quadrature_spectra,
     witness_report,
 )
-from .synth import dark_trace, shot_noise_pair, witness_arm_traces, synthesize
+from .synth import _arm_job, _shot_job, _synthesized, synthesize
 from .traceio import atomic_write, read_trace, write_trace
 
 
@@ -120,12 +121,18 @@ def cmd_witness(cfg: RunConfig, args) -> int:
     chain = cfg.chain
     a = cfg.analysis
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3, dtype=np.uint64)
-    # each trace is reduced to its matrix before the next is synthesized
-    signal = cross_spectral_matrix(
-        witness_arm_traces(spec, chain, cfg.duration, int(seeds[0])), a.rbw)
-    reference = cross_spectral_matrix(shot_noise_pair(
-        chain.dc_current_1, chain.dc_current_2, chain, cfg.duration, int(seeds[1])), a.rbw)
-    dark = cross_spectral_matrix(dark_trace(chain, cfg.duration, int(seeds[2])), a.rbw)
+    jobs = (_arm_job(spec, chain, seeds[0]),
+            _shot_job(chain.dc_current_1, chain.dc_current_2, chain, seeds[1]),
+            _shot_job(0.0, 0.0, chain, seeds[2]))
+    # arms, shot-noise reference and dark trace: each is reduced to its matrix
+    # and dropped before the next is synthesized, whose deviates are drawn
+    # meanwhile
+    matrices = []
+    with contextlib.closing(_synthesized(jobs, chain, cfg.duration)) as traces:
+        for trace in traces:
+            matrices.append(cross_spectral_matrix(trace, a.rbw))
+            del trace
+    signal, reference, dark = matrices
     report = witness_from_matrices(
         signal, reference, dark, chain, (a.band_low, a.band_high), a.gain_mode, a.fixed_gain,
     )[0]

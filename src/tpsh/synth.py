@@ -7,9 +7,10 @@ to PSDs as
     P_11 = dc_1 * s_x1,   P_22 = dc_2 * s_x2,   P_12 = sqrt(dc_1 dc_2) * c_x / 2
 
 (the 1/2 undoes the symmetrized-cross-spectrum convention).  One primitive,
-_synthesize_matrix, turns such a normalized matrix (s_11, s_22, c_12 on a
-frequency grid) plus the DC pair into traces; synthesize,
-witness_arm_traces, shot_noise_pair and dark_trace only build that matrix.
+the generator _synthesized, turns jobs into traces, one at a time; a job is
+such a normalized matrix (s_11, s_22, c_12 on a frequency grid), the DC pair
+and a seed.  synthesize, witness_arm_traces, shot_noise_pair and dark_trace
+are one-job uses of it that only build the job.
 Traces are synthesized in the frequency domain: per-bin Cholesky
 factorization of the 2x2 spectral matrix drives independent complex
 Gaussian draws (circulant embedding), then the chain applies, in order,
@@ -22,16 +23,26 @@ _BIN_BLOCK bins evaluates the spectra and Cholesky factors and mixes and
 filters the complex64 draws in place.  A block over which the matrix is
 constant (every block of the flat reference and dark matrices, and those
 beyond the end of the spectra's grid) is factored once.
+
+A run of jobs owns two complex64 spectrum buffers, which every job reuses:
+channel 1 is transformed into a fresh float32 array and channel 2 into
+channel 1's spectrum buffer, free by then.  With more than one job, one
+worker thread draws the next job's normal deviates into the buffers while
+the caller reduces the trace just yielded (the fill releases the GIL);
+every buffer is allocated on the calling thread, and the worker is joined
+when the run ends or is closed.  A one-job call starts no thread.  Each job
+draws from its own SeedSequence stream, so its codes equal those of a call
+on its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft
 
 from .noise import QuadSpectra, witness_pair
 
@@ -110,14 +121,9 @@ class DetectionChain:
 
     def response(self, freqs: np.ndarray) -> np.ndarray:
         """Complex chain transfer function (AC coupling times pole) at freqs (Hz)."""
-        fs = self.sample_rate
-        w_ac = 2.0 * math.pi * self.ac_coupling_center
-        b_bp, a_bp = _bilinear([w_ac / self.ac_coupling_q, 0.0],
-                               [1.0, w_ac / self.ac_coupling_q, w_ac ** 2], fs)
-        w_p = 2.0 * math.pi * self.detector_pole
-        b_lp, a_lp = _bilinear([1.0], [1.0 / w_p, 1.0], fs)
+        (b_bp, a_bp), (b_lp, a_lp) = _digital_filters(self)
         # the digital frequency of each point, as scipy.signal.freqz forms it
-        zm1 = np.exp(-1j * (2 * np.pi * np.asarray(freqs, dtype=float) / fs))
+        zm1 = np.exp(-1j * (2 * np.pi * np.asarray(freqs, dtype=float) / self.sample_rate))
         h_bp = _polyval(b_bp, zm1) / _polyval(a_bp, zm1)
         h_lp = _polyval(b_lp, zm1) / _polyval(a_lp, zm1)
         return h_bp * h_lp
@@ -157,6 +163,21 @@ def _bilinear(b, a, fs: float):
 
     num, den = expand(b), expand(a)
     return num / den[0], den / den[0]
+
+
+# the bilinear transforms go through np.polynomial (about 2 ms each) and
+# depend only on the chain, not on the frequencies a response is asked for,
+# so they are derived once per chain rather than once per block; keyed by
+# the chain's value, and returned as tuples so no caller can alter them
+@functools.lru_cache(maxsize=256)
+def _digital_filters(chain: DetectionChain):
+    """((b, a) of the AC-coupling bandpass, (b, a) of the detector pole)."""
+    w_ac = 2.0 * math.pi * chain.ac_coupling_center
+    w_p = 2.0 * math.pi * chain.detector_pole
+    filters = (_bilinear([w_ac / chain.ac_coupling_q, 0.0],
+                         [1.0, w_ac / chain.ac_coupling_q, w_ac ** 2], chain.sample_rate),
+               _bilinear([1.0], [1.0 / w_p, 1.0], chain.sample_rate))
+    return tuple(tuple(tuple(c) for c in ba) for ba in filters)
 
 
 def _polyval(coef: np.ndarray, zm1: np.ndarray) -> np.ndarray:
@@ -243,17 +264,20 @@ class TwoChannelTrace:
         return len(self.samples_1)
 
 
-def _complex_normal(rng, size: int) -> np.ndarray:
-    """Complex64 standard normals: all real parts are drawn, then all imaginary.
+def _draw(rng, x1: np.ndarray, x2: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fill x1 and x2 with complex standard normals and draw the spur phases.
 
-    Each part is drawn block by block into place; the generator's stream
-    runs on across calls, so the values equal one full-length draw.
+    For each channel all real parts are drawn, then all imaginary parts,
+    through the contiguous float32 scratch block into place; the generator's
+    stream runs on across calls, so the values equal one full-length draw.
+    Returns the two phases, drawn last.
     """
-    z = np.empty(size, dtype=np.complex64)
-    for part in (z.real, z.imag):
-        for lo in range(0, size, _BIN_BLOCK):
-            part[lo:lo + _BIN_BLOCK] = rng.standard_normal(min(_BIN_BLOCK, size - lo), dtype=np.float32)
-    return z
+    for part in (x1.real, x1.imag, x2.real, x2.imag):
+        for lo in range(0, len(part), len(scratch)):
+            block = scratch[:len(part) - lo]
+            rng.standard_normal(dtype=np.float32, out=block)
+            part[lo:lo + len(block)] = block
+    return rng.uniform(0.0, 2.0 * math.pi, 2)
 
 
 def _mix(x1: np.ndarray, x2: np.ndarray, matrix, dc_pair, chain: DetectionChain, n: int) -> None:
@@ -314,47 +338,71 @@ def _mix(x1: np.ndarray, x2: np.ndarray, matrix, dc_pair, chain: DetectionChain,
             z *= h[bins]
 
 
-def _synthesize_matrix(matrix, dc_pair, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
-    """Trace pair realizing a normalized 2x2 spectral matrix at the given DC pair.
+def _synthesized(jobs, chain: DetectionChain, duration: float):
+    """Yield the trace of each job in turn; a job is (matrix, dc_pair, seed).
 
     matrix = (spec_freqs, s11, s22, c12) holds normalized spectra on
     spec_freqs; each is interpolated onto the synthesis grid (clamped beyond
     the ends) and then scaled to P11 = dc1 s11, P22 = dc2 s22 and
-    P12 = sqrt(dc1 dc2) c12 / 2.
+    P12 = sqrt(dc1 dc2) c12 / 2.  Every job is validated before the first
+    is synthesized.  The generator keeps no reference to a trace once the
+    caller asks for the next, so a caller that drops each trace holds one
+    at a time; close it (or run it to the end) to join its worker.
     """
-    spec_freqs = matrix[0]
-    dc1, dc2 = (float(dc) for dc in dc_pair)
+    jobs = list(jobs)
     if duration < 10e-3:
         raise ValueError("duration must be >= 10 ms")
-    if np.min(spec_freqs) > 0.5e6 + 1.0 or np.max(spec_freqs) < 20e6 - 1.0:
-        raise ValueError("input spectra must cover 0.5 to 20 MHz")
-    if dc1 < 0 or dc2 < 0:
-        raise ValueError("dc currents must be >= 0")
-    fs = chain.sample_rate
-    n = int(round(duration * fs))
+    for (spec_freqs, *_), dc_pair, _ in jobs:
+        if np.min(spec_freqs) > 0.5e6 + 1.0 or np.max(spec_freqs) < 20e6 - 1.0:
+            raise ValueError("input spectra must cover 0.5 to 20 MHz")
+        if min(dc_pair) < 0:
+            raise ValueError("dc currents must be >= 0")
+    n = int(round(duration * chain.sample_rate))
     nfreq = n // 2 + 1
+    # allocated here, on the calling thread: the worker's own allocations
+    # would come from its own malloc arena and add to the peak
+    spectra = (np.empty(nfreq, dtype=np.complex64), np.empty(nfreq, dtype=np.complex64))
+    scratch = np.empty(min(_BIN_BLOCK, nfreq), dtype=np.float32)
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x1 = _complex_normal(rng, nfreq)
-    x2 = _complex_normal(rng, nfreq)
-    phases = rng.uniform(0.0, 2.0 * math.pi, 2)
+    def draw(job):
+        return _draw(np.random.default_rng(np.random.SeedSequence(int(job[2]))), *spectra, scratch)
+
+    # the executor starts its one thread at the first submit, so a single
+    # job runs without one
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        drawn = None
+        for k, job in enumerate(jobs):
+            phases = draw(job) if drawn is None else drawn.result()
+            trace = _realize(job, spectra, phases, chain, duration, n)
+            if k + 1 < len(jobs):
+                # the buffers are free again: draw the next job's deviates
+                # while the caller reduces this trace
+                drawn = worker.submit(draw, jobs[k + 1])
+            yield trace
+            del trace
+
+
+def _realize(job, spectra, phases, chain: DetectionChain, duration: float, n: int) -> TwoChannelTrace:
+    """The trace of one job from the draws in the two spectrum buffers.
+
+    Mixes and filters the draws in place, adds the spur, and quantizes
+    channel 1 through a fresh float32 array and channel 2 through channel
+    1's spectrum buffer; both buffers are free again on return.
+    """
+    matrix, dc_pair, seed = job
+    dc1, dc2 = (float(dc) for dc in dc_pair)
+    x1, x2 = spectra
     _mix(x1, x2, matrix, (dc1, dc2), chain, n)
 
     # spur rides in after the filters, at the nearest representable bin
     if chain.spur_amplitude > 0:
-        k0 = int(round(chain.spur_freq * n / fs))
-        if 0 < k0 < nfreq - 1:
+        k0 = int(round(chain.spur_freq * n / chain.sample_rate))
+        if 0 < k0 < len(x1) - 1:
             for x, dc, ph in ((x1, dc1, phases[0]), (x2, dc2, phases[1])):
                 x[k0] += chain.spur_current_amplitude(dc) * (n / 2.0) * np.exp(1j * ph)
-            del x
 
-    # the list holds the only reference to each spectrum, so _quantize frees
-    # it as soon as its irfft is done
-    spectra = [x1, x2]
-    del x1, x2
-    codes_1, clipped_1 = _quantize(spectra.pop(0), n, chain, dc1)
-    codes_2, clipped_2 = _quantize(spectra.pop(0), n, chain, dc2)
-
+    codes_1, clipped_1 = _quantize(x1, n, chain, dc1)
+    codes_2, clipped_2 = _quantize(x2, n, chain, dc2, out=x1.view(np.float32)[:n])
     return TwoChannelTrace(
         samples_1=codes_1,
         samples_2=codes_2,
@@ -368,25 +416,43 @@ def _synthesize_matrix(matrix, dc_pair, chain: DetectionChain, duration: float, 
     )
 
 
-def _quantize(x: np.ndarray, n: int, chain: DetectionChain, dc: float):
+def _quantize(x: np.ndarray, n: int, chain: DetectionChain, dc: float, out=None):
     """ADC codes of the n-sample signal with half spectrum x, and the clip count.
 
-    Codes are int16 for ADCs of up to 16 bits and int32 above.  x is
-    released once transformed, if the caller holds no other reference.
+    Codes are int16 for ADCs of up to 16 bits and int32 above.  The signal
+    is transformed into out (n float32, not overlapping x) or, by default,
+    into a fresh array.  Clipped samples are counted only when the codes
+    leave the range, so an unclipped signal makes no boolean temporaries.
     """
     dtype = np.int16 if chain.adc_bits <= 16 else np.int32
     lsb = chain.lsb(dc)
     if lsb == 0.0:
         # silent channel: no signal, no noise, nothing to resolve
         return np.zeros(n, dtype=dtype), 0
-    y = irfft(x, n=n)
-    del x
+    y = np.fft.irfft(x, n=n, out=out)
     top = 2 ** (chain.adc_bits - 1)
     y /= np.float32(lsb)
     codes = np.rint(y, out=y)
-    clipped = int(np.count_nonzero((codes < -top) | (codes > top - 1)))
-    codes = np.clip(codes, -top, top - 1, out=codes)
-    return codes.astype(dtype), clipped
+    clipped = 0
+    if codes.min() < -top or codes.max() > top - 1:
+        clipped = np.count_nonzero(codes < -top) + np.count_nonzero(codes > top - 1)
+        np.clip(codes, -top, top - 1, out=codes)
+    return codes.astype(dtype), int(clipped)
+
+
+def _arm_job(spec: QuadSpectra, chain: DetectionChain, seed: int):
+    """The job of witness_arm_traces."""
+    vp, vm = witness_pair(spec)
+    s_arm = (vp + vm) / 4.0
+    dc_arm = 0.5 * (chain.dc_current_1 + chain.dc_current_2)
+    return (spec.frequencies, s_arm, s_arm, (vp - vm) / 2.0), (dc_arm, dc_arm), seed
+
+
+def _shot_job(dc_1: float, dc_2: float, chain: DetectionChain, seed: int):
+    """The job of shot_noise_pair."""
+    # flat unit auto-spectra and no cross term; interpolating constants is exact
+    matrix = (np.array([0.0, chain.sample_rate / 2.0]), np.ones(2), np.ones(2), np.zeros(2))
+    return matrix, (dc_1, dc_2), seed
 
 
 def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
@@ -396,8 +462,8 @@ def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: 
     interpolated onto the synthesis grid and clamped beyond the ends).
     """
     matrix = (spec.frequencies, spec.s_x1, spec.s_x2, spec.c_x)
-    dc_pair = (chain.dc_current_1, chain.dc_current_2)
-    return _synthesize_matrix(matrix, dc_pair, chain, duration, seed)
+    (trace,) = _synthesized([(matrix, (chain.dc_current_1, chain.dc_current_2), seed)], chain, duration)
+    return trace
 
 
 def witness_arm_traces(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
@@ -408,11 +474,8 @@ def witness_arm_traces(spec: QuadSpectra, chain: DetectionChain, duration: float
     2 S_Y - C_Y, which fixes the arm auto- and cross-spectra to
     (vp + vm)/4 and (vp - vm)/2 in normalized units.
     """
-    vp, vm = witness_pair(spec)
-    s_arm = (vp + vm) / 4.0
-    dc_arm = 0.5 * (chain.dc_current_1 + chain.dc_current_2)
-    matrix = (spec.frequencies, s_arm, s_arm, (vp - vm) / 2.0)
-    return _synthesize_matrix(matrix, (dc_arm, dc_arm), chain, duration, seed)
+    (trace,) = _synthesized([_arm_job(spec, chain, seed)], chain, duration)
+    return trace
 
 
 def shot_noise_pair(dc_1: float, dc_2: float, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
@@ -422,9 +485,8 @@ def shot_noise_pair(dc_1: float, dc_2: float, chain: DetectionChain, duration: f
     channel at zero current records electronic noise only; dc_1 = dc_2 = 0
     yields a dark trace.
     """
-    # flat unit auto-spectra and no cross term; interpolating constants is exact
-    matrix = (np.array([0.0, chain.sample_rate / 2.0]), np.ones(2), np.ones(2), np.zeros(2))
-    return _synthesize_matrix(matrix, (dc_1, dc_2), chain, duration, seed)
+    (trace,) = _synthesized([_shot_job(dc_1, dc_2, chain, seed)], chain, duration)
+    return trace
 
 
 def dark_trace(chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import threading
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from tpsh.analyzer import correct_electronic_noise, cross_spectral_matrix
 from tpsh.cavity import CavityParams, steady_state
-from tpsh import cli
+from tpsh import cli, synth
 from tpsh.cli import main
 from tpsh.synth import DetectionChain, dark_trace, shot_noise_pair
 from tpsh.traceio import read_trace, write_trace
@@ -220,7 +221,7 @@ class TestOneTraceAtATime:
     """Each trace is reduced to its matrix before the next one exists."""
 
     @staticmethod
-    def record_traces(monkeypatch, names):
+    def record_traces(monkeypatch, module, names):
         alive = []
 
         def recording(fn):
@@ -232,15 +233,23 @@ class TestOneTraceAtATime:
             return wrapper
 
         for name in names:
-            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
         return alive
 
     def test_witness(self, capsys, fast_conf, monkeypatch):
-        alive = self.record_traces(
-            monkeypatch, ("witness_arm_traces", "shot_noise_pair", "dark_trace"))
+        # witness's three traces are made by one synthesis run, which builds
+        # each in synth._realize
+        alive = self.record_traces(monkeypatch, synth, ("_realize",))
         rc, _, _ = run_cli(capsys, "witness", "--config", fast_conf)
         assert rc == 0
         assert len(alive) == 3
+
+    def test_witness_joins_its_one_worker(self, capsys, fast_conf, thread_starts):
+        before = threading.active_count()
+        rc, _, _ = run_cli(capsys, "witness", "--config", fast_conf)
+        assert rc == 0
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+        assert threading.active_count() == before
 
     def test_analyze(self, capsys, fast_conf, tmp_path, monkeypatch):
         rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
@@ -250,7 +259,7 @@ class TestOneTraceAtATime:
         write_trace(shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, 0.010, seed=6),
                     ref_path)
         write_trace(dark_trace(chain, 0.010, seed=7), dark_path)
-        alive = self.record_traces(monkeypatch, ("read_trace",))
+        alive = self.record_traces(monkeypatch, cli, ("read_trace",))
         rc, _, _ = run_cli(capsys, "analyze", trace_path, "--config", fast_conf,
                            "--reference", ref_path, "--dark", dark_path)
         assert rc == 0

@@ -1,7 +1,11 @@
 """Trace synthesis: normalization, chain effects, and round trips."""
 
+import contextlib
 import dataclasses
+import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -215,6 +219,31 @@ class TestResponseMatchesSciPy:
         for grid in (rms_grid, synthesis_grid):
             assert np.array_equal(chain.response(grid), self.scipy_response(chain, grid))
 
+    def test_bilinear_transforms_do_not_grow_with_the_block_count(self, monkeypatch):
+        # the response is evaluated block by block; its two bilinear
+        # transforms depend only on the chain and are derived once for it
+        calls = []
+        whole = synth._bilinear
+
+        def counting(*args):
+            calls.append(args)
+            return whole(*args)
+
+        monkeypatch.setattr(synth, "_bilinear", counting)
+        counts = []
+        try:
+            for block in (1 << 16, 4099, 1021):
+                monkeypatch.setattr(synth, "_BIN_BLOCK", block)
+                synth._digital_filters.cache_clear()
+                synth._synthesis_response.cache_clear()
+                calls.clear()
+                synth._synthesis_response(DetectionChain(sample_rate=50e6), 500_000)
+                counts.append(len(calls))
+        finally:
+            synth._digital_filters.cache_clear()
+            synth._synthesis_response.cache_clear()
+        assert counts == [2, 2, 2]
+
 
 def operating_point_spectra():
     params = CavityParams(pump_power=0.023)
@@ -280,10 +309,7 @@ class TestBlockwiseSynthesis:
 
     @staticmethod
     def all_kinds(chain):
-        spec = operating_point_spectra()
-        f = spec.frequencies
-        loud = dataclasses.replace(spec, s_x1=25 * np.ones_like(f), s_x2=25 * np.ones_like(f),
-                                   c_x=np.zeros_like(f))
+        spec, loud = operating_point_spectra(), loud_spectra()
         return [
             synthesize(spec, chain, 0.010, seed=5),
             synthesize(loud, chain, 0.010, seed=6),  # clips
@@ -331,13 +357,13 @@ class TestBlockwiseSynthesis:
         pass give the codes of per-bin factors and separate passes."""
         chain = DetectionChain(sample_rate=50e6)
         calls = []
-        whole = synth._synthesize_matrix
+        whole = synth._synthesized
 
-        def recording(*args):
-            calls.append(args)
-            return whole(*args)
+        def recording(jobs, chain, duration):
+            calls.extend((matrix, dc_pair, chain, duration, seed) for matrix, dc_pair, seed in jobs)
+            return whole(jobs, chain, duration)
 
-        monkeypatch.setattr(synth, "_synthesize_matrix", recording)
+        monkeypatch.setattr(synth, "_synthesized", recording)
         # 61 blocks: the clamped top 5 MHz and the plateau are flat, the rest not
         monkeypatch.setattr(synth, "_BIN_BLOCK", 4099)
         synth._synthesis_response.cache_clear()
@@ -397,6 +423,163 @@ class TestBlockwiseSynthesis:
         assert bad[first] and first >= synth._BIN_BLOCK
         with pytest.raises(ValueError, match=re.escape("at %.6g Hz" % freqs[first])):
             synthesize(spec, chain, 0.010, seed=1)
+
+
+def loud_spectra():
+    """Excess noise 25 times the coherent level: the ADC full scale clips it."""
+    spec = operating_point_spectra()
+    f = spec.frequencies
+    return dataclasses.replace(spec, s_x1=25 * np.ones_like(f), s_x2=25 * np.ones_like(f),
+                               c_x=np.zeros_like(f))
+
+
+class TestFixUps:
+    """The DC and Nyquist fix-ups, seen through a unit chain response (the
+    real one is 0 at DC and about 1e-32 at Nyquist, which hides them)."""
+
+    @pytest.mark.parametrize("n", [500_000, 500_001])
+    def test_dc_bin_zeroed_and_even_nyquist_bin_real(self, monkeypatch, n):
+        chain = DetectionChain(sample_rate=50e6)
+        nfreq = n // 2 + 1
+        monkeypatch.setattr(synth, "_synthesis_response",
+                            lambda chain, n: np.ones(n // 2 + 1, dtype=np.complex64))
+        rng = np.random.default_rng(5)
+        z1, z2 = ((rng.standard_normal(nfreq) + 1j * rng.standard_normal(nfreq)).astype(np.complex64)
+                  for _ in range(2))
+        x1, x2 = z1.copy(), z2.copy()
+        flat = (np.array([0.0, chain.sample_rate / 2.0]), np.ones(2), np.ones(2), np.zeros(2))
+        synth._mix(x1, x2, flat, (1.0, 1.0), chain, n)
+        # equal unit auto-spectra and no cross term: both channels are a z
+        a = np.float32(math.sqrt(n * chain.sample_rate / 4.0) * math.sqrt(1.0 + chain.electronic_noise_psd))
+        for x, z in ((x1, z1), (x2, z2)):
+            want = a * z
+            assert np.array_equal(x[1:-1], want[1:-1])
+            assert x[0] == 0
+            if n % 2 == 0:
+                assert x[-1].imag == 0
+                assert x[-1].real == pytest.approx(math.sqrt(2.0) * want[-1].real, rel=1e-6)
+            else:
+                assert x[-1] == want[-1]
+
+
+class TestQuantize:
+    @staticmethod
+    def mixed_channel(spec, chain, n, seed):
+        """Channel 1's filtered half spectrum, before the spur."""
+        nfreq = n // 2 + 1
+        x1, x2 = (np.empty(nfreq, dtype=np.complex64) for _ in range(2))
+        synth._draw(np.random.default_rng(seed), x1, x2, np.empty(4099, dtype=np.float32))
+        matrix = (spec.frequencies, spec.s_x1, spec.s_x2, spec.c_x)
+        synth._mix(x1, x2, matrix, (chain.dc_current_1, chain.dc_current_2), chain, n)
+        return x1
+
+    @pytest.mark.parametrize("loud", [False, True])
+    def test_clip_count_equals_the_boolean_expression(self, loud):
+        chain = DetectionChain(sample_rate=50e6)
+        n = 500_000
+        spec = loud_spectra() if loud else operating_point_spectra()
+        x = self.mixed_channel(spec, chain, n, seed=12)
+        top = 2 ** (chain.adc_bits - 1)
+        y = np.fft.irfft(x, n=n) / np.float32(chain.lsb(chain.dc_current_1))
+        rounded = np.rint(y)
+        want = int(np.count_nonzero((rounded < -top) | (rounded > top - 1)))
+        codes, clipped = synth._quantize(x, n, chain, chain.dc_current_1)
+        assert clipped == want
+        assert (want > 0) == loud
+        assert np.array_equal(codes, np.clip(rounded, -top, top - 1).astype(np.int16))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_clipping_on_one_side_only_is_counted(self, sign):
+        chain = DetectionChain(sample_rate=50e6)
+        n, top, lsb = 1000, 2 ** (chain.adc_bits - 1), chain.lsb(1.0)
+        signal = np.zeros(n)
+        signal[[3, 7]] = sign * 3 * top * lsb
+        codes, clipped = synth._quantize(np.fft.rfft(signal).astype(np.complex64), n, chain, 1.0)
+        assert clipped == 2
+        assert codes[3] == codes[7] == (top - 1 if sign > 0 else -top)
+
+
+class TestSynthesisRun:
+    """Several jobs through one run: shared buffers, one worker drawing ahead."""
+
+    @staticmethod
+    def jobs(chain):
+        spec, loud = operating_point_spectra(), loud_spectra()
+        dc_pair = (chain.dc_current_1, chain.dc_current_2)
+        return [synth._arm_job(spec, chain, 7),
+                ((loud.frequencies, loud.s_x1, loud.s_x2, loud.c_x), dc_pair, 6),
+                synth._shot_job(1.0, 0.5, chain, 8)]
+
+    def test_three_jobs_equal_separate_calls(self, monkeypatch):
+        chain = DetectionChain(sample_rate=50e6)
+        duration = 0.010 + 1 / chain.sample_rate  # odd n
+        monkeypatch.setattr(synth, "_BIN_BLOCK", 4099)
+        synth._synthesis_response.cache_clear()
+        interval = sys.getswitchinterval()
+        # hand the GIL over often, so the main thread and the drawing worker interleave finely
+        sys.setswitchinterval(1e-6)
+        try:
+            with contextlib.closing(synth._synthesized(self.jobs(chain), chain, duration)) as run:
+                got = list(run)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            want = [witness_arm_traces(operating_point_spectra(), chain, duration, seed=7),
+                    synthesize(loud_spectra(), chain, duration, seed=6),
+                    shot_noise_pair(1.0, 0.5, chain, duration, seed=8)]
+        finally:
+            synth._synthesis_response.cache_clear()
+        assert got[0].n_samples % 2 == 1
+        assert want[1].clipped_1 > 0 and want[1].clipped_2 > 0
+        for a, b in zip(want, got):
+            assert np.array_equal(a.samples_1, b.samples_1)
+            assert np.array_equal(a.samples_2, b.samples_2)
+            assert (a.clipped_1, a.clipped_2) == (b.clipped_1, b.clipped_2)
+            assert (a.dc_1, a.dc_2, a.seed) == (b.dc_1, b.dc_2, b.seed)
+
+    def test_single_trace_calls_start_no_thread(self, thread_starts):
+        chain = DetectionChain(sample_rate=50e6)
+        before = threading.active_count()
+        synthesize(operating_point_spectra(), chain, 0.010, seed=1)
+        witness_arm_traces(operating_point_spectra(), chain, 0.010, seed=2)
+        shot_noise_pair(1.0, 1.0, chain, 0.010, seed=3)
+        dark_trace(chain, 0.010, seed=4)
+        assert thread_starts == []
+        assert threading.active_count() == before
+
+    def test_non_psd_second_job_raises_and_ends_the_worker(self, thread_starts):
+        chain = DetectionChain(sample_rate=50e6)
+        bad = coherent_spectra()
+        bad.c_x[:] = 2.5
+        with pytest.raises(ValueError) as alone:
+            synthesize(bad, chain, 0.010, seed=1)
+        assert "positive semidefinite at" in str(alone.value)
+        before = threading.active_count()
+        jobs = self.jobs(chain)
+        jobs[1] = ((bad.frequencies, bad.s_x1, bad.s_x2, bad.c_x),
+                   (chain.dc_current_1, chain.dc_current_2), 1)
+        run = synth._synthesized(jobs, chain, 0.010)
+        assert next(run).n_samples == 500_000
+        with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+            next(run)
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_closing_a_run_early_ends_the_worker(self, thread_starts):
+        chain = DetectionChain(sample_rate=50e6)
+        before = threading.active_count()
+        run = synth._synthesized(self.jobs(chain), chain, 0.010)
+        next(run)  # the second job's draw is now under way on the worker
+        run.close()
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_jobs_are_validated_before_any_synthesis(self):
+        chain = DetectionChain(sample_rate=50e6)
+        jobs = self.jobs(chain)
+        jobs[2] = synth._shot_job(1.0, -1.0, chain, 8)
+        with pytest.raises(ValueError, match="dc currents"):
+            next(synth._synthesized(jobs, chain, 0.010))
 
 
 class TestMemoryAndCodeDtype:
