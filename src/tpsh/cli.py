@@ -28,7 +28,7 @@ from .noise import (
     quadrature_spectra,
     witness_report,
 )
-from .synth import _arm_job, _shot_job, _synthesized, synthesize
+from .synth import synthesize, witness_traces
 from .traceio import atomic_write, read_trace, write_trace
 
 
@@ -121,14 +121,11 @@ def cmd_witness(cfg: RunConfig, args) -> int:
     chain = cfg.chain
     a = cfg.analysis
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3, dtype=np.uint64)
-    jobs = (_arm_job(spec, chain, seeds[0]),
-            _shot_job(chain.dc_current_1, chain.dc_current_2, chain, seeds[1]),
-            _shot_job(0.0, 0.0, chain, seeds[2]))
     # arms, shot-noise reference and dark trace: each is reduced to its matrix
     # and dropped before the next is synthesized, whose deviates are drawn
     # meanwhile
     matrices = []
-    with contextlib.closing(_synthesized(jobs, chain, cfg.duration)) as traces:
+    with contextlib.closing(witness_traces(spec, chain, cfg.duration, seeds)) as traces:
         for trace in traces:
             matrices.append(cross_spectral_matrix(trace, a.rbw))
             del trace

@@ -6,11 +6,9 @@ to PSDs as
 
     P_11 = dc_1 * s_x1,   P_22 = dc_2 * s_x2,   P_12 = sqrt(dc_1 dc_2) * c_x / 2
 
-(the 1/2 undoes the symmetrized-cross-spectrum convention).  One primitive,
-the generator _synthesized, turns jobs into traces, one at a time; a job is
-such a normalized matrix (s_11, s_22, c_12 on a frequency grid), the DC pair
-and a seed.  synthesize, witness_arm_traces, shot_noise_pair and dark_trace
-are one-job uses of it that only build the job.
+(the 1/2 undoes the symmetrized-cross-spectrum convention).  Every trace is
+a job, such a normalized matrix (s_11, s_22, c_12 on a frequency grid), the
+DC pair and a seed, realized by a synthesis run (_Run).
 Traces are synthesized in the frequency domain: per-bin Cholesky
 factorization of the 2x2 spectral matrix drives independent complex
 Gaussian draws (circulant embedding), then the chain applies, in order,
@@ -24,15 +22,17 @@ filters the complex64 draws in place.  A block over which the matrix is
 constant (every block of the flat reference and dark matrices, and those
 beyond the end of the spectra's grid) is factored once.
 
-A run of jobs owns two complex64 spectrum buffers, which every job reuses:
+A run owns two complex64 spectrum buffers, which its traces reuse:
 channel 1 is transformed into a fresh float32 array and channel 2 into
-channel 1's spectrum buffer, free by then.  With more than one job, one
-worker thread draws the next job's normal deviates into the buffers while
-the caller reduces the trace just yielded (the fill releases the GIL);
-every buffer is allocated on the calling thread, and the worker is joined
-when the run ends or is closed.  A one-job call starts no thread.  Each job
-draws from its own SeedSequence stream, so its codes equal those of a call
-on its own.
+channel 1's spectrum buffer, free by then.  synthesize, witness_arm_traces,
+shot_noise_pair and dark_trace each make a run of one trace, which starts
+no thread.  witness_traces yields the witness's three traces through these
+same functions and one run of three: after each trace, one worker thread
+draws the next trace's normal deviates into the buffers while the caller
+reduces the trace just yielded (the fill releases the GIL).  Every buffer
+is allocated on the calling thread, and the worker is joined when the run
+ends, raises or is closed.  Each trace draws from its own SeedSequence
+stream, so its codes equal those of a call on its own.
 """
 
 from __future__ import annotations
@@ -338,48 +338,83 @@ def _mix(x1: np.ndarray, x2: np.ndarray, matrix, dc_pair, chain: DetectionChain,
             z *= h[bins]
 
 
-def _synthesized(jobs, chain: DetectionChain, duration: float):
-    """Yield the trace of each job in turn; a job is (matrix, dc_pair, seed).
+def _check(job) -> None:
+    """Validate a job (matrix, dc_pair, seed) before anything is drawn for it."""
+    (spec_freqs, *_), dc_pair, _ = job
+    if np.min(spec_freqs) > 0.5e6 + 1.0 or np.max(spec_freqs) < 20e6 - 1.0:
+        raise ValueError("input spectra must cover 0.5 to 20 MHz")
+    if min(dc_pair) < 0:
+        raise ValueError("dc currents must be >= 0")
 
-    matrix = (spec_freqs, s11, s22, c12) holds normalized spectra on
-    spec_freqs; each is interpolated onto the synthesis grid (clamped beyond
-    the ends) and then scaled to P11 = dc1 s11, P22 = dc2 s22 and
-    P12 = sqrt(dc1 dc2) c12 / 2.  Every job is validated before the first
-    is synthesized.  The generator keeps no reference to a trace once the
-    caller asks for the next, so a caller that drops each trace holds one
-    at a time; close it (or run it to the end) to join its worker.
+
+class _Run:
+    """The spectrum buffers and the draw-ahead worker of one synthesis run.
+
+    A job is (matrix, dc_pair, seed): matrix = (spec_freqs, s11, s22, c12)
+    holds normalized spectra on spec_freqs; each is interpolated onto the
+    synthesis grid (clamped beyond the ends) and then scaled to
+    P11 = dc1 s11, P22 = dc2 s22 and P12 = sqrt(dc1 dc2) c12 / 2.  seeds
+    lists the seeds of the run's traces in order: once a trace is
+    quantized, the worker draws the next seed's deviates into the buffers
+    while the caller reduces the trace.  A trace off that schedule is drawn
+    again on the calling thread, so the schedule changes the speed, never
+    the codes.  Leaving the run joins the worker.
     """
-    jobs = list(jobs)
-    if duration < 10e-3:
-        raise ValueError("duration must be >= 10 ms")
-    for (spec_freqs, *_), dc_pair, _ in jobs:
-        if np.min(spec_freqs) > 0.5e6 + 1.0 or np.max(spec_freqs) < 20e6 - 1.0:
-            raise ValueError("input spectra must cover 0.5 to 20 MHz")
-        if min(dc_pair) < 0:
-            raise ValueError("dc currents must be >= 0")
-    n = int(round(duration * chain.sample_rate))
-    nfreq = n // 2 + 1
-    # allocated here, on the calling thread: the worker's own allocations
-    # would come from its own malloc arena and add to the peak
-    spectra = (np.empty(nfreq, dtype=np.complex64), np.empty(nfreq, dtype=np.complex64))
-    scratch = np.empty(min(_BIN_BLOCK, nfreq), dtype=np.float32)
 
-    def draw(job):
-        return _draw(np.random.default_rng(np.random.SeedSequence(int(job[2]))), *spectra, scratch)
+    def __init__(self, chain: DetectionChain, duration: float, seeds=()):
+        if duration < 10e-3:
+            raise ValueError("duration must be >= 10 ms")
+        self.chain, self.duration = chain, duration
+        self.n = int(round(duration * chain.sample_rate))
+        nfreq = self.n // 2 + 1
+        # allocated here, on the calling thread: the worker's own allocations
+        # would come from its own malloc arena and add to the peak
+        self.spectra = (np.empty(nfreq, dtype=np.complex64), np.empty(nfreq, dtype=np.complex64))
+        self._scratch = np.empty(min(_BIN_BLOCK, nfreq), dtype=np.float32)
+        self._upcoming = [int(s) for s in seeds][1:]
+        # the executor starts its one thread at the first submit, so a run
+        # of one trace has none
+        self._worker = ThreadPoolExecutor(max_workers=1)
+        self._ahead = None  # (seed, future) of the draw under way
 
-    # the executor starts its one thread at the first submit, so a single
-    # job runs without one
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        drawn = None
-        for k, job in enumerate(jobs):
-            phases = draw(job) if drawn is None else drawn.result()
-            trace = _realize(job, spectra, phases, chain, duration, n)
-            if k + 1 < len(jobs):
-                # the buffers are free again: draw the next job's deviates
-                # while the caller reduces this trace
-                drawn = worker.submit(draw, jobs[k + 1])
-            yield trace
-            del trace
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        ahead, self._ahead = self._ahead, None
+        self._worker.shutdown(wait=True)
+        if ahead:
+            ahead[1].result()  # a draw that failed raises here
+        return False
+
+    def _draw(self, seed: int):
+        return _draw(np.random.default_rng(np.random.SeedSequence(seed)), *self.spectra, self._scratch)
+
+    def trace(self, job) -> TwoChannelTrace:
+        """The trace of one job; it shares no memory with the buffers."""
+        _check(job)
+        seed = int(job[2])
+        ahead, self._ahead = self._ahead, None
+        phases = ahead[1].result() if ahead else None  # the worker is done with the buffers
+        if not ahead or ahead[0] != seed:
+            phases = self._draw(seed)
+        trace = _realize(job, self.spectra, phases, self.chain, self.duration, self.n)
+        if self._upcoming:
+            # the buffers are free again: draw the next trace's deviates
+            # while the caller reduces this one
+            nxt = self._upcoming.pop(0)
+            self._ahead = (nxt, self._worker.submit(self._draw, nxt))
+        return trace
+
+
+def _trace(job, chain: DetectionChain, duration: float, run: _Run | None) -> TwoChannelTrace:
+    """The trace of job, through run's buffers or, by default, a run of its own."""
+    if run is None:
+        with _Run(chain, duration) as own:
+            return own.trace(job)
+    if (run.chain, run.duration) != (chain, duration):
+        raise ValueError("a trace must have its run's chain and duration")
+    return run.trace(job)
 
 
 def _realize(job, spectra, phases, chain: DetectionChain, duration: float, n: int) -> TwoChannelTrace:
@@ -440,33 +475,21 @@ def _quantize(x: np.ndarray, n: int, chain: DetectionChain, dc: float, out=None)
     return codes.astype(dtype), int(clipped)
 
 
-def _arm_job(spec: QuadSpectra, chain: DetectionChain, seed: int):
-    """The job of witness_arm_traces."""
-    vp, vm = witness_pair(spec)
-    s_arm = (vp + vm) / 4.0
-    dc_arm = 0.5 * (chain.dc_current_1 + chain.dc_current_2)
-    return (spec.frequencies, s_arm, s_arm, (vp - vm) / 2.0), (dc_arm, dc_arm), seed
-
-
-def _shot_job(dc_1: float, dc_2: float, chain: DetectionChain, seed: int):
-    """The job of shot_noise_pair."""
-    # flat unit auto-spectra and no cross term; interpolating constants is exact
-    matrix = (np.array([0.0, chain.sample_rate / 2.0]), np.ones(2), np.ones(2), np.zeros(2))
-    return matrix, (dc_1, dc_2), seed
-
-
-def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
+def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int,
+               *, _run: _Run | None = None) -> TwoChannelTrace:
     """Direct-detection trace pair realizing the amplitude-sector spectra.
 
     duration >= 10 ms; the spectra grid must cover 0.5 to 20 MHz (values are
     interpolated onto the synthesis grid and clamped beyond the ends).
+    _run, here and below, is the run of witness_traces whose buffers the
+    trace goes through; by default the call makes and ends a run of its own.
     """
     matrix = (spec.frequencies, spec.s_x1, spec.s_x2, spec.c_x)
-    (trace,) = _synthesized([(matrix, (chain.dc_current_1, chain.dc_current_2), seed)], chain, duration)
-    return trace
+    return _trace((matrix, (chain.dc_current_1, chain.dc_current_2), seed), chain, duration, _run)
 
 
-def witness_arm_traces(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
+def witness_arm_traces(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int,
+                       *, _run: _Run | None = None) -> TwoChannelTrace:
     """Post-beamsplitter detector pair for the witness measurement.
 
     Combining symmetric beams with a pi/2 phase puts each arm at the average
@@ -474,21 +497,45 @@ def witness_arm_traces(spec: QuadSpectra, chain: DetectionChain, duration: float
     2 S_Y - C_Y, which fixes the arm auto- and cross-spectra to
     (vp + vm)/4 and (vp - vm)/2 in normalized units.
     """
-    (trace,) = _synthesized([_arm_job(spec, chain, seed)], chain, duration)
-    return trace
+    vp, vm = witness_pair(spec)
+    s_arm = (vp + vm) / 4.0
+    dc_arm = 0.5 * (chain.dc_current_1 + chain.dc_current_2)
+    matrix = (spec.frequencies, s_arm, s_arm, (vp - vm) / 2.0)
+    return _trace((matrix, (dc_arm, dc_arm), seed), chain, duration, _run)
 
 
-def shot_noise_pair(dc_1: float, dc_2: float, chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
+def shot_noise_pair(dc_1: float, dc_2: float, chain: DetectionChain, duration: float, seed: int,
+                    *, _run: _Run | None = None) -> TwoChannelTrace:
     """Two independent shot-noise-limited channels at the given DC currents.
 
     The electronic noise floor stays at the chain's configured level, so a
     channel at zero current records electronic noise only; dc_1 = dc_2 = 0
     yields a dark trace.
     """
-    (trace,) = _synthesized([_shot_job(dc_1, dc_2, chain, seed)], chain, duration)
-    return trace
+    # flat unit auto-spectra and no cross term; interpolating constants is exact
+    matrix = (np.array([0.0, chain.sample_rate / 2.0]), np.ones(2), np.ones(2), np.zeros(2))
+    return _trace((matrix, (dc_1, dc_2), seed), chain, duration, _run)
 
 
-def dark_trace(chain: DetectionChain, duration: float, seed: int) -> TwoChannelTrace:
+def dark_trace(chain: DetectionChain, duration: float, seed: int,
+               *, _run: _Run | None = None) -> TwoChannelTrace:
     """Electronic-noise-only recording (both channels unilluminated)."""
-    return shot_noise_pair(0.0, 0.0, chain, duration, seed)
+    return shot_noise_pair(0.0, 0.0, chain, duration, seed, _run=_run)
+
+
+def witness_traces(spec: QuadSpectra, chain: DetectionChain, duration: float, seeds):
+    """Yield the three traces of the witness, in turn, from one run.
+
+    The witness arms (witness_arm_traces), the shot-noise reference at the
+    chain's DC currents (shot_noise_pair) and the dark trace (dark_trace),
+    with seeds[0], seeds[1] and seeds[2]: each equals that call on its own.
+    The run holds no trace once the caller asks for the next, so a caller
+    that drops each trace holds one at a time while the next one's
+    deviates are drawn.  Close the generator (or run it to the end) to join
+    the run's worker.
+    """
+    s_arm, s_ref, s_dark = (int(s) for s in seeds)
+    with _Run(chain, duration, (s_arm, s_ref, s_dark)) as run:
+        yield witness_arm_traces(spec, chain, duration, s_arm, _run=run)
+        yield shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, duration, s_ref, _run=run)
+        yield dark_trace(chain, duration, s_dark, _run=run)

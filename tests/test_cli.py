@@ -237,8 +237,9 @@ class TestOneTraceAtATime:
         return alive
 
     def test_witness(self, capsys, fast_conf, monkeypatch):
-        # witness's three traces are made by one synthesis run, which builds
-        # each in synth._realize
+        # witness's three traces come from synth.witness_traces, which makes
+        # each in synth._realize (dark_trace nests shot_noise_pair, so hooking
+        # the public functions would count the dark trace twice)
         alive = self.record_traces(monkeypatch, synth, ("_realize",))
         rc, _, _ = run_cli(capsys, "witness", "--config", fast_conf)
         assert rc == 0

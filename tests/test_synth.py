@@ -1,6 +1,5 @@
 """Trace synthesis: normalization, chain effects, and round trips."""
 
-import contextlib
 import dataclasses
 import math
 import re
@@ -357,13 +356,14 @@ class TestBlockwiseSynthesis:
         pass give the codes of per-bin factors and separate passes."""
         chain = DetectionChain(sample_rate=50e6)
         calls = []
-        whole = synth._synthesized
+        whole = synth._realize
 
-        def recording(jobs, chain, duration):
-            calls.extend((matrix, dc_pair, chain, duration, seed) for matrix, dc_pair, seed in jobs)
-            return whole(jobs, chain, duration)
+        def recording(job, spectra, phases, chain, duration, n):
+            matrix, dc_pair, seed = job
+            calls.append((matrix, dc_pair, chain, duration, seed))
+            return whole(job, spectra, phases, chain, duration, n)
 
-        monkeypatch.setattr(synth, "_synthesized", recording)
+        monkeypatch.setattr(synth, "_realize", recording)
         # 61 blocks: the clamped top 5 MHz and the plateau are flat, the rest not
         monkeypatch.setattr(synth, "_BIN_BLOCK", 4099)
         synth._synthesis_response.cache_clear()
@@ -500,42 +500,72 @@ class TestQuantize:
 
 
 class TestSynthesisRun:
-    """Several jobs through one run: shared buffers, one worker drawing ahead."""
+    """Several traces through one run: shared buffers, one worker drawing ahead."""
 
     @staticmethod
-    def jobs(chain):
-        spec, loud = operating_point_spectra(), loud_spectra()
-        dc_pair = (chain.dc_current_1, chain.dc_current_2)
-        return [synth._arm_job(spec, chain, 7),
-                ((loud.frequencies, loud.s_x1, loud.s_x2, loud.c_x), dc_pair, 6),
-                synth._shot_job(1.0, 0.5, chain, 8)]
+    def assert_same(want, got):
+        assert len(want) == len(got)
+        for a, b in zip(want, got):
+            assert np.array_equal(a.samples_1, b.samples_1)
+            assert np.array_equal(a.samples_2, b.samples_2)
+            assert (a.clipped_1, a.clipped_2) == (b.clipped_1, b.clipped_2)
+            assert (a.dc_1, a.dc_2, a.seed) == (b.dc_1, b.dc_2, b.seed)
 
-    def test_three_jobs_equal_separate_calls(self, monkeypatch):
+    def test_three_traces_equal_separate_calls(self, monkeypatch):
         chain = DetectionChain(sample_rate=50e6)
         duration = 0.010 + 1 / chain.sample_rate  # odd n
+        spec, loud = operating_point_spectra(), loud_spectra()
         monkeypatch.setattr(synth, "_BIN_BLOCK", 4099)
         synth._synthesis_response.cache_clear()
         interval = sys.getswitchinterval()
         # hand the GIL over often, so the main thread and the drawing worker interleave finely
         sys.setswitchinterval(1e-6)
         try:
-            with contextlib.closing(synth._synthesized(self.jobs(chain), chain, duration)) as run:
-                got = list(run)
+            with synth._Run(chain, duration, (7, 6, 8)) as run:
+                got = [witness_arm_traces(spec, chain, duration, 7, _run=run),
+                       synthesize(loud, chain, duration, 6, _run=run),
+                       shot_noise_pair(1.0, 0.5, chain, duration, 8, _run=run)]
         finally:
             sys.setswitchinterval(interval)
         try:
-            want = [witness_arm_traces(operating_point_spectra(), chain, duration, seed=7),
-                    synthesize(loud_spectra(), chain, duration, seed=6),
+            want = [witness_arm_traces(spec, chain, duration, seed=7),
+                    synthesize(loud, chain, duration, seed=6),
                     shot_noise_pair(1.0, 0.5, chain, duration, seed=8)]
         finally:
             synth._synthesis_response.cache_clear()
         assert got[0].n_samples % 2 == 1
         assert want[1].clipped_1 > 0 and want[1].clipped_2 > 0
-        for a, b in zip(want, got):
-            assert np.array_equal(a.samples_1, b.samples_1)
-            assert np.array_equal(a.samples_2, b.samples_2)
-            assert (a.clipped_1, a.clipped_2) == (b.clipped_1, b.clipped_2)
-            assert (a.dc_1, a.dc_2, a.seed) == (b.dc_1, b.dc_2, b.seed)
+        self.assert_same(want, got)
+
+    def test_witness_traces_equal_the_single_calls_and_join_the_worker(self, thread_starts):
+        chain = DetectionChain(sample_rate=50e6)
+        spec = operating_point_spectra()
+        seeds = np.random.SeedSequence(3).generate_state(3, dtype=np.uint64)
+        before = threading.active_count()
+        got = list(synth.witness_traces(spec, chain, 0.010, seeds))
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+        assert threading.active_count() == before
+        s_arm, s_ref, s_dark = (int(s) for s in seeds)
+        self.assert_same([witness_arm_traces(spec, chain, 0.010, seed=s_arm),
+                          shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, 0.010,
+                                          seed=s_ref),
+                          dark_trace(chain, 0.010, seed=s_dark)], got)
+
+    def test_witness_traces_go_through_the_public_functions(self, monkeypatch):
+        # so that a wrapper of these (perfbench's tracer) sees the synthesis
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("witness_arm_traces", "shot_noise_pair", "dark_trace"):
+            monkeypatch.setattr(synth, name, recording(name, getattr(synth, name)))
+        chain = DetectionChain(sample_rate=50e6)
+        assert len(list(synth.witness_traces(operating_point_spectra(), chain, 0.010, (1, 2, 3)))) == 3
+        assert calls == ["witness_arm_traces", "shot_noise_pair", "dark_trace", "shot_noise_pair"]
 
     def test_single_trace_calls_start_no_thread(self, thread_starts):
         chain = DetectionChain(sample_rate=50e6)
@@ -547,7 +577,7 @@ class TestSynthesisRun:
         assert thread_starts == []
         assert threading.active_count() == before
 
-    def test_non_psd_second_job_raises_and_ends_the_worker(self, thread_starts):
+    def test_non_psd_second_trace_raises_and_ends_the_worker(self, thread_starts):
         chain = DetectionChain(sample_rate=50e6)
         bad = coherent_spectra()
         bad.c_x[:] = 2.5
@@ -555,31 +585,37 @@ class TestSynthesisRun:
             synthesize(bad, chain, 0.010, seed=1)
         assert "positive semidefinite at" in str(alone.value)
         before = threading.active_count()
-        jobs = self.jobs(chain)
-        jobs[1] = ((bad.frequencies, bad.s_x1, bad.s_x2, bad.c_x),
-                   (chain.dc_current_1, chain.dc_current_2), 1)
-        run = synth._synthesized(jobs, chain, 0.010)
-        assert next(run).n_samples == 500_000
         with pytest.raises(ValueError, match=re.escape(str(alone.value))):
-            next(run)
+            with synth._Run(chain, 0.010, (7, 1, 8)) as run:
+                assert witness_arm_traces(operating_point_spectra(), chain, 0.010, 7,
+                                          _run=run).n_samples == 500_000
+                synthesize(bad, chain, 0.010, 1, _run=run)  # drawn on the worker
         assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
         assert threading.active_count() == before
 
-    def test_closing_a_run_early_ends_the_worker(self, thread_starts):
+    def test_closing_witness_traces_early_ends_the_worker(self, thread_starts):
         chain = DetectionChain(sample_rate=50e6)
         before = threading.active_count()
-        run = synth._synthesized(self.jobs(chain), chain, 0.010)
-        next(run)  # the second job's draw is now under way on the worker
+        run = synth.witness_traces(operating_point_spectra(), chain, 0.010, (1, 2, 3))
+        next(run)  # the reference's draw is now under way on the worker
         run.close()
         assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
         assert threading.active_count() == before
 
-    def test_jobs_are_validated_before_any_synthesis(self):
+    def test_a_trace_off_the_schedule_gets_its_own_draws(self):
         chain = DetectionChain(sample_rate=50e6)
-        jobs = self.jobs(chain)
-        jobs[2] = synth._shot_job(1.0, -1.0, chain, 8)
-        with pytest.raises(ValueError, match="dc currents"):
-            next(synth._synthesized(jobs, chain, 0.010))
+        with synth._Run(chain, 0.010, (1, 2)) as run:
+            shot_noise_pair(1.0, 1.0, chain, 0.010, 1, _run=run)
+            got = shot_noise_pair(1.0, 1.0, chain, 0.010, 3, _run=run)  # the worker drew seed 2
+        self.assert_same([shot_noise_pair(1.0, 1.0, chain, 0.010, seed=3)], [got])
+
+    def test_a_trace_must_have_its_runs_chain_and_duration(self):
+        chain = DetectionChain(sample_rate=50e6)
+        with synth._Run(chain, 0.010) as run:
+            for other_chain, other_duration in ((chain, 0.020),
+                                                (dataclasses.replace(chain, adc_bits=16), 0.010)):
+                with pytest.raises(ValueError, match="run's chain and duration"):
+                    dark_trace(other_chain, other_duration, 1, _run=run)
 
 
 class TestMemoryAndCodeDtype:
