@@ -2,8 +2,8 @@
 
 Integrates the same linearized stochastic model with an explicit
 Euler-Maruyama stepper and estimates the output spectra by Welch/CSD
-averaging over independent realizations.  Exists purely as an oracle: slow,
-simple, and sharing no code path with noise.quadrature_spectra.
+averaging over independent realizations.  Exists purely as an oracle,
+sharing no code path with noise.quadrature_spectra.
 
 Discrete model per quadrature sector (q in {x, y}, damping D_q):
 
@@ -14,6 +14,17 @@ Discrete model per quadrature sector (q in {x, y}, damping D_q):
 with dW ~ N(0, dt) and x[i] independent of the step-i increments
 (non-anticipating).  The raw one-sided Welch level of a vacuum input is 2,
 so estimates are halved to the shot-noise = 1 normalization.
+
+Each sector (one realization of one quadrature) runs in two stages on two
+threads.  The draw stage, on one worker thread, is the only user of the
+generator: it draws dW0, dWl, dW1 and dW2, in that order, sector x then
+sector y, realization after realization, and folds dW0 and dWl into the
+drive.  The process stage, on the calling thread, runs the AR(1) step and
+builds the two output records chunk by chunk, then makes their Welch
+estimate.  The worker draws one sector ahead, into five records allocated
+by the caller and reused by every sector, so the estimates are those of
+drawing and processing each sector in turn.  The worker is joined when
+mc_spectra returns or raises.
 
 The Welch estimate (root-periodic-Hann window, 50 % overlap, constant
 detrend per segment, density scaling, cross density <conj(X1) X2>; Welch
@@ -26,6 +37,7 @@ where it runs, so importing tpsh does not load it.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +49,10 @@ from .noise import QuadSpectra
 # samples per block of Welch segments: bounds the transient arrays to a few
 # 8 MiB float64/complex128 blocks whatever the record length
 _BLOCK_SAMPLES = 1 << 20
+
+# samples per chunk of a sector's draw and process stages: their temporaries
+# are this long whatever the record length
+_CHUNK = 1 << 16
 
 
 @dataclass
@@ -56,11 +72,27 @@ def _welch_setup(nperseg: int, fs: float):
     return np.fft.rfftfreq(nperseg, 1.0 / fs), window, scale
 
 
+def _segment_spectra(rec: np.ndarray, window: np.ndarray, step: int) -> np.ndarray:
+    """rfft of each mean-free, windowed segment of rec, one row per segment."""
+    seg = sliding_window_view(rec, len(window))[::step]
+    seg = seg - seg.mean(axis=1, keepdims=True)
+    seg *= window
+    return np.fft.rfft(seg, axis=1)
+
+
+def _power_sum(x: np.ndarray) -> np.ndarray:
+    """|X|^2 summed over the rows of x."""
+    power = x.real ** 2
+    power += x.imag ** 2
+    return np.sum(power, axis=0)
+
+
 def _welch_pair(rec1: np.ndarray, rec2: np.ndarray, window: np.ndarray, scale: float):
     """One-sided Welch densities P11, P22 and cross density <conj(X1) X2>.
 
     Segments of len(window) samples overlap by half and lose their mean
-    before windowing; the three products are summed over blocks of segments.
+    before windowing; the three products are summed over blocks of segments,
+    and one block's spectra are alive at a time.
     """
     nperseg = len(window)
     step = nperseg - nperseg // 2
@@ -72,16 +104,17 @@ def _welch_pair(rec1: np.ndarray, rec2: np.ndarray, window: np.ndarray, scale: f
     p12 = np.zeros(bins, dtype=complex)
     for first in range(0, n_segments, block):
         stop = (min(first + block, n_segments) - 1) * step + nperseg
-        spectra = []
-        for rec in (rec1, rec2):
-            seg = sliding_window_view(rec[first * step:stop], nperseg)[::step]
-            seg = seg - seg.mean(axis=1, keepdims=True)
-            seg *= window
-            spectra.append(np.fft.rfft(seg, axis=1))
-        x1, x2 = spectra
-        p11 += np.sum(x1.real ** 2 + x1.imag ** 2, axis=0)
-        p22 += np.sum(x2.real ** 2 + x2.imag ** 2, axis=0)
-        p12 += np.sum(x1.conj() * x2, axis=0)
+        # the last block's spectra go before this block's are made (dropped
+        # at the end of a block instead, they are freed before the fold below
+        # and the heap gives their pages back, to fault them in again on the
+        # next call)
+        x1 = x2 = None
+        x1 = _segment_spectra(rec1[first * step:stop], window, step)
+        x2 = _segment_spectra(rec2[first * step:stop], window, step)
+        p11 += _power_sum(x1)
+        p22 += _power_sum(x2)
+        # conj(X1) X2, formed over X1
+        p12 += np.sum(np.multiply(np.conjugate(x1, out=x1), x2, out=x1), axis=0)
     # fold in the negative frequencies: all bins but DC (and an even Nyquist)
     fold = np.full(bins, 2.0 * scale / n_segments)
     fold[0] /= 2.0
@@ -90,46 +123,64 @@ def _welch_pair(rec1: np.ndarray, rec2: np.ndarray, window: np.ndarray, scale: f
     return p11 * fold, p22 * fold, p12 * fold
 
 
-def _ar1(drive: np.ndarray, decay: float) -> np.ndarray:
-    """x[0] = 0, x[i] = decay*x[i-1] + drive[i-1], written over drive."""
+def _normal(rng, out: np.ndarray, sd: float) -> np.ndarray:
+    """N(0, sd^2) deviates into out, as rng.normal(0.0, sd, len(out)) draws them.
+
+    Same stream and same values, but for the sign of an exact zero.
+    """
+    rng.standard_normal(out=out)
+    out *= sd
+    return out
+
+
+def _draw_drive(rng, drive, dw1, scratch, sd, glin_pair):
+    """A sector's draw stage up to dW2: dW0, dWl and dW1, in that order.
+
+    dW0 and dWl are folded into drive = sqrt(2 g_in) dW0 + sqrt(2 g_l) dWl,
+    dWl chunk by chunk through scratch; dW1 goes into dw1.
+    """
+    g_in, g_l = glin_pair
+    _normal(rng, drive, sd)
+    drive *= math.sqrt(2.0 * g_in)
+    for start in range(0, len(drive), len(scratch)):
+        dwl = _normal(rng, scratch[:len(drive) - start], sd)
+        dwl *= math.sqrt(2.0 * g_l)
+        drive[start:start + len(dwl)] += dwl
+    _normal(rng, dw1, sd)
+
+
+def _outputs(draws, scratch, burn, dt, gk, damping):
+    """Process stage of one sector up to the estimate: its two output records.
+
+    draws = (drive, dw1, dw2) holds the sector's draw stage.  Finishes the
+    drive, -(sqrt(2 g_in) dW0 + sqrt(2 g_l) dWl + 2 sqrt(g1) dW1 + 2 sqrt(g2)
+    dW2), runs the AR(1) step x[i+1] = (1 - D dt) x[i] + drive[i] over it,
+    and builds out_k = dWk / dt + 2 sqrt(g_k) x over dWk past the burn-in,
+    chunk by chunk through scratch.  Returns views of dw1 and dw2; drive is
+    free again on return.
+    """
     from scipy.signal import lfilter  # deferred: only the oracle needs scipy.signal
 
-    # the filter is causal, so filtering drive[:-1] gives the first n - 1
-    # outputs of filtering all of drive
-    drive[1:] = lfilter([1.0], [1.0, -decay], drive[:-1])
-    drive[0] = 0.0
-    return drive
-
-
-def _sector(rng, n_steps, dt, glin_pair, gk, damping):
-    """One realization of one quadrature sector; returns the two output records."""
-    g_in, g_l = glin_pair
-    g1, g2 = gk
-    sd = math.sqrt(dt)
-    # drive = -(sqrt(2 g_in) dW0 + sqrt(2 g_l) dWl + 2 sqrt(g1) dW1
-    # + 2 sqrt(g2) dW2), summed in place in that order; each increment is
-    # drawn when it is needed, which keeps the generator's order
-    drive = rng.normal(0.0, sd, n_steps)  # dW0
-    drive *= math.sqrt(2.0 * g_in)
-    dwl = rng.normal(0.0, sd, n_steps)
-    dwl *= math.sqrt(2.0 * g_l)
-    drive += dwl
-    del dwl
-    dw1 = rng.normal(0.0, sd, n_steps)
-    dw2 = rng.normal(0.0, sd, n_steps)
-    drive += 2.0 * math.sqrt(g1) * dw1
-    drive += 2.0 * math.sqrt(g2) * dw2
-    np.negative(drive, out=drive)
-    x = _ar1(drive, 1.0 - damping * dt)
-    # out_k = dWk / dt + 2 sqrt(g_k) x, built over dWk
-    out1 = dw1
-    out1 /= dt
-    out1 += 2.0 * math.sqrt(g1) * x
-    out2 = dw2
-    out2 /= dt
-    x *= 2.0 * math.sqrt(g2)
-    out2 += x
-    return out1, out2
+    drive, dw1, dw2 = draws
+    c1, c2 = (2.0 * math.sqrt(g) for g in gk)
+    ar1 = ([1.0], [1.0, -(1.0 - damping * dt)])
+    state = np.zeros(1)  # x[0] = 0
+    for start in range(0, len(drive), len(scratch)):
+        stop = min(start + len(scratch), len(drive))
+        tmp = scratch[:stop - start]
+        chunk = drive[start:stop]
+        chunk += np.multiply(dw1[start:stop], c1, out=tmp)
+        chunk += np.multiply(dw2[start:stop], c2, out=tmp)
+        np.negative(chunk, out=chunk)
+        # the filter is causal and carries its state across chunks: drive[i]
+        # becomes x[i + 1]
+        chunk[:], state = lfilter(*ar1, chunk, zi=state)
+        lo = max(start, burn)
+        for dw, c in ((dw1, c1), (dw2, c2)):
+            out = dw[lo:stop]
+            out /= dt
+            out += np.multiply(drive[lo - 1:stop - 1], c, out=tmp[:len(out)])
+    return dw1[burn:], dw2[burn:]
 
 
 def mc_spectra(
@@ -149,6 +200,12 @@ def mc_spectra(
     band-averaged over +-avg_bins around the nearest bin; the standard error
     is the scatter over realizations divided by sqrt(n_realizations).
     """
+    if n_realizations < 2:
+        raise ValueError("n_realizations must be >= 2: the standard error is their scatter")
+    if not oversample > 0:
+        raise ValueError("oversample must be > 0")
+    if avg_bins < 0:
+        raise ValueError("avg_bins must be >= 0")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     g1 = ss.rate_nl_port1
     g2 = ss.rate_nl_port2
@@ -172,11 +229,39 @@ def mc_spectra(
         raise ValueError("frequency too close to the simulation grid edge")
     sel = centers[:, None] + np.arange(-avg_bins, avg_bins + 1)[None, :]
 
+    # five records of n_steps + burn samples hold two sectors' increments:
+    # sector k's drive, dW1 and dW2 go into records 3k, 3k + 1 and 3k + 2
+    # (mod 5), so its dW2 lands in sector k - 1's drive
+    n = n_steps + burn
+    records = [np.empty(n) for _ in range(5)]
+    scratch = (np.empty(min(_CHUNK, n)), np.empty(min(_CHUNK, n)))
+    sd = math.sqrt(dt)
+    sectors = [("x", dx), ("y", dy)] * n_realizations
     per_real = {k: [] for k in ("s_x1", "s_x2", "c_x", "s_y1", "s_y2", "c_y")}
-    for _ in range(n_realizations):
-        for sector, damping in (("x", dx), ("y", dy)):
-            out1, out2 = _sector(rng, n_steps + burn, dt, glin_pair, (g1, g2), damping)
-            p1, p2, cs = _welch_pair(out1[burn:], out2[burn:], window, scale)
+
+    def slots(k):
+        return tuple(records[(3 * k + j) % 5] for j in range(3))
+
+    # the worker is the only thread that draws, and it runs the draws in the
+    # order they are submitted, the serial one: sector k + 1's dW0, dWl and
+    # dW1 while sector k's outputs are built, its dW2 once sector k's drive
+    # is free, while sector k is estimated
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        drive, dw1, dw2 = slots(0)
+        pending = [worker.submit(_draw_drive, rng, drive, dw1, scratch[0], sd, glin_pair),
+                   worker.submit(_normal, rng, dw2, sd)]
+        for k, (sector, damping) in enumerate(sectors):
+            for draw in pending:
+                draw.result()
+            pending = []
+            ahead = k + 1 < len(sectors)
+            drive, dw1, dw2 = slots(k + 1)
+            if ahead:
+                pending.append(worker.submit(_draw_drive, rng, drive, dw1, scratch[0], sd, glin_pair))
+            out1, out2 = _outputs(slots(k), scratch[1], burn, dt, (g1, g2), damping)
+            if ahead:
+                pending.append(worker.submit(_normal, rng, dw2, sd))
+            p1, p2, cs = _welch_pair(out1, out2, window, scale)
             # one-sided vacuum level is 2; cross convention matches noise.QuadSpectra
             per_real["s_%s1" % sector].append(np.mean(p1[sel], axis=1) / 2.0)
             per_real["s_%s2" % sector].append(np.mean(p2[sel], axis=1) / 2.0)

@@ -144,7 +144,8 @@ class TestCommands:
             rc, _, _ = run_cli(capsys, "analyze", trace_path, "--config", fast_conf,
                                "--rbw-khz", rbw_khz)
             assert rc == 0
-            return len(open(os.path.join(outdir, "sum_spectrum.csv")).readlines())
+            with open(os.path.join(outdir, "sum_spectrum.csv")) as fh:
+                return len(fh.readlines())
 
         assert abs(rows("100") - 2 * rows("200")) <= 3
 
@@ -155,8 +156,8 @@ class TestCommands:
         report = json.loads(out)
         assert report["duan_sum"] == pytest.approx(3.73, abs=0.25)
         assert report["entangled"] is True
-        written = json.load(open(os.path.join(
-            os.path.dirname(fast_conf), "out", "witness.json")))
+        with open(os.path.join(os.path.dirname(fast_conf), "out", "witness.json")) as fh:
+            written = json.load(fh)
         assert written == report
 
     def test_sweep_monotone_to_projection(self, capsys, fast_conf):
@@ -181,7 +182,7 @@ class TestDeterminism:
             )
             rc, _, _ = run_cli(capsys, "witness", "--config", str(conf), "--seed", "3")
             assert rc == 0
-            reports.append(open(tmp_path / sub / "witness.json", "rb").read())
+            reports.append((tmp_path / sub / "witness.json").read_bytes())
         assert reports[0] == reports[1]
 
     def test_synth_bytes_follow_seed(self, capsys, tmp_path):
@@ -194,14 +195,14 @@ class TestDeterminism:
             )
             rc, _, _ = run_cli(capsys, "synth", "--config", str(conf), "--seed", seed)
             assert rc == 0
-            blobs[sub] = open(tmp_path / sub / "trace.bin", "rb").read()
+            blobs[sub] = (tmp_path / sub / "trace.bin").read_bytes()
         assert blobs["a"] == blobs["b"]
         assert blobs["a"] != blobs["c"]
 
     def test_timestamps_only_in_sidecar_log(self, capsys, fast_conf, tmp_path):
         rc, _, _ = run_cli(capsys, "spectra", "--config", fast_conf)
         assert rc == 0
-        log = open(tmp_path / "out" / "run.log").read()
+        log = (tmp_path / "out" / "run.log").read_text()
         assert "spectra" in log and "T" in log  # ISO stamp lives here only
 
 
@@ -209,7 +210,7 @@ class TestDeterminism:
         for argv in (["spectra"], ["synth", "--seed", "3"], ["witness", "--seed", "3"]):
             rc, _, _ = run_cli(capsys, *argv, "--config", fast_conf)
             assert rc == 0
-        lines = open(tmp_path / "out" / "run.log").read().splitlines()
+        lines = (tmp_path / "out" / "run.log").read_text().splitlines()
         assert len(lines) == 3
         for line, command in zip(lines, ("spectra", "synth", "witness")):
             assert command in line

@@ -4,16 +4,32 @@ Quick single-pump version of the full equivalence run; the z statistic uses
 the standard error estimated from a handful of realizations, so it follows
 a Student-t law rather than a normal one.  The assertions allow for that:
 a small fraction of comparisons may exceed 3 SE, none may exceed 6 SE.
+
+The oracle's own machinery is checked too: its Welch estimate against
+scipy.signal, its two-stage run (draws on a worker thread, one sector
+ahead) bit for bit against a serial reference, the worker's lifetime, and
+the rejection of bad input.
 """
+
+import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from tpsh import langevin_mc
 from tpsh.cavity import CavityParams, steady_state
-from tpsh.langevin_mc import _BLOCK_SAMPLES, _welch_pair, _welch_setup, mc_spectra
+from tpsh.langevin_mc import _BLOCK_SAMPLES, _CHUNK, _welch_pair, _welch_setup, mc_spectra
 from tpsh.noise import quadrature_spectra
 
 FIELDS = ("s_x1", "s_x2", "c_x", "s_y1", "s_y2", "c_y")
+# the criterion-7 cavities of the acceptance suite
+CRITERION_7_CAVITIES = (
+    CavityParams(),
+    CavityParams(pump_power=0.023),
+    CavityParams(pump_power=0.5, conversion_efficiency=0.059),
+)
 
 
 def test_mc_matches_closed_form():
@@ -88,3 +104,173 @@ def test_welch_pair_matches_scipy(nperseg, n_samples):
     assert np.max(np.abs(q22 / p22 - 1.0)) <= 1e-10
     # the cross density passes through zero; compare on the auto scale
     assert np.max(np.abs(q12 - p12) / np.sqrt(p11 * p22)) <= 1e-10
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(n_realizations=1), "n_realizations"),
+    (dict(n_realizations=0), "n_realizations"),
+    (dict(oversample=0.0), "oversample"),
+    (dict(oversample=-100.0), "oversample"),
+    (dict(oversample=float("nan")), "oversample"),
+    (dict(avg_bins=-1), "avg_bins"),
+])
+def test_mc_rejects_bad_input_before_drawing(kwargs, match, thread_starts):
+    ss = steady_state(CavityParams())
+    args = dict(n_realizations=2, n_steps=1 << 16)
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=match):
+        mc_spectra(ss, [6e6], seed=1, **args)
+    assert thread_starts == []
+
+
+def _serial_welch(rec1, rec2, window, scale):
+    """The oracle's Welch estimate in its plain form: temporaries not reused."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    nperseg = len(window)
+    step = nperseg - nperseg // 2
+    n_segments = (len(rec1) - nperseg) // step + 1
+    block = max(1, _BLOCK_SAMPLES // nperseg)
+    bins = nperseg // 2 + 1
+    p11, p22, p12 = np.zeros(bins), np.zeros(bins), np.zeros(bins, dtype=complex)
+    for first in range(0, n_segments, block):
+        stop = (min(first + block, n_segments) - 1) * step + nperseg
+        x1, x2 = (np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, axis=1)
+                  for seg in (sliding_window_view(rec[first * step:stop], nperseg)[::step]
+                              for rec in (rec1, rec2)))
+        p11 += np.sum(x1.real ** 2 + x1.imag ** 2, axis=0)
+        p22 += np.sum(x2.real ** 2 + x2.imag ** 2, axis=0)
+        p12 += np.sum(x1.conj() * x2, axis=0)
+    fold = np.full(bins, 2.0 * scale / n_segments)
+    fold[0] /= 2.0
+    if nperseg % 2 == 0:
+        fold[-1] /= 2.0
+    return p11 * fold, p22 * fold, p12 * fold
+
+
+def _serial_mc(ss, freqs, seed, n_realizations, n_steps, oversample=100.0,
+               nperseg=1 << 16, avg_bins=2):
+    """mc_spectra on one thread, each sector drawn and processed in turn.
+
+    The draws are made with rng.normal in the oracle's order (dW0, dWl, dW1,
+    dW2; sector x, then y; realization after realization) and the records
+    are built whole, with every temporary.
+    """
+    from scipy.signal import lfilter
+
+    g1, g2 = ss.rate_nl_port1, ss.rate_nl_port2
+    dx = ss.rate_input + ss.rate_loss + 3.0 * (g1 + g2)
+    dy = ss.rate_input + ss.rate_loss + (g1 + g2)
+    dt = 1.0 / (oversample * dx)
+    burn = int(10.0 / (dx * dt)) + 1
+    n, sd = n_steps + burn, math.sqrt(dt)
+    rng = np.random.default_rng(seed)
+    f, window, scale = _welch_setup(nperseg, 1.0 / dt)
+    centers = np.array([int(np.argmin(np.abs(f - ft))) for ft in freqs])
+    sel = centers[:, None] + np.arange(-avg_bins, avg_bins + 1)[None, :]
+    per_real = {k: [] for k in FIELDS}
+    for _ in range(n_realizations):
+        for sector, damping in (("x", dx), ("y", dy)):
+            dw0, dwl, dw1, dw2 = (rng.normal(0.0, sd, n) for _ in range(4))
+            drive = -(dw0 * math.sqrt(2.0 * ss.rate_input) + dwl * math.sqrt(2.0 * ss.rate_loss)
+                      + 2.0 * math.sqrt(g1) * dw1 + 2.0 * math.sqrt(g2) * dw2)
+            x = np.zeros(n)
+            x[1:] = lfilter([1.0], [1.0, -(1.0 - damping * dt)], drive[:-1])
+            out1 = dw1 / dt + 2.0 * math.sqrt(g1) * x
+            out2 = dw2 / dt + 2.0 * math.sqrt(g2) * x
+            p1, p2, cs = _serial_welch(out1[burn:], out2[burn:], window, scale)
+            per_real["s_%s1" % sector].append(np.mean(p1[sel], axis=1) / 2.0)
+            per_real["s_%s2" % sector].append(np.mean(p2[sel], axis=1) / 2.0)
+            per_real["c_%s" % sector].append(np.mean(np.real(cs[sel]), axis=1))
+    stacks = {k: np.vstack(v) for k, v in per_real.items()}
+    return ({k: v.mean(axis=0) for k, v in stacks.items()},
+            {k: v.std(axis=0, ddof=1) / math.sqrt(n_realizations) for k, v in stacks.items()})
+
+
+def _assert_equals_serial(ss, freqs, seed, **kwargs):
+    mc = mc_spectra(ss, freqs, seed, **kwargs)
+    means, ses = _serial_mc(ss, freqs, seed, **kwargs)
+    for name in FIELDS:
+        assert np.array_equal(getattr(mc.spec, name), means[name]), name
+        assert np.array_equal(getattr(mc.se, name), ses[name]), name
+
+
+@pytest.mark.parametrize("params", CRITERION_7_CAVITIES)
+def test_mc_equals_the_serial_oracle(params):
+    ss = steady_state(params)
+    fx = (ss.rate_input + ss.rate_loss + 3.0 * (ss.rate_nl_port1 + ss.rate_nl_port2)) / (
+        2.0 * np.pi
+    )
+    freqs = np.logspace(np.log10(0.04 * fx), np.log10(0.6 * fx), 10)
+    _assert_equals_serial(ss, freqs, 11, n_realizations=3, n_steps=1 << 16)
+
+
+def test_mc_equals_the_serial_oracle_with_odd_segments_and_long_records():
+    ss = steady_state(CavityParams())
+    fx = (ss.rate_input + ss.rate_loss + 3.0 * (ss.rate_nl_port1 + ss.rate_nl_port2)) / (
+        2.0 * np.pi
+    )
+    # an odd segment length on a record shorter than one chunk
+    _assert_equals_serial(ss, [0.2 * fx, 0.4 * fx], 4, n_realizations=2, n_steps=385 * 40,
+                          oversample=2.0, nperseg=385, avg_bins=1)
+    # a record longer than a Welch block and than several chunks, not a
+    # multiple of either
+    n_steps = _BLOCK_SAMPLES + 3 * _CHUNK + 4321
+    assert n_steps > _BLOCK_SAMPLES
+    _assert_equals_serial(ss, [0.1 * fx, 0.3 * fx], 5, n_realizations=2, n_steps=n_steps,
+                          nperseg=1 << 14)
+
+
+def test_mc_starts_one_worker_and_joins_it(thread_starts):
+    ss = steady_state(CavityParams())
+    before = threading.active_count()
+    mc_spectra(ss, [6e6], seed=2, n_realizations=3, n_steps=1 << 16)
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_mc_draws_exactly_one_sector_ahead(monkeypatch):
+    # while sector k is processed, the draws of sectors k and k + 1 have
+    # begun and no others, however long the processing takes
+    draws, seen = [], []
+    draw_drive, outputs = langevin_mc._draw_drive, langevin_mc._outputs
+
+    def counting_draw(*args):
+        draws.append(None)
+        return draw_drive(*args)
+
+    def slow_outputs(*args):
+        expected = min(len(seen) + 2, 6)
+        deadline = time.monotonic() + 10.0
+        while len(draws) < expected and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.03)  # time enough for the worker to run further ahead
+        seen.append(len(draws))
+        return outputs(*args)
+
+    monkeypatch.setattr(langevin_mc, "_draw_drive", counting_draw)
+    monkeypatch.setattr(langevin_mc, "_outputs", slow_outputs)
+    mc_spectra(steady_state(CavityParams()), [6e6], seed=2, n_realizations=3, n_steps=1 << 16)
+    assert seen == [min(k + 2, 6) for k in range(6)]
+
+
+@pytest.mark.parametrize("stage", ["_welch_pair", "_normal"])
+def test_a_failing_sector_raises_and_ends_the_worker(stage, monkeypatch, thread_starts):
+    # the third call fails: a sector's estimate on the calling thread, or a
+    # draw on the worker
+    calls = []
+    original = getattr(langevin_mc, stage)
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("sector failed")
+        return original(*args)
+
+    monkeypatch.setattr(langevin_mc, stage, failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="sector failed"):
+        mc_spectra(steady_state(CavityParams()), [6e6], seed=2, n_realizations=3,
+                   n_steps=1 << 16)
+    assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+    assert threading.active_count() == before

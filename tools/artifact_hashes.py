@@ -17,12 +17,17 @@ The recipe, at 50 and 200 MS/s with 10 ms traces, seed 11 and 23 mW pump:
     with no record, --reference, --dark and both: report.json and the sum
     and difference spectrum CSVs;
   - spectra: spectra.csv; sweep: sweep.csv.
-run.log holds timestamps and is not hashed.  Needs tpsh and its NumPy.
+run.log holds timestamps and is not hashed.  The Monte-Carlo oracle follows
+as oracle/cavity<i>/spec and oracle/cavity<i>/se: the bytes of mc_spectra's
+spectra and standard errors (every QuadSpectra field in order) on the three
+criterion-7 cavities, seed 11, 8 realizations of 65 536 steps.  Needs tpsh
+and its NumPy.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -34,7 +39,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 import numpy as np  # noqa: E402
 
 from tpsh import cli  # noqa: E402
+from tpsh.cavity import CavityParams, steady_state  # noqa: E402
 from tpsh.config import load_config  # noqa: E402
+from tpsh.langevin_mc import mc_spectra  # noqa: E402
 from tpsh.synth import dark_trace, shot_noise_pair  # noqa: E402
 from tpsh.traceio import write_trace  # noqa: E402
 
@@ -47,6 +54,8 @@ run.duration = 10 ms
 run.seed = 11
 analysis.gain_mode = {mode}
 """
+# the criterion-7 cavities of the acceptance suite, as CavityParams overrides
+ORACLE_CAVITIES = ({}, {"pump_power": 0.023}, {"pump_power": 0.5, "conversion_efficiency": 0.059})
 
 
 def _run(argv) -> None:
@@ -109,11 +118,28 @@ def hashes(root: str):
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
+def oracle_hashes():
+    """The oracle's lines: sha256 of mc_spectra's spec and se per cavity."""
+    lines = []
+    for i, overrides in enumerate(ORACLE_CAVITIES):
+        ss = steady_state(CavityParams(**overrides))
+        fx = (ss.rate_input + ss.rate_loss
+              + 3.0 * (ss.rate_nl_port1 + ss.rate_nl_port2)) / (2.0 * np.pi)
+        freqs = np.logspace(np.log10(0.04 * fx), np.log10(0.6 * fx), 10)
+        mc = mc_spectra(ss, freqs, seed=11, n_realizations=8, n_steps=1 << 16)
+        for name, spectra in (("spec", mc.spec), ("se", mc.se)):
+            digest = hashlib.sha256()
+            for field in dataclasses.fields(spectra):
+                digest.update(np.ascontiguousarray(getattr(spectra, field.name)).tobytes())
+            lines.append("%s  oracle/cavity%d/%s" % (digest.hexdigest(), i, name))
+    return lines
+
+
 def main() -> int:
     os.environ.pop("TPSH_DEFAULTS", None)
     with tempfile.TemporaryDirectory(prefix="tpsh-hashes-") as root:
         produce(root)
-        print("\n".join(hashes(root)))
+        print("\n".join(hashes(root) + oracle_hashes()))
     return 0
 
 
