@@ -343,14 +343,14 @@ def witness_from_matrices(signal: CrossSpectralMatrix, reference: CrossSpectralM
     mask = _band_mask(signal.frequencies, band, chain, signal.rbw)
     g = _resolve_gain(signal, gain_mode, fixed_gain, mask)
 
-    def corrected(m, mode):
+    def corrected(m, modes):
         floor = dark if dark is not None else analytic_dark_matrix(chain, m)
-        return correct_electronic_noise(m.combination(g, mode), floor.combination(g, mode))
+        return [correct_electronic_noise(m.combination(g, mode), floor.combination(g, mode))
+                for mode in modes]
 
-    psd_sum = corrected(signal, "sum")
-    psd_diff = corrected(signal, "difference")
+    psd_sum, psd_diff = corrected(signal, ("sum", "difference"))
     if reference is not None:
-        qnl = corrected(reference, "difference")
+        (qnl,) = corrected(reference, ("difference",))
     else:
         qnl = analytic_qnl_matrix(chain, signal).combination(g, "difference")
     if np.any(qnl.power[mask] <= 0):
@@ -363,33 +363,11 @@ def witness_from_matrices(signal: CrossSpectralMatrix, reference: CrossSpectralM
     vp = 2.0 * sum_mean / qnl_mean
     vm = 2.0 * diff_mean / qnl_mean
     rel_qnl = qnl_sigma / qnl_mean
-    vp_sigma = vp * math.hypot(sum_sigma / sum_mean, rel_qnl)
-    vm_sigma = vm * math.hypot(diff_sigma / diff_mean, rel_qnl)
-
-    duan = vp + vm
     num_sigma = math.hypot(sum_sigma, diff_sigma)
-    duan_sigma = duan * math.hypot(num_sigma / (sum_mean + diff_mean), rel_qnl)
-    db = 10.0 * math.log10(duan / 4.0)
-
-    report = WitnessReport(
-        freq=0.5 * (band[0] + band[1]),
-        var_sum=vp,
-        var_diff=vm,
-        duan_sum=duan,
-        v=duan / 4.0,
-        db=db,
-        intensity_sum_db=10.0 * math.log10(vp / 2.0),
-        intensity_diff_db=10.0 * math.log10(vm / 2.0),
-        optimal_gain=g,
-        entangled=bool(duan < 4.0),
-        uncertainty={
-            "var_sum": vp_sigma,
-            "var_diff": vm_sigma,
-            "duan_sum": duan_sigma,
-            "v": duan_sigma / 4.0,
-            "db": 10.0 / math.log(10.0) * duan_sigma / duan,
-        },
-    )
+    sigma = (vp * math.hypot(sum_sigma / sum_mean, rel_qnl),
+             vm * math.hypot(diff_sigma / diff_mean, rel_qnl),
+             (vp + vm) * math.hypot(num_sigma / (sum_mean + diff_mean), rel_qnl))
+    report = WitnessReport(0.5 * (band[0] + band[1]), vp, vm, g, sigma)
     return report, psd_sum, psd_diff
 
 

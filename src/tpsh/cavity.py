@@ -51,26 +51,28 @@ class CavityParams:
     path_efficiency: float = 0.95
 
     def __post_init__(self):
-        if self.pump_power < 0:
+        if not self.pump_power >= 0:
             raise ValueError("pump_power must be >= 0")
         if not 0 < self.input_transmission < 1:
             raise ValueError("input_transmission must lie in (0, 1)")
         if not 0 <= self.roundtrip_loss < 1:
             raise ValueError("roundtrip_loss must lie in [0, 1)")
-        if self.conversion_efficiency < 0:
+        if not self.conversion_efficiency >= 0:
             raise ValueError("conversion_efficiency must be >= 0")
-        if self.mirror_separation <= 0:
+        if not math.isfinite(self.mismatch):
+            raise ValueError("mismatch must be finite")
+        if not self.mirror_separation > 0:
             raise ValueError("mirror_separation must be > 0")
-        if self.crystal_length < 0:
+        if not self.crystal_length >= 0:
             raise ValueError("crystal_length must be >= 0")
         if self.crystal_length >= self.mirror_separation:
             raise ValueError("crystal_length must be smaller than mirror_separation")
-        if self.crystal_index < 1:
+        if not self.crystal_index >= 1:
             raise ValueError("crystal_index must be >= 1")
-        if self.fundamental_wavelength <= 0:
+        if not self.fundamental_wavelength > 0:
             raise ValueError("fundamental_wavelength must be > 0")
         rel = abs(self.harmonic_wavelength - self.fundamental_wavelength / 2.0)
-        if rel > 1e-6 * self.fundamental_wavelength / 2.0:
+        if not rel <= 1e-6 * self.fundamental_wavelength / 2.0:
             raise ValueError("harmonic_wavelength must equal fundamental_wavelength / 2")
         if not 0 < self.detector_efficiency <= 1:
             raise ValueError("detector_efficiency must lie in (0, 1]")

@@ -43,13 +43,13 @@ class AnalysisConfig:
     fixed_gain: float = 0.95
 
     def __post_init__(self):
-        if self.rbw <= 0:
+        if not self.rbw > 0:
             raise ValueError("rbw must be > 0")
         if not self.band_low < self.band_high:
             raise ValueError("band_low must be below band_high")
         if self.gain_mode not in GAIN_MODES:
             raise ValueError("gain_mode must be one of %s" % (GAIN_MODES,))
-        if self.fixed_gain <= 0:
+        if not self.fixed_gain > 0:
             raise ValueError("fixed_gain must be > 0")
 
 
@@ -63,9 +63,9 @@ class RunConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be > 0")
 
 
@@ -84,20 +84,25 @@ def parse_scalar(text: str) -> float:
     raise ValueError("unknown unit %r" % unit)
 
 
-def _field_names(cls):
-    return [f.name for f in dataclasses.fields(cls)]
+# under postponed annotations each field's type is the string of its name
+_KINDS = {"float": float, "int": int, "str": str}
+
+
+def _scalar_fields(cls) -> dict:
+    """Name -> type of the float, int and str fields of dataclass cls."""
+    return {f.name: _KINDS[f.type] for f in dataclasses.fields(cls) if f.type in _KINDS}
 
 
 _SECTIONS = {
-    "cavity": (_field_names(CavityParams), {"": float}),
-    "chain": (_field_names(DetectionChain), {"adc_bits": int}),
-    "analysis": (_field_names(AnalysisConfig), {"gain_mode": str}),
-    "run": (["seed", "duration", "output_dir"], {"seed": int, "output_dir": str}),
+    "cavity": _scalar_fields(CavityParams),
+    "chain": _scalar_fields(DetectionChain),
+    "analysis": _scalar_fields(AnalysisConfig),
+    "run": _scalar_fields(RunConfig),
 }
 
 
 def _coerce(section: str, key: str, raw: str):
-    kind = _SECTIONS[section][1].get(key, float)
+    kind = _SECTIONS[section][key]
     if kind is str:
         return raw.strip()
     value = parse_scalar(raw)
@@ -108,8 +113,8 @@ def _coerce(section: str, key: str, raw: str):
     return value
 
 
-def _parse_file(path: str) -> dict:
-    overrides = {}
+def _parse_file(path: str, sections: dict) -> None:
+    """Set each key path names in sections, a dict of per-section dicts."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -121,34 +126,25 @@ def _parse_file(path: str) -> dict:
             if name.count(".") != 1:
                 raise ValueError("%s:%d: key %r is not section.key" % (path, lineno, name))
             section, key = name.split(".")
-            known = _SECTIONS.get(section, ((), {}))[0]
-            if section not in _SECTIONS or key not in known:
+            if key not in _SECTIONS.get(section, {}):
                 raise ValueError("%s:%d: unknown key %r" % (path, lineno, name))
             try:
-                overrides[(section, key)] = _coerce(section, key, raw)
+                sections[section][key] = _coerce(section, key, raw)
             except ValueError as err:
                 raise ValueError("%s:%d: %s" % (path, lineno, err)) from None
-    return overrides
 
 
 def load_config(path: str | None = None) -> RunConfig:
     """Built-in defaults, then TPSH_DEFAULTS (if set), then the given file."""
-    overrides = {}
+    sections = {name: {} for name in _SECTIONS}
     env_path = os.environ.get("TPSH_DEFAULTS")
     if env_path:
-        overrides.update(_parse_file(env_path))
+        _parse_file(env_path, sections)
     if path is not None:
-        overrides.update(_parse_file(path))
-
-    def section(name):
-        return {key: val for (sec, key), val in overrides.items() if sec == name}
-
-    run = section("run")
+        _parse_file(path, sections)
     return RunConfig(
-        cavity=CavityParams(**section("cavity")),
-        chain=DetectionChain(**section("chain")),
-        analysis=AnalysisConfig(**section("analysis")),
-        seed=run.get("seed", 12345),
-        duration=run.get("duration", 0.080),
-        output_dir=run.get("output_dir", "."),
+        cavity=CavityParams(**sections["cavity"]),
+        chain=DetectionChain(**sections["chain"]),
+        analysis=AnalysisConfig(**sections["analysis"]),
+        **sections["run"],
     )

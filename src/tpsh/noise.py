@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,43 +65,68 @@ class QuadSpectra:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class WitnessReport:
     """Inseparability witness numbers at one analysis frequency.
 
-    var_sum and var_diff are the witness variances (Delta|i+|)^2 and
-    (Delta|i-|)^2 with coherent baseline 2; duan_sum = var_sum + var_diff
-    with baseline 4 and v = duan_sum / 4.  intensity_sum_db and
-    intensity_diff_db are the same quantities referred to the single-pair
-    shot level (baseline 1) in dB.  uncertainty holds one-sigma statistical
-    errors per scalar; all zero for model-derived reports.
+    Stores only independent values: freq (Hz), the witness variances
+    var_sum = (Delta|i+|)^2 and var_diff = (Delta|i-|)^2 (coherent baseline
+    2), the gain they were taken at, and sigma, the one-sigma errors of
+    (var_sum, var_diff, duan_sum) or None for a model report.  The rest is
+    derived on access, so it never goes stale: duan_sum (baseline 4), v and
+    db come from duan_sum(); intensity_sum_db and intensity_diff_db are the
+    variances over the single-pair shot level in dB; uncertainty maps
+    var_sum, var_diff, duan_sum, v and db to their sigmas, empty for a model
+    report.  Negative or NaN variances are refused; vary a report with
+    dataclasses.replace.
     """
 
     freq: float
     var_sum: float
     var_diff: float
-    duan_sum: float
-    v: float
-    db: float
-    intensity_sum_db: float
-    intensity_diff_db: float
     optimal_gain: float
-    entangled: bool
-    uncertainty: dict = field(default_factory=dict)
+    sigma: tuple | None = None
+
+    def __post_init__(self):
+        duan_sum(self.var_sum, self.var_diff)
+
+    @property
+    def duan_sum(self) -> float:
+        return duan_sum(self.var_sum, self.var_diff)[0]
+
+    @property
+    def v(self) -> float:
+        return duan_sum(self.var_sum, self.var_diff)[1]
+
+    @property
+    def db(self) -> float:
+        return duan_sum(self.var_sum, self.var_diff)[2]
+
+    @property
+    def intensity_sum_db(self) -> float:
+        return _db(self.var_sum / 2.0)
+
+    @property
+    def intensity_diff_db(self) -> float:
+        return _db(self.var_diff / 2.0)
+
+    @property
+    def entangled(self) -> bool:
+        return bool(self.duan_sum < 4.0)
+
+    @property
+    def uncertainty(self) -> dict:
+        if self.sigma is None:
+            return {}
+        var_sum, var_diff, total = self.sigma
+        return {"var_sum": var_sum, "var_diff": var_diff, "duan_sum": total, "v": total / 4.0,
+                "db": 10.0 / math.log(10.0) * total / self.duan_sum}
 
     def as_dict(self) -> dict:
-        out = {
-            "freq_hz": self.freq,
-            "var_sum": self.var_sum,
-            "var_diff": self.var_diff,
-            "duan_sum": self.duan_sum,
-            "v": self.v,
-            "db": self.db,
-            "intensity_sum_db": self.intensity_sum_db,
-            "intensity_diff_db": self.intensity_diff_db,
-            "optimal_gain": self.optimal_gain,
-            "entangled": self.entangled,
-        }
+        out = {"freq_hz": self.freq}
+        for key in ("var_sum", "var_diff", "duan_sum", "v", "db", "intensity_sum_db",
+                    "intensity_diff_db", "optimal_gain", "entangled"):
+            out[key] = getattr(self, key)
         for key, val in sorted(self.uncertainty.items()):
             out["sigma_" + key] = val
         return out
@@ -129,13 +154,13 @@ def quadrature_spectra(ss: SteadyState, frequencies) -> QuadSpectra:
     stays exactly at shot noise for equal ports.
     """
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if np.any(freqs <= 0):
+    if not np.all(freqs > 0):
         raise ValueError("frequencies must be > 0")
     w = 2.0 * math.pi * freqs
 
     g1 = ss.rate_nl_port1
     g2 = ss.rate_nl_port2
-    if g1 < 0 or g2 < 0:
+    if not (g1 >= 0 and g2 >= 0):
         raise ValueError("nonlinear rates must be >= 0")
     gnl = g1 + g2
     glin = ss.rate_input + ss.rate_loss
@@ -242,42 +267,35 @@ def witness_pair(spec: QuadSpectra):
     return var_plus, var_minus
 
 
+def _db(ratio: float) -> float:
+    """10 log10(ratio) of a scalar ratio >= 0, -inf at 0."""
+    return 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
+
+
 def duan_sum(var_plus, var_minus):
     """Inseparability sum: returns (duan_sum, v, db).
 
     duan_sum = var_plus + var_minus with separability bound 4; v is the
     same number normalized to 1; db = 10 log10(duan_sum / 4).  The beams
-    are inseparable when duan_sum < 4.
+    are inseparable when duan_sum < 4.  Scalars give floats, with db from
+    math.log10; arrays give arrays, with db from np.log10.  Negative or NaN
+    variances raise ValueError.
     """
     vp = np.asarray(var_plus, dtype=float)
     vm = np.asarray(var_minus, dtype=float)
-    if np.any(vp < 0) or np.any(vm < 0):
+    if not (np.all(vp >= 0) and np.all(vm >= 0)):
         raise ValueError("witness variances must be >= 0")
     total = vp + vm
     v = total / 4.0
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(v)
     if total.ndim == 0:
-        return float(total), float(v), float(db)
-    return total, v, db
+        return float(total), float(v), _db(float(v))
+    with np.errstate(divide="ignore"):
+        return total, v, 10.0 * np.log10(v)
 
 
 def witness_report(spec: QuadSpectra, freq: float) -> WitnessReport:
     """Model-derived WitnessReport at one analysis frequency (Hz)."""
     idx = int(np.argmin(np.abs(spec.frequencies - freq)))
-    vp_arr, vm_arr = witness_pair(spec)
-    vp = float(vp_arr[idx])
-    vm = float(vm_arr[idx])
-    total, v, db = duan_sum(vp, vm)
-    return WitnessReport(
-        freq=float(spec.frequencies[idx]),
-        var_sum=vp,
-        var_diff=vm,
-        duan_sum=total,
-        v=v,
-        db=db,
-        intensity_sum_db=10.0 * math.log10(vp / 2.0),
-        intensity_diff_db=10.0 * math.log10(vm / 2.0),
-        optimal_gain=optimal_gain(spec, freq),
-        entangled=bool(total < 4.0),
-    )
+    vp, vm = witness_pair(spec)
+    return WitnessReport(float(spec.frequencies[idx]), float(vp[idx]), float(vm[idx]),
+                         optimal_gain(spec, freq))

@@ -96,20 +96,20 @@ class DetectionChain:
     spur_amplitude: float = 5.0
 
     def __post_init__(self):
-        if self.sample_rate <= 40e6:
+        if not self.sample_rate > 40e6:
             raise ValueError("sample_rate must exceed twice the 20 MHz analysis band")
         if not 8 <= int(self.adc_bits) <= 24:
             raise ValueError("adc_bits must lie in [8, 24]")
         object.__setattr__(self, "adc_bits", int(self.adc_bits))
-        if self.dc_current_1 < 0 or self.dc_current_2 < 0:
+        if not (self.dc_current_1 >= 0 and self.dc_current_2 >= 0):
             raise ValueError("dc currents must be >= 0")
-        if self.electronic_noise_rel < 0:
+        if not self.electronic_noise_rel >= 0:
             raise ValueError("electronic_noise_rel must be >= 0")
-        if self.spur_amplitude < 0:
+        if not self.spur_amplitude >= 0:
             raise ValueError("spur_amplitude must be >= 0")
-        if self.ac_coupling_center <= 0 or self.detector_pole <= 0:
+        if not (self.ac_coupling_center > 0 and self.detector_pole > 0):
             raise ValueError("filter corner frequencies must be > 0")
-        if self.ac_coupling_q <= 0:
+        if not self.ac_coupling_q > 0:
             raise ValueError("ac_coupling_q must be > 0")
         if not 0 < self.spur_freq < self.sample_rate / 2:
             raise ValueError("spur_freq must lie below Nyquist")

@@ -1,6 +1,5 @@
 """Spectral estimation, corrections, shot-noise referencing, witnesses."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +11,7 @@ from tpsh.noise import (
     apply_detection_loss,
     default_frequency_grid,
     quadrature_spectra,
+    witness_report,
 )
 from tpsh.synth import DetectionChain, dark_trace, shot_noise_pair, synthesize, witness_arm_traces
 from tpsh import analyzer as an
@@ -469,9 +469,38 @@ class TestWitnessFromMatrices:
             assert opt.optimal_gain != an.gain_balance_from_dc(ab)  # the fit, not a fallback
             at_gain = an.witness_from_traces(ab, ref, 100e3, band, dark=floor,
                                              gain_mode="fixed", fixed_gain=opt.optimal_gain)
-            for key, want in dataclasses.asdict(at_gain).items():
-                if key == "uncertainty":
-                    for name, sigma in want.items():
-                        assert opt.uncertainty[name] == pytest.approx(sigma, rel=1e-12)
-                else:
-                    assert getattr(opt, key) == pytest.approx(want, rel=1e-12), key
+            assert opt.as_dict() == pytest.approx(at_gain.as_dict(), rel=1e-12)
+
+    def test_each_floor_matrix_built_once(self, records, monkeypatch):
+        chain, ab, ref, _ = records
+        built = []
+        model = an.analytic_dark_matrix
+        monkeypatch.setattr(an, "analytic_dark_matrix",
+                            lambda chain, m: built.append(m) or model(chain, m))
+        signal, reference = (an.cross_spectral_matrix(t, 100e3) for t in (ab, ref))
+        an.witness_from_matrices(signal, reference, None, chain, (4.5e6, 5.5e6))
+        assert [id(m) for m in built] == [id(signal), id(reference)]
+
+    def test_measured_and_model_db_agree(self):
+        # v = 514/1024 is a ratio whose np.log10 and math.log10 differ in the
+        # last bit; both paths must take db from the one duan_sum formula
+        v = 514 / 1024
+        assert np.log10(v) != math.log10(v)
+        freqs = np.arange(0.0, 10e6, 100e3)
+
+        def matrix(p11, p12):
+            full = lambda x: np.full(len(freqs), x)
+            return an.CrossSpectralMatrix(freqs, full(p11), full(p11), full(complex(p12)),
+                                          100e3, 100.0, 1.0, 1.0)
+
+        # dyadic values keep every step exact: sum 2.5 v, difference 1.5 v, QNL 2
+        measured, _, _ = an.witness_from_matrices(matrix(v, v / 4), matrix(1.0, 0.0),
+                                                  matrix(0.0, 0.0), quiet_chain(),
+                                                  (4.5e6, 5.5e6), "fixed", 1.0)
+        one = lambda x: np.array([x])
+        spec = QuadSpectra(one(5e6), one(1.25 * v), one(1.25 * v), one(0.0),
+                           one(0.75 * v), one(0.75 * v), one(0.0))
+        model = witness_report(spec, 5e6)
+        assert (model.var_sum, model.var_diff) == (2.5 * v, 1.5 * v)
+        assert (measured.var_sum, measured.var_diff) == (2.5 * v, 1.5 * v)
+        assert model.db == measured.db == 10.0 * math.log10(v)

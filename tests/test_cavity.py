@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -206,3 +207,12 @@ class TestValidation:
             default_params(detector_efficiency=0.0)
         with pytest.raises(ValueError):
             default_params(path_efficiency=1.2)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CavityParams)])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            default_params(**{name: math.nan})
+
+    def test_infinite_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mismatch must be finite"):
+            default_params(mismatch=math.inf)

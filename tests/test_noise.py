@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tpsh.cavity import CavityParams, cavity_linewidth, steady_state
 from tpsh.noise import (
     QuadSpectra,
+    WitnessReport,
     apply_detection_loss,
     default_frequency_grid,
     duan_sum,
@@ -83,6 +85,8 @@ class TestQuadratureSpectra:
         ss = steady_state(CavityParams())
         with pytest.raises(ValueError):
             quadrature_spectra(ss, np.array([0.0, 1e6]))
+        with pytest.raises(ValueError, match="frequencies must be > 0"):
+            quadrature_spectra(ss, np.array([math.nan, 1e6]))
 
     def test_uncertainty_product(self):
         for pump in (0.005, 0.023, 0.034, 0.2, 0.5):
@@ -268,6 +272,33 @@ class TestWitness:
         assert rep.entangled == (rep.duan_sum < 4.0)
         assert rep.optimal_gain == pytest.approx(1.0, abs=1e-12)
         assert rep.uncertainty == {}
+
+    def test_report_is_frozen_and_derives_from_its_variances(self):
+        rep = witness_report(spectra_at(0.023, freqs=np.array([5e6])), 5e6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.var_sum = 1.0
+        moved = dataclasses.replace(rep, var_sum=1.5)
+        assert moved.duan_sum == 1.5 + rep.var_diff
+        assert moved.v == moved.duan_sum / 4.0
+        assert moved.entangled
+
+    def test_report_uncertainty_from_sigma(self):
+        rep = WitnessReport(5e6, 1.78, 1.95, 1.0, sigma=(0.01, 0.02, 0.03))
+        assert rep.uncertainty == pytest.approx({
+            "var_sum": 0.01, "var_diff": 0.02, "duan_sum": 0.03, "v": 0.0075,
+            "db": 10.0 / math.log(10.0) * 0.03 / 3.73,
+        }, rel=1e-12)
+        assert [k for k in rep.as_dict() if k.startswith("sigma_")] == [
+            "sigma_db", "sigma_duan_sum", "sigma_v", "sigma_var_diff", "sigma_var_sum"]
+
+    @pytest.mark.parametrize("bad", (-0.1, math.nan))
+    def test_report_refuses_bad_variance(self, bad):
+        with pytest.raises(ValueError, match="witness variances"):
+            WitnessReport(5e6, bad, 2.0, 1.0)
+        with pytest.raises(ValueError, match="witness variances"):
+            WitnessReport(5e6, 2.0, bad, 1.0)
+        with pytest.raises(ValueError, match="witness variances"):
+            duan_sum(np.array([2.0, bad]), 2.0)
 
     def test_entanglement_at_operating_point(self):
         spec = spectra_at(0.023, freqs=np.array([5e6]))

@@ -157,6 +157,11 @@ class TestDeterminismAndValidation:
         with pytest.raises(ValueError):
             shot_noise_pair(-1e-3, 1e-3, quiet_chain(), 0.010, seed=1)
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DetectionChain)])
+    def test_nan_chain_parameter_rejected(self, name):
+        with pytest.raises(ValueError):
+            DetectionChain(**{name: math.nan})
+
 
 class TestImmutableChain:
     def test_replace_gives_a_fresh_chain(self):

@@ -1,7 +1,7 @@
 """Binary trace format: round trips and damage handling."""
 
 import glob
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ class TestRoundTrip:
         p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         write_trace(tr, p1)
         write_trace(tr, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_no_temp_files_left_behind(self, tmp_path):
         write_trace(small_trace(), str(tmp_path / "trace.bin"))
@@ -70,18 +70,18 @@ class TestValidation:
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "trace.bin")
         write_trace(small_trace(), path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[:4] = b"WAVE"
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="magic"):
             read_trace(path)
 
     def test_bad_version(self, tmp_path):
         path = str(tmp_path / "trace.bin")
         write_trace(small_trace(), path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[4:6] = (99).to_bytes(2, "little")
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
             read_trace(path)
 
@@ -89,8 +89,8 @@ class TestValidation:
         path = str(tmp_path / "trace.bin")
         tr = small_trace()
         write_trace(tr, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: HEADER_SIZE + 4 * (tr.n_samples // 2)])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[: HEADER_SIZE + 4 * (tr.n_samples // 2)])
         with pytest.raises(ValueError, match=r"expected 500000.*found 250000"):
             read_trace(path)
 
@@ -106,8 +106,8 @@ class TestValidation:
         path = str(tmp_path / "trace.bin")
         tr = small_trace()
         write_trace(tr, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:HEADER_SIZE])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:HEADER_SIZE])
         with pytest.warns(UserWarning, match="header-only"):
             back = read_trace(path)
         assert back.n_samples == 0
@@ -115,7 +115,7 @@ class TestValidation:
 
     def test_short_file_rejected(self, tmp_path):
         path = str(tmp_path / "stub.bin")
-        open(path, "wb").write(b"TPSH")
+        Path(path).write_bytes(b"TPSH")
         with pytest.raises(ValueError, match="too small"):
             read_trace(path)
 
