@@ -9,7 +9,7 @@ decay rates are angular rates in rad/s, powers are in watts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,6 +51,10 @@ class CavityParams:
     path_efficiency: float = 0.95
 
     def __post_init__(self):
+        # every parameter is a finite physical quantity; NaN fails the checks below
+        for f in fields(self):
+            if math.isinf(getattr(self, f.name)):
+                raise ValueError("%s must be finite" % f.name)
         if not self.pump_power >= 0:
             raise ValueError("pump_power must be >= 0")
         if not 0 < self.input_transmission < 1:

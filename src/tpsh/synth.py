@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,6 +96,10 @@ class DetectionChain:
     spur_amplitude: float = 5.0
 
     def __post_init__(self):
+        # every parameter is a finite physical quantity; NaN fails the checks below
+        for f in fields(self):
+            if math.isinf(getattr(self, f.name)):
+                raise ValueError("%s must be finite" % f.name)
         if not self.sample_rate > 40e6:
             raise ValueError("sample_rate must exceed twice the 20 MHz analysis band")
         if not 8 <= int(self.adc_bits) <= 24:
@@ -184,7 +188,8 @@ def _polyval(coef: np.ndarray, zm1: np.ndarray) -> np.ndarray:
     """Horner evaluation of sum_k coef[k] zm1**k, in scipy.signal.freqz's order."""
     h = np.full(zm1.shape, coef[-1], dtype=complex)
     for c in coef[-2::-1]:
-        h = c + h * zm1
+        h *= zm1
+        h += c
     return h
 
 

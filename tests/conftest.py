@@ -13,6 +13,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that ends with a thread it started still alive."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail("threads left running: %s" % ", ".join(t.name for t in left))
+
+
 @pytest.fixture
 def thread_starts(monkeypatch):
     """The threads started while the test runs, in order."""

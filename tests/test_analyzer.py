@@ -1,9 +1,14 @@
 """Spectral estimation, corrections, shot-noise referencing, witnesses."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft
 
 from tpsh.cavity import CavityParams, steady_state
 from tpsh.noise import (
@@ -13,7 +18,7 @@ from tpsh.noise import (
     quadrature_spectra,
     witness_report,
 )
-from tpsh.synth import DetectionChain, dark_trace, shot_noise_pair, synthesize, witness_arm_traces
+from tpsh.synth import DetectionChain, TwoChannelTrace, dark_trace, shot_noise_pair, synthesize, witness_arm_traces
 from tpsh import analyzer as an
 
 
@@ -194,6 +199,129 @@ class TestSciPyEquivalence:
         assert 0.5 <= want_gain <= 2.0
         got_gain = an._resolve_gain(m, "optimal", 0.95, mask)
         assert got_gain == pytest.approx(want_gain, rel=1e-5)
+
+
+def serial_periodograms(channels, scales, sample_rate, rbw, dtype):
+    """The estimator's sums on one thread, both channels block by block.
+
+    The reference for the two-thread estimate: the same segments, blocks,
+    precisions and order of additions, with no buffer reuse and no split.
+    """
+    nperseg = int(round(sample_rate / rbw))
+    step = nperseg - nperseg // 2
+    n_segments = (len(channels[0]) - nperseg) // step + 1
+    window = np.sin(np.pi * np.arange(nperseg) / nperseg)
+    weights = [(window * scale).astype(dtype) for scale in scales]
+    bins = nperseg // 2 + 1
+    sums = [np.zeros(bins) for _ in channels]
+    if len(channels) == 2:
+        sums.append(np.zeros(bins, dtype=complex))
+    for first in range(0, n_segments, an._BLOCK_SEGMENTS):
+        last = min(first + an._BLOCK_SEGMENTS, n_segments)
+        span = slice(first * step, (last - 1) * step + nperseg)
+        spectra = []
+        for x, weight in zip(channels, weights):
+            seg = sliding_window_view(np.asarray(x[span], dtype=dtype), nperseg)[::step]
+            seg = seg - seg.mean(axis=1, keepdims=True)
+            seg *= weight
+            spectra.append(fft.rfft(seg, axis=1))
+        for total, spectrum in zip(sums, spectra):
+            power = np.abs(spectrum)
+            power *= power
+            total += power.sum(axis=0, dtype=np.float64)
+        if len(spectra) == 2:
+            sums[2] += (spectra[0].conj() * spectra[1]).sum(axis=0, dtype=complex)
+    scale = np.full(bins, 2.0 / (sample_rate * float(np.sum(window * window)) * n_segments))
+    scale[0] /= 2.0
+    if nperseg % 2 == 0:
+        scale[-1] /= 2.0
+    return [total * scale for total in sums], n_segments
+
+
+def code_trace(n, seed, sample_rate=50e6):
+    rng = np.random.default_rng(seed)
+    chain = DetectionChain(sample_rate=sample_rate)
+    codes = [rng.integers(-3000, 3000, n).astype(np.int16) for _ in range(2)]
+    return TwoChannelTrace(codes[0], codes[1], chain, n / sample_rate, seed, 1.0, 0.8)
+
+
+class TestTwoThreadEstimator:
+    """Channel 2 and half the cross term on a worker: the serial bytes."""
+
+    # (record length, rbw) at 50 MS/s: even (500) and odd (385) segment
+    # lengths, with segment counts a multiple of the block, not a multiple
+    # and within one block
+    CASES = [
+        (511 * 250 + 500, 100e3, 512),
+        (300_000, 100e3, 1199),
+        (40_000, 100e3, 159),
+        (511 * 193 + 385, 130e3, 512),
+        (300_000, 130e3, 1553),
+        (40_000, 130e3, 206),
+    ]
+
+    @pytest.mark.parametrize("n, rbw, n_segments", CASES)
+    def test_matrix_equals_the_serial_estimate(self, n, rbw, n_segments):
+        tr = code_trace(n, seed=n)
+        scales = (tr.chain.lsb(tr.dc_1), tr.chain.lsb(tr.dc_2))
+        (p11, p22, p12), count = serial_periodograms((tr.samples_1, tr.samples_2), scales,
+                                                     50e6, rbw, np.float32)
+        assert count == n_segments
+        m = an.cross_spectral_matrix(tr, rbw)
+        assert np.array_equal(m.p11, p11)
+        assert np.array_equal(m.p22, p22)
+        assert np.array_equal(m.p12, p12)
+
+    @pytest.mark.parametrize("n, rbw, n_segments", CASES)
+    def test_welch_psd_equals_the_serial_estimate(self, n, rbw, n_segments):
+        x = np.random.default_rng(n).standard_normal(n)
+        (power,), count = serial_periodograms((x,), (1.0,), 50e6, rbw, np.float64)
+        assert count == n_segments
+        assert np.array_equal(an.welch_psd(x, 50e6, rbw).power, power)
+
+    def test_concurrent_matrices_under_fine_switching_equal_the_serial_estimate(self):
+        # three callers at once, each with its worker: more threads than the
+        # two cores, handing the GIL over often
+        traces = [code_trace(300_000, seed=seed) for seed in (4, 5, 6)]
+        want = [serial_periodograms((t.samples_1, t.samples_2),
+                                    (t.chain.lsb(t.dc_1), t.chain.lsb(t.dc_2)), 50e6, 130e3,
+                                    np.float32)[0] for t in traces]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as callers:
+                got = list(callers.map(lambda t: an.cross_spectral_matrix(t, 130e3), traces))
+        finally:
+            sys.setswitchinterval(interval)
+        for (p11, p22, p12), m in zip(want, got):
+            assert np.array_equal(m.p11, p11)
+            assert np.array_equal(m.p22, p22)
+            assert np.array_equal(m.p12, p12)
+
+    def test_matrix_starts_one_worker_and_joins_it(self, thread_starts):
+        before = threading.active_count()
+        an.cross_spectral_matrix(code_trace(300_000, seed=1), 100e3)
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_welch_psd_starts_no_thread(self, thread_starts):
+        an.welch_psd(np.random.default_rng(2).standard_normal(300_000), 50e6, 100e3)
+        assert thread_starts == []
+
+    def test_a_failure_on_the_worker_raises_and_ends_it(self, monkeypatch, thread_starts):
+        block = an._block_periodograms
+
+        def failing_on_the_worker(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("channel 2 failed")
+            return block(*args)
+
+        monkeypatch.setattr(an, "_block_periodograms", failing_on_the_worker)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="channel 2 failed"):
+            an.cross_spectral_matrix(code_trace(300_000, seed=3), 100e3)
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+        assert threading.active_count() == before
 
 
 class TestShotNoiseReference:

@@ -213,6 +213,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=name):
             default_params(**{name: math.nan})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CavityParams)])
+    def test_infinite_rejected(self, name, value):
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            default_params(**{name: value})
+
     def test_infinite_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch must be finite"):
             default_params(mismatch=math.inf)

@@ -162,6 +162,12 @@ class TestDeterminismAndValidation:
         with pytest.raises(ValueError):
             DetectionChain(**{name: math.nan})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DetectionChain)])
+    def test_infinite_chain_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            DetectionChain(**{name: value})
+
 
 class TestImmutableChain:
     def test_replace_gives_a_fresh_chain(self):
@@ -222,6 +228,18 @@ class TestResponseMatchesSciPy:
         synthesis_grid = np.fft.rfftfreq(int(round(0.010 * sample_rate)), 1.0 / sample_rate)
         for grid in (rms_grid, synthesis_grid):
             assert np.array_equal(chain.response(grid), self.scipy_response(chain, grid))
+
+    def test_in_place_horner_equals_the_expression_form(self):
+        chain = DetectionChain()
+        f = np.linspace(0.0, chain.sample_rate / 2.0, 1 << 16)
+        zm1 = np.exp(-1j * (2 * np.pi * f / chain.sample_rate))
+        coefficient_sets = [c for pair in synth._digital_filters(chain) for c in pair]
+        assert len(coefficient_sets) == 4
+        for coef in coefficient_sets:
+            h = np.full(zm1.shape, coef[-1], dtype=complex)
+            for c in coef[-2::-1]:
+                h = c + h * zm1
+            assert np.array_equal(synth._polyval(coef, zm1), h)
 
     def test_bilinear_transforms_do_not_grow_with_the_block_count(self, monkeypatch):
         # the response is evaluated block by block; its two bilinear
