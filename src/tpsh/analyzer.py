@@ -8,8 +8,7 @@ are transformed in fixed-size blocks by a batched single-precision FFT, and
 P11, P22 and P12 = <X1* X2> are summed in double precision.  Every channel
 combination then follows algebraically, PSD(i1 +/- g i2) = P11 + g^2 P22
 +/- 2g Re P12.  Memory stays bounded by the block size, whatever the record
-length.  A worker thread transforms channel 2 while the caller transforms
-channel 1, and the matrix equals the one-thread estimate to the last bit.
+length: one segment buffer and one block-sized spectrum per call.
 
 The quoted n_averages is the non-overlapping segment count and sigma =
 power / sqrt(n_averages).  Per bin that is 1/0.775 of the scatter: the
@@ -40,7 +39,6 @@ never inflate, any nonclassical effect.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +56,8 @@ _SPUR_GUARD = 2
 # segments per batched FFT: at 100 kHz RBW a block is 1-4 MB per channel
 # (50-200 MS/s), whatever the record length
 _BLOCK_SEGMENTS = 256
+# channel 2's segments per FFT within a block, so that its spectra stay small
+_CROSS_ROWS = 32
 
 
 @dataclass
@@ -131,29 +131,54 @@ def _segment_length(sample_rate: float, rbw: float) -> int:
     return nperseg
 
 
-def _block_periodograms(x, nperseg: int, step: int, weight, buf):
-    """rfft of one block of x's windowed segments and the column sum of |X|^2.
+def _segments(x, nperseg: int, step: int, weight, buf):
+    """x's segments cast into buf, mean-removed and windowed there in place.
 
-    x is the block's stretch of one channel.  The segments are cast into
-    buf, mean-removed and windowed there in place; once transformed, buf
-    holds their squared magnitudes, summed in double precision.
+    x is one block's stretch of one channel.
     """
-    view = sliding_window_view(x, nperseg)[::step]
+    # a channel read from a file is a stride-4 view of interleaved frames;
+    # one packed copy of the block is cheaper than casting every sample
+    # twice (the segments overlap by half) from the strided memory
+    view = sliding_window_view(np.ascontiguousarray(x), nperseg)[::step]
     seg = buf[: len(view)]
     seg[...] = view
     seg -= seg.mean(axis=1, keepdims=True)
     seg *= weight
-    spectrum = fft.rfft(seg, axis=1)
-    power = np.abs(spectrum, out=buf.reshape(-1)[: spectrum.size].reshape(spectrum.shape))
+    return seg
+
+
+def _power_in(buf, shape):
+    """A float32 array of the given shape over the start of buf's memory."""
+    return buf.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+
+
+def _block_sums(channels, weights, span, nperseg: int, step: int, buf):
+    """Column sums of one block: |X1|^2, then |X2|^2 and conj(X1) X2.
+
+    Each channel's segments go through buf, and |X| of a transformed batch
+    lands in buf where its segments were.  Channel 2 goes through the FFT
+    _CROSS_ROWS segments at a time, and conj(X1) X2 replaces those rows of
+    X1, so no second block-sized spectrum is ever held.  A row's rfft does
+    not depend on the rows batched with it, so the sums are those of one
+    whole-block transform per channel.
+    """
+    x1 = fft.rfft(_segments(channels[0][span], nperseg, step, weights[0], buf), axis=1)
+    power = np.abs(x1, out=_power_in(buf, x1.shape))
     power *= power
-    return spectrum, power.sum(axis=0, dtype=np.float64)
-
-
-def _cross_sum(x1, x2):
-    """Column sum of conj(x1) x2, formed in place in x1."""
-    np.conjugate(x1, out=x1)
-    x1 *= x2
-    return x1.sum(axis=0, dtype=complex)
+    sums = [power.sum(axis=0, dtype=np.float64)]
+    if len(channels) == 2:
+        seg = _segments(channels[1][span], nperseg, step, weights[1], buf)
+        # power row i ends at (i + 1) * bins <= (i + 1) * nperseg, before
+        # the segments still to be transformed
+        for first in range(0, len(seg), _CROSS_ROWS):
+            rows = slice(first, first + _CROSS_ROWS)
+            x2 = fft.rfft(seg[rows], axis=1)
+            np.abs(x2, out=power[rows])
+            np.conjugate(x1[rows], out=x1[rows])
+            x1[rows] *= x2
+        power *= power
+        sums += [power.sum(axis=0, dtype=np.float64), x1.sum(axis=0, dtype=complex)]
+    return sums
 
 
 def _averaged_periodograms(channels, scales, sample_rate: float, rbw: float, dtype):
@@ -164,15 +189,8 @@ def _averaged_periodograms(channels, scales, sample_rate: float, rbw: float, dty
     for two channels, by their cross density <X1* X2>, the snapped rbw and
     the non-overlapping segment count.
 
-    The segments go through the FFT _BLOCK_SEGMENTS at a time, each channel
-    through one segment buffer.  With two channels, one worker thread makes
-    channel 2's block while the caller makes channel 1's, and each thread
-    sums half the bins of the block's cross term.  The caller adds every
-    block sum in block order, so the result is the serial one to the last
-    bit: a row's rfft does not depend on the rows batched with it, and a
-    column sum does not depend on the columns beside it.  One channel runs
-    on the calling thread and starts no thread.  The worker is joined on
-    return, also when either thread raises.
+    The segments go through the FFT _BLOCK_SEGMENTS at a time, through one
+    segment buffer, and the block sums are added in block order.
     """
     nperseg = _segment_length(sample_rate, rbw)
     n = len(channels[0])
@@ -185,34 +203,17 @@ def _averaged_periodograms(channels, scales, sample_rate: float, rbw: float, dty
     n_segments = (n - nperseg) // step + 1
     window = np.sin(np.pi * np.arange(nperseg) / nperseg)  # square root of periodic Hann
     weights = [(window * scale).astype(dtype) for scale in scales]
-    # allocated once, on the calling thread, and reused by every block
-    bufs = [np.empty((min(_BLOCK_SEGMENTS, n_segments), nperseg), dtype=dtype) for _ in channels]
+    # allocated once per call and reused by every block
+    buf = np.empty((min(_BLOCK_SEGMENTS, n_segments), nperseg), dtype=dtype)
     bins = nperseg // 2 + 1
-    half = bins // 2
     sums = [np.zeros(bins) for _ in channels]
     if len(channels) == 2:
         sums.append(np.zeros(bins, dtype=complex))
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for first in range(0, n_segments, _BLOCK_SEGMENTS):
-            last = min(first + _BLOCK_SEGMENTS, n_segments)
-            span = slice(first * step, (last - 1) * step + nperseg)
-            if len(channels) == 1:
-                sums[0] += _block_periodograms(channels[0][span], nperseg, step, weights[0], bufs[0])[1]
-                continue
-            second = worker.submit(_block_periodograms, channels[1][span], nperseg, step,
-                                   weights[1], bufs[1])
-            x1, total1 = _block_periodograms(channels[0][span], nperseg, step, weights[0], bufs[0])
-            x2, total2 = second.result()
-            upper = worker.submit(_cross_sum, x1[:, half:], x2[:, half:])
-            lower = _cross_sum(x1[:, :half], x2[:, :half])
-            # free this block's spectra before the next block's FFTs allocate
-            # theirs, so that the worker's malloc arena keeps one, not two
-            del x1, x2
-            sums[0] += total1
-            sums[1] += total2
-            sums[2][:half] += lower
-            sums[2][half:] += upper.result()
+    for first in range(0, n_segments, _BLOCK_SEGMENTS):
+        last = min(first + _BLOCK_SEGMENTS, n_segments)
+        span = slice(first * step, (last - 1) * step + nperseg)
+        for total, block_total in zip(sums, _block_sums(channels, weights, span, nperseg, step, buf)):
+            total += block_total
 
     # density scaling; every bin but DC (and Nyquist for even nperseg) is
     # doubled to fold in the negative frequencies

@@ -2,7 +2,6 @@
 
 import math
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -202,10 +201,10 @@ class TestSciPyEquivalence:
 
 
 def serial_periodograms(channels, scales, sample_rate, rbw, dtype):
-    """The estimator's sums on one thread, both channels block by block.
+    """The estimator's sums, both channels block by block.
 
-    The reference for the two-thread estimate: the same segments, blocks,
-    precisions and order of additions, with no buffer reuse and no split.
+    The reference for the estimate: the same segments, blocks, precisions
+    and order of additions, with no buffer reuse and whole-block transforms.
     """
     nperseg = int(round(sample_rate / rbw))
     step = nperseg - nperseg // 2
@@ -245,8 +244,9 @@ def code_trace(n, seed, sample_rate=50e6):
     return TwoChannelTrace(codes[0], codes[1], chain, n / sample_rate, seed, 1.0, 0.8)
 
 
-class TestTwoThreadEstimator:
-    """Channel 2 and half the cross term on a worker: the serial bytes."""
+class TestBlockEstimator:
+    """One reused segment buffer and batched channel-2 transforms: the
+    bytes of the straightforward block loop."""
 
     # (record length, rbw) at 50 MS/s: even (500) and odd (385) segment
     # lengths, with segment counts a multiple of the block, not a multiple
@@ -279,9 +279,24 @@ class TestTwoThreadEstimator:
         assert count == n_segments
         assert np.array_equal(an.welch_psd(x, 50e6, rbw).power, power)
 
+    def test_interleaved_channels_equal_the_serial_estimate(self):
+        # read_trace gives the channels as strided views of one frame array
+        rng = np.random.default_rng(9)
+        frames = rng.integers(-3000, 3000, (300_000, 2)).astype(np.int16)
+        chain = DetectionChain(sample_rate=50e6)
+        tr = TwoChannelTrace(frames[:, 0], frames[:, 1], chain, 300_000 / 50e6, 9, 1.0, 0.8)
+        assert tr.samples_1.strides == (4,)
+        (p11, p22, p12), _ = serial_periodograms((tr.samples_1, tr.samples_2),
+                                                 (chain.lsb(tr.dc_1), chain.lsb(tr.dc_2)),
+                                                 50e6, 130e3, np.float32)
+        m = an.cross_spectral_matrix(tr, 130e3)
+        assert np.array_equal(m.p11, p11)
+        assert np.array_equal(m.p22, p22)
+        assert np.array_equal(m.p12, p12)
+
     def test_concurrent_matrices_under_fine_switching_equal_the_serial_estimate(self):
-        # three callers at once, each with its worker: more threads than the
-        # two cores, handing the GIL over often
+        # three callers at once, each with its own buffers, handing the GIL
+        # over often
         traces = [code_trace(300_000, seed=seed) for seed in (4, 5, 6)]
         want = [serial_periodograms((t.samples_1, t.samples_2),
                                     (t.chain.lsb(t.dc_1), t.chain.lsb(t.dc_2)), 50e6, 130e3,
@@ -298,30 +313,13 @@ class TestTwoThreadEstimator:
             assert np.array_equal(m.p22, p22)
             assert np.array_equal(m.p12, p12)
 
-    def test_matrix_starts_one_worker_and_joins_it(self, thread_starts):
-        before = threading.active_count()
+    def test_matrix_starts_no_thread(self, thread_starts):
         an.cross_spectral_matrix(code_trace(300_000, seed=1), 100e3)
-        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
-        assert threading.active_count() == before
+        assert thread_starts == []
 
     def test_welch_psd_starts_no_thread(self, thread_starts):
         an.welch_psd(np.random.default_rng(2).standard_normal(300_000), 50e6, 100e3)
         assert thread_starts == []
-
-    def test_a_failure_on_the_worker_raises_and_ends_it(self, monkeypatch, thread_starts):
-        block = an._block_periodograms
-
-        def failing_on_the_worker(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("channel 2 failed")
-            return block(*args)
-
-        monkeypatch.setattr(an, "_block_periodograms", failing_on_the_worker)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="channel 2 failed"):
-            an.cross_spectral_matrix(code_trace(300_000, seed=3), 100e3)
-        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
-        assert threading.active_count() == before
 
 
 class TestShotNoiseReference:
