@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
+import itertools
 import json
 import os
 import resource
@@ -32,6 +34,32 @@ from .synth import synthesize, witness_traces
 from .traceio import atomic_write, read_trace, write_trace
 
 
+# glibc's mallopt parameters, and the size below which freed blocks stay in
+# the heap: at or above every grid-sized array of a default run
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_FREED_BYTES = 1 << 30
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed grid-sized blocks in the heap for reuse.
+
+    By default glibc serves large blocks by mmap and returns them to the
+    kernel on free, so each trace faults its arrays (pocketfft's work array
+    inside every irfft among them) in again.  Set once at CLI entry, never
+    by the library; without glibc's mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD):
+        if not mallopt(param, _KEEP_FREED_BYTES):
+            return
+
+
 def _out_path(cfg: RunConfig, name: str) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
     return os.path.join(cfg.output_dir, name)
@@ -39,23 +67,30 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 def _log(cfg: RunConfig, message: str) -> None:
     # the one place a timestamp, or a measurement of this run such as the
-    # process's peak RSS (ru_maxrss is in KiB on Linux), may appear
-    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    # process's peak RSS (ru_maxrss is in KiB on Linux) and its minor page
+    # faults so far, may appear
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     with open(_out_path(cfg, "run.log"), "a") as fh:
-        fh.write("%s %s peak_rss_mib=%.1f\n" % (time.strftime("%Y-%m-%dT%H:%M:%S"), message, peak_mib))
+        fh.write("%s %s peak_rss_mib=%.1f minor_faults=%d\n" % (
+            time.strftime("%Y-%m-%dT%H:%M:%S"), message, usage.ru_maxrss / 1024.0, usage.ru_minflt,
+        ))
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    lines = [header] + [",".join("%.17g" % v for v in row) for row in rows]
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    # one % over the whole file gives the bytes of formatting each value alone
+    values = tuple(itertools.chain.from_iterable(rows))
+    n_cols = header.count(",") + 1
+    line = ",".join(["%.17g"] * n_cols) + "\n"
+    atomic_write(path, (header + "\n" + line * (len(values) // n_cols) % values).encode())
 
 
+# a non-finite value is an error, never an Infinity or NaN token in the output
 def _write_json(path: str, payload: dict) -> None:
-    atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
+    atomic_write(path, (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode())
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
 
 
 def _detected_spectra(cfg: RunConfig, frequencies=None):
@@ -236,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)

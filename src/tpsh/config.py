@@ -11,6 +11,7 @@ defaults and an explicit config file.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -32,6 +33,14 @@ _SUFFIXES = (
 _NUMBER = re.compile(r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*([A-Za-z%]*)$")
 
 
+def _refuse_infinite(obj) -> None:
+    """Raise for the first infinite float field of dataclass obj."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and math.isinf(value):
+            raise ValueError("%s must be finite" % f.name)
+
+
 @dataclass
 class AnalysisConfig:
     """Spectral-analysis settings shared by the analyze/witness commands."""
@@ -43,6 +52,8 @@ class AnalysisConfig:
     fixed_gain: float = 0.95
 
     def __post_init__(self):
+        # NaN fails the checks below
+        _refuse_infinite(self)
         if not self.rbw > 0:
             raise ValueError("rbw must be > 0")
         if not self.band_low < self.band_high:
@@ -63,6 +74,7 @@ class RunConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        _refuse_infinite(self)
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
         if not self.duration > 0:
@@ -107,6 +119,8 @@ def _coerce(section: str, key: str, raw: str):
         return raw.strip()
     value = parse_scalar(raw)
     if kind is int:
+        if not math.isfinite(value):
+            raise ValueError("%s.%s must be finite" % (section, key))
         if value != int(value):
             raise ValueError("%s.%s must be an integer" % (section, key))
         return int(value)

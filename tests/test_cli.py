@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 import weakref
 
@@ -171,6 +173,21 @@ class TestCommands:
         assert 2.0 <= data["duan_sum"][-1] <= 2.8
 
 
+class TestWriteCsv:
+    def test_same_bytes_as_formatting_each_value(self, tmp_path):
+        # rows as the commands build them: NumPy and Python floats mixed
+        f = np.linspace(0.0, 2e7, 7)
+        rows = [(fi, float(fi) / 3.0, np.float64(1.0) / (i + 3), 1e-300 * i, -0.1)
+                for i, fi in enumerate(f)]
+        header = "a,b,c,d,e"
+        lines = [header] + [",".join("%.17g" % v for v in row) for row in rows]
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), header, iter(rows))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        cli._write_csv(str(path), header, [])
+        assert path.read_bytes() == b"a,b,c,d,e\n"
+
+
 class TestDeterminism:
     def test_witness_bytes_stable(self, capsys, tmp_path):
         reports = []
@@ -214,8 +231,9 @@ class TestDeterminism:
         assert len(lines) == 3
         for line, command in zip(lines, ("spectra", "synth", "witness")):
             assert command in line
-            peak = float(re.search(r" peak_rss_mib=(\d+\.\d)$", line).group(1))
-            assert 10.0 < peak < 4096.0
+            m = re.search(r" peak_rss_mib=(\d+\.\d) minor_faults=(\d+)$", line)
+            assert 10.0 < float(m.group(1)) < 4096.0
+            assert int(m.group(2)) > 0
 
 
 class TestOneTraceAtATime:
@@ -281,6 +299,121 @@ class TestOneTraceAtATime:
         assert thread_starts == []
 
 
+def _python(code):
+    """Run code in a fresh interpreter on this checkout; its last stdout line as JSON."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+class TestAllocatorPolicy:
+    """cli.main, and only cli.main, keeps freed grid-sized blocks in the heap."""
+
+    @staticmethod
+    def fake_libc(monkeypatch, mallopt=None, error=None):
+        calls = []
+
+        def lookup(name):
+            if error is not None:
+                raise error
+
+            class Lib:
+                pass
+
+            lib = Lib()
+            lib.mallopt = mallopt or (lambda param, value: calls.append((param, value)) or 1)
+            return lib
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lookup)
+        return calls
+
+    def test_main_sets_both_thresholds_to_1_gib(self, capsys, fast_conf, monkeypatch):
+        calls = self.fake_libc(monkeypatch)
+        rc, _, _ = run_cli(capsys, "steady-state", "--config", fast_conf)
+        assert rc == 0
+        assert sorted(calls) == [(-3, 1 << 30), (-1, 1 << 30)]
+
+    @pytest.mark.parametrize("failure", ["no_library", "no_mallopt", "refused"])
+    def test_failed_policy_changes_nothing(self, capsys, tmp_path, monkeypatch, failure):
+        reports = []
+        for sub in ("real", failure):
+            if sub == "no_library":
+                self.fake_libc(monkeypatch, error=OSError("no libc"))
+            elif sub == "no_mallopt":
+                self.fake_libc(monkeypatch, error=AttributeError("mallopt"))
+            elif sub == "refused":
+                self.fake_libc(monkeypatch, mallopt=lambda param, value: 0)
+            conf = tmp_path / ("%s.conf" % sub)
+            conf.write_text(
+                "chain.sample_rate = 50 MHz\nrun.duration = 10 ms\n"
+                "run.output_dir = %s\n" % (tmp_path / sub)
+            )
+            rc, _, _ = run_cli(capsys, "witness", "--config", str(conf), "--seed", "3")
+            assert rc == 0
+            reports.append((tmp_path / sub / "witness.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_library_never_sets_it(self, tmp_path):
+        # ctypes.CDLL records any mallopt lookup from before `import tpsh`;
+        # the CLI call at the end shows that the recording sees one
+        calls = _python(
+            "import ctypes, json\n"
+            "calls = []\n"
+            "class Recording(ctypes.CDLL):\n"
+            "    def __getattr__(self, name):\n"
+            "        if name == 'mallopt':\n"
+            "            return lambda param, value: calls.append(param) or 1\n"
+            "        return super().__getattr__(name)\n"
+            "ctypes.CDLL = Recording\n"
+            "import tpsh\n"
+            "from tpsh import cli\n"
+            "seen = {'import': list(calls)}\n"
+            "spec = tpsh.apply_detection_loss(tpsh.quadrature_spectra(\n"
+            "    tpsh.steady_state(tpsh.CavityParams()), tpsh.default_frequency_grid()), 0.9)\n"
+            "trace = tpsh.synthesize(spec, tpsh.DetectionChain(sample_rate=50e6), 0.010, 1)\n"
+            "seen['synthesize'] = list(calls)\n"
+            "tpsh.cross_spectral_matrix(trace, 100e3)\n"
+            "seen['cross_spectral_matrix'] = list(calls)\n"
+            "tpsh.mc_spectra(tpsh.steady_state(tpsh.CavityParams()), [6e6], seed=1,\n"
+            "                n_realizations=2, n_steps=1 << 16)\n"
+            "seen['mc_spectra'] = list(calls)\n"
+            "cli.main(['steady-state', '--out', %r])\n"
+            "seen['cli.main'] = list(calls)\n"
+            "print(json.dumps(seen))\n" % str(tmp_path)
+        )
+        assert calls == {
+            "import": [], "synthesize": [], "cross_spectral_matrix": [], "mc_spectra": [],
+            "cli.main": [-3, -1],
+        }
+
+    def test_repeated_witness_faults_no_pages_in_again(self, tmp_path):
+        # glibc's default unmaps every freed grid-sized array, so each 50 MS/s,
+        # 10 ms witness faults about 8,000 pages in again; kept blocks fault
+        # fewer than ten
+        faults = _python(
+            "import json, resource\n"
+            "from tpsh import cli\n"
+            "faults = []\n"
+            "for seed in (3, 4, 5):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    rc = cli.main(['witness', '--seed', str(seed), '--out', %r,\n"
+            "                   '--config', %r])\n"
+            "    assert rc == 0\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(json.dumps(faults))\n" % (str(tmp_path / "out"), self.write_fast_conf(tmp_path))
+        )
+        assert faults[1] < 1000 and faults[2] < 1000, faults
+
+    @staticmethod
+    def write_fast_conf(tmp_path):
+        path = tmp_path / "fast.conf"
+        path.write_text("chain.sample_rate = 50 MHz\nrun.duration = 10 ms\n")
+        return str(path)
+
+
 class TestErrors:
     def test_missing_trace_file(self, capsys, fast_conf):
         rc, out, err = run_cli(capsys, "analyze", "missing.bin", "--config", fast_conf)
@@ -295,6 +428,28 @@ class TestErrors:
         rc, _, err = run_cli(capsys, "steady-state", "--config", str(conf))
         assert rc == 1
         assert "unknown key" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("line, field", [
+        ("analysis.band_high = 1e999", "band_high"),
+        ("run.duration = 1e999", "duration"),
+    ])
+    def test_infinite_config_value(self, capsys, tmp_path, line, field):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("%s\nrun.output_dir = %s\n" % (line, tmp_path / "out"))
+        rc, out, err = run_cli(capsys, "witness", "--config", str(conf))
+        assert rc == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "%s must be finite" % field}
+        assert not (tmp_path / "out" / "witness.json").exists()
+
+    def test_non_finite_value_never_reaches_an_artifact(self, tmp_path):
+        path = tmp_path / "report.json"
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                cli._write_json(str(path), {"freq_hz": value})
+            with pytest.raises(ValueError):
+                cli._print_json({"freq_hz": value})
+        assert not path.exists()
 
     def test_invalid_field_value(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"

@@ -1,8 +1,10 @@
 """Config parsing: defaults, SI suffixes, layering, and rejection."""
 
+import dataclasses
+
 import pytest
 
-from tpsh.config import load_config, parse_scalar
+from tpsh.config import AnalysisConfig, RunConfig, load_config, parse_scalar
 
 
 def write(tmp_path, text, name="run.conf"):
@@ -107,6 +109,31 @@ class TestLoadConfig:
         path = write(tmp_path, "analysis.gain_mode = vibes")
         with pytest.raises(ValueError, match="gain_mode"):
             load_config(path)
+
+    @pytest.mark.parametrize("line, field", [
+        ("analysis.band_high = 1e999", "band_high"),  # 1e999 parses as inf
+        ("run.duration = 1e999", "duration"),
+        ("analysis.rbw = -1e999", "rbw"),
+    ])
+    def test_infinite_value_rejected(self, tmp_path, line, field):
+        path = write(tmp_path, line)
+        with pytest.raises(ValueError, match="^%s must be finite$" % field):
+            load_config(path)
+
+    @pytest.mark.parametrize("line", ["run.seed = 1e999", "chain.adc_bits = -1e999"])
+    def test_infinite_integer_rejected(self, tmp_path, line):
+        path = write(tmp_path, line)
+        with pytest.raises(ValueError, match=":1: %s must be finite" % line.split(" ")[0]):
+            load_config(path)
+
+    @pytest.mark.parametrize("cls", [AnalysisConfig, RunConfig])
+    def test_every_float_field_must_be_finite(self, cls):
+        for f in dataclasses.fields(cls):
+            if f.type != "float":
+                continue
+            for value in (float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match="^%s must be finite$" % f.name):
+                    cls(**{f.name: value})
 
     def test_env_defaults_layer_under_explicit_file(self, tmp_path, monkeypatch):
         base = write(tmp_path, "cavity.pump_power = 23 mW\nrun.seed = 2", name="site.conf")
