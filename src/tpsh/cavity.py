@@ -9,11 +9,21 @@ decay rates are angular rates in rad/s, powers are in watts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
+
+def refuse_infinite(params) -> None:
+    """Raise ValueError("<field> must be finite") for the first infinite
+    number among the fields of dataclass instance params."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, numbers.Real) and math.isinf(value):
+            raise ValueError("%s must be finite" % f.name)
+
 
 # Temperature offset that shifts the phase mismatch by pi, in kelvin.
 MISMATCH_PI_TEMPERATURE = 0.25
@@ -52,9 +62,7 @@ class CavityParams:
 
     def __post_init__(self):
         # every parameter is a finite physical quantity; NaN fails the checks below
-        for f in fields(self):
-            if math.isinf(getattr(self, f.name)):
-                raise ValueError("%s must be finite" % f.name)
+        refuse_infinite(self)
         if not self.pump_power >= 0:
             raise ValueError("pump_power must be >= 0")
         if not 0 < self.input_transmission < 1:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from .analyzer import GAIN_MODES
-from .cavity import CavityParams
+from .cavity import CavityParams, refuse_infinite
 from .synth import DetectionChain
 
 # longest suffixes first so "mW" wins over "W"
@@ -33,14 +33,6 @@ _SUFFIXES = (
 _NUMBER = re.compile(r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*([A-Za-z%]*)$")
 
 
-def _refuse_infinite(obj) -> None:
-    """Raise for the first infinite float field of dataclass obj."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, float) and math.isinf(value):
-            raise ValueError("%s must be finite" % f.name)
-
-
 @dataclass
 class AnalysisConfig:
     """Spectral-analysis settings shared by the analyze/witness commands."""
@@ -53,7 +45,7 @@ class AnalysisConfig:
 
     def __post_init__(self):
         # NaN fails the checks below
-        _refuse_infinite(self)
+        refuse_infinite(self)
         if not self.rbw > 0:
             raise ValueError("rbw must be > 0")
         if not self.band_low < self.band_high:
@@ -74,7 +66,7 @@ class RunConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        _refuse_infinite(self)
+        refuse_infinite(self)
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
         if not self.duration > 0:

@@ -40,10 +40,11 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .cavity import refuse_infinite
 from .noise import QuadSpectra, witness_pair
 
 # Spur amplitudes are quoted relative to the shot-noise RMS in this bandwidth,
@@ -97,9 +98,7 @@ class DetectionChain:
 
     def __post_init__(self):
         # every parameter is a finite physical quantity; NaN fails the checks below
-        for f in fields(self):
-            if math.isinf(getattr(self, f.name)):
-                raise ValueError("%s must be finite" % f.name)
+        refuse_infinite(self)
         if not self.sample_rate > 40e6:
             raise ValueError("sample_rate must exceed twice the 20 MHz analysis band")
         if not 8 <= int(self.adc_bits) <= 24:
