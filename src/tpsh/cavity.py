@@ -16,6 +16,10 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0
 
+# Temperature offset that shifts the phase mismatch by pi, in kelvin.
+MISMATCH_PI_TEMPERATURE = 0.25
+
+
 def refuse_infinite(params) -> None:
     """Raise ValueError("<field> must be finite") for the first infinite
     number among the fields of dataclass instance params."""
@@ -23,10 +27,6 @@ def refuse_infinite(params) -> None:
         value = getattr(params, f.name)
         if isinstance(value, numbers.Real) and math.isinf(value):
             raise ValueError("%s must be finite" % f.name)
-
-
-# Temperature offset that shifts the phase mismatch by pi, in kelvin.
-MISMATCH_PI_TEMPERATURE = 0.25
 
 
 @dataclass

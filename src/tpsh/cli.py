@@ -35,7 +35,9 @@ from .traceio import atomic_write, read_trace, write_trace
 
 
 # glibc's mallopt parameters, and the size below which freed blocks stay in
-# the heap: at or above every grid-sized array of a default run
+# the heap: above every grid-sized array of a default run.  At glibc's own
+# 32 MiB ceiling an 80 ms run's 64 MB arrays were still unmapped on free,
+# and a fresh 80 ms synth peaked 7 MiB higher (fragmentation)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _KEEP_FREED_BYTES = 1 << 30

@@ -389,7 +389,7 @@ class TestAllocatorPolicy:
             "cli.main": [-3, -1],
         }
 
-    def test_repeated_witness_faults_no_pages_in_again(self, tmp_path):
+    def test_repeated_witness_faults_no_pages_in_again(self, fast_conf):
         # glibc's default unmaps every freed grid-sized array, so each 50 MS/s,
         # 10 ms witness faults about 8,000 pages in again; kept blocks fault
         # fewer than ten
@@ -399,19 +399,11 @@ class TestAllocatorPolicy:
             "faults = []\n"
             "for seed in (3, 4, 5):\n"
             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "    rc = cli.main(['witness', '--seed', str(seed), '--out', %r,\n"
-            "                   '--config', %r])\n"
-            "    assert rc == 0\n"
+            "    assert cli.main(['witness', '--seed', str(seed), '--config', %r]) == 0\n"
             "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-            "print(json.dumps(faults))\n" % (str(tmp_path / "out"), self.write_fast_conf(tmp_path))
+            "print(json.dumps(faults))\n" % fast_conf
         )
         assert faults[1] < 1000 and faults[2] < 1000, faults
-
-    @staticmethod
-    def write_fast_conf(tmp_path):
-        path = tmp_path / "fast.conf"
-        path.write_text("chain.sample_rate = 50 MHz\nrun.duration = 10 ms\n")
-        return str(path)
 
 
 class TestErrors:
