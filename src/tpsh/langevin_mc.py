@@ -26,12 +26,25 @@ by the caller and reused by every sector, so the estimates are those of
 drawing and processing each sector in turn.  The worker is joined when
 mc_spectra returns or raises.
 
+The AR(1) step x[i+1] = c x[i] - d[i], c = 1 - D_q dt, is solved by scaled
+cumulative sums (_ar1): within a block of B samples,
+x[j+1] = -c^j (sum_{k<=j} c^-k d[k] - c x[0]), so one multiply, one
+np.cumsum and one multiply per block, the minus sign folded into the
+second table.  B is the longest power of two up to _CHUNK over which
+|c|^-j stays below 2^512, so blocks start at fixed offsets from the start
+of the record and the result does not depend on the chunking.  The
+rounding error of the sums, relative to the record, is of order
+eps / (1 - |c|), the order of the plain recursion's own: at the default
+oversample (c = 0.99 and above) the records agree with
+scipy.signal.lfilter's to about 1e-15, and the spectra to about 1e-14.
+oversample > 0.5 keeps |c| < 1; c <= 0 (oversample <= 1) is handled too.
+
 The Welch estimate (root-periodic-Hann window, 50 % overlap, constant
 detrend per segment, density scaling, cross density <conj(X1) X2>; Welch
 1967, IEEE Trans. Audio Electroacoust. 15, 70) is written out here rather
 than taken from analyzer.py: an oracle that shared the estimator under test
-could not catch its faults.  Only the AR(1) step uses scipy.signal, imported
-where it runs, so importing tpsh does not load it.
+could not catch its faults.  Neither it nor the AR(1) step uses
+scipy.signal, which the tests keep as their reference.
 """
 
 from __future__ import annotations
@@ -65,62 +78,86 @@ class MCSpectra:
     dt: float
 
 
-def _welch_setup(nperseg: int, fs: float):
-    """Frequencies, root-periodic-Hann window and density scale of _welch_pair."""
-    window = np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg))
-    scale = 1.0 / (fs * np.sum(window * window))
-    return np.fft.rfftfreq(nperseg, 1.0 / fs), window, scale
+def _welch_window(nperseg: int, fs: float):
+    """Root-periodic-Hann window and density scale of _welch_pair."""
+    window = np.arange(nperseg, dtype=float)
+    window *= 2.0 * np.pi
+    window /= nperseg
+    np.cos(window, out=window)
+    window *= 0.5
+    np.sqrt(np.subtract(0.5, window, out=window), out=window)
+    return window, 1.0 / (fs * np.sum(window * window))
 
 
-def _segment_spectra(rec: np.ndarray, window: np.ndarray, step: int) -> np.ndarray:
-    """rfft of each mean-free, windowed segment of rec, one row per segment."""
-    seg = sliding_window_view(rec, len(window))[::step]
-    seg = seg - seg.mean(axis=1, keepdims=True)
+def _welch_buffers(nperseg: int, n_samples: int):
+    """_welch_pair's work arrays for records of n_samples samples.
+
+    One block's segments, the two records' spectra and a power temporary,
+    then the two per-block sums and the three results.  Reused by every
+    call, they keep the estimate from allocating: freed and allocated
+    again for every sector, arrays this size go back to the kernel and
+    fault their pages in anew.
+    """
+    step = nperseg - nperseg // 2
+    rows = min(max(1, _BLOCK_SAMPLES // nperseg), (n_samples - nperseg) // step + 1)
+    bins = nperseg // 2 + 1
+    return (np.empty((rows, nperseg)), np.empty((rows, bins), dtype=complex),
+            np.empty((rows, bins), dtype=complex), np.empty((rows, bins)),
+            np.empty(bins), np.empty(bins, dtype=complex),
+            np.empty(bins), np.empty(bins), np.empty(bins, dtype=complex))
+
+
+def _segment_spectra(rec: np.ndarray, window: np.ndarray, step: int, seg, out) -> np.ndarray:
+    """rfft of each mean-free, windowed segment of rec into out, one row per segment.
+
+    seg is the work array of the windowed segments.
+    """
+    view = sliding_window_view(rec, len(window))[::step]
+    seg = np.subtract(view, view.mean(axis=1, keepdims=True), out=seg[:len(view)])
     seg *= window
-    return np.fft.rfft(seg, axis=1)
+    return np.fft.rfft(seg, axis=1, out=out[:len(view)])
 
 
-def _power_sum(x: np.ndarray) -> np.ndarray:
-    """|X|^2 summed over the rows of x."""
-    power = x.real ** 2
-    power += x.imag ** 2
-    return np.sum(power, axis=0)
+def _power_sum(x: np.ndarray, power: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|X|^2 summed over the rows of x into out, through power and tmp."""
+    power = np.multiply(x.real, x.real, out=power[:len(x)])
+    power += np.multiply(x.imag, x.imag, out=tmp[:len(x)])
+    return np.sum(power, axis=0, out=out)
 
 
-def _welch_pair(rec1: np.ndarray, rec2: np.ndarray, window: np.ndarray, scale: float):
+def _welch_pair(rec1: np.ndarray, rec2: np.ndarray, window: np.ndarray, scale: float, buffers):
     """One-sided Welch densities P11, P22 and cross density <conj(X1) X2>.
 
     Segments of len(window) samples overlap by half and lose their mean
-    before windowing; the three products are summed over blocks of segments,
-    and one block's spectra are alive at a time.
+    before windowing; the three products are summed over blocks of segments
+    in the work arrays of buffers = _welch_buffers(len(window), len(rec1)).
+    The results are three of those arrays, valid until the next call.
     """
+    seg, x1, x2, power, sum_f, sum_c, p11, p22, p12 = buffers
     nperseg = len(window)
     step = nperseg - nperseg // 2
     n_segments = (len(rec1) - nperseg) // step + 1
-    block = max(1, _BLOCK_SAMPLES // nperseg)
-    bins = nperseg // 2 + 1
-    p11 = np.zeros(bins)
-    p22 = np.zeros(bins)
-    p12 = np.zeros(bins, dtype=complex)
+    block = len(seg)
+    # the segments are done with once both spectra are made: the power
+    # temporary of _power_sum
+    tmp = seg[:, :len(p11)]
+    for p in (p11, p22, p12):
+        p.fill(0.0)
     for first in range(0, n_segments, block):
         stop = (min(first + block, n_segments) - 1) * step + nperseg
-        # the last block's spectra go before this block's are made (dropped
-        # at the end of a block instead, they are freed before the fold below
-        # and the heap gives their pages back, to fault them in again on the
-        # next call)
-        x1 = x2 = None
-        x1 = _segment_spectra(rec1[first * step:stop], window, step)
-        x2 = _segment_spectra(rec2[first * step:stop], window, step)
-        p11 += _power_sum(x1)
-        p22 += _power_sum(x2)
+        y1 = _segment_spectra(rec1[first * step:stop], window, step, seg, x1)
+        y2 = _segment_spectra(rec2[first * step:stop], window, step, seg, x2)
+        p11 += _power_sum(y1, power, tmp, sum_f)
+        p22 += _power_sum(y2, power, tmp, sum_f)
         # conj(X1) X2, formed over X1
-        p12 += np.sum(np.multiply(np.conjugate(x1, out=x1), x2, out=x1), axis=0)
+        p12 += np.sum(np.multiply(np.conjugate(y1, out=y1), y2, out=y1), axis=0, out=sum_c)
     # fold in the negative frequencies: all bins but DC (and an even Nyquist)
-    fold = np.full(bins, 2.0 * scale / n_segments)
-    fold[0] /= 2.0
-    if nperseg % 2 == 0:
-        fold[-1] /= 2.0
-    return p11 * fold, p22 * fold, p12 * fold
+    for p in (p11, p22, p12):
+        p *= 2.0 * scale / n_segments
+        p[0] /= 2.0
+        if nperseg % 2 == 0:
+            p[-1] /= 2.0
+    return p11, p22, p12
 
 
 def _normal(rng, out: np.ndarray, sd: float) -> np.ndarray:
@@ -149,32 +186,63 @@ def _draw_drive(rng, drive, dw1, scratch, sd, glin_pair):
     _normal(rng, dw1, sd)
 
 
-def _outputs(draws, scratch, burn, dt, gk, damping):
+def _ar1_step(decay: float):
+    """_ar1's step for one decay c: (c, c^-j, -c^j), the tables for j < B.
+
+    B is the longest power of two up to _CHUNK with |c|^-(B-1) <= 2^512, so
+    it divides _CHUNK and neither the tables nor the scaled sums overflow.
+    """
+    if decay == 0.0:
+        block = 1
+    else:
+        block = 1 << min(_CHUNK.bit_length() - 1,
+                         int(math.log2(512.0 / -math.log2(abs(decay)) + 1.0)))
+    j = np.arange(block, dtype=float)
+    return decay, np.power(decay, -j), -np.power(decay, j)
+
+
+def _ar1(d: np.ndarray, x0: float, step) -> None:
+    """The AR(1) step in place: d[i] becomes x[i+1] = decay x[i] - d[i].
+
+    step = _ar1_step(decay) and x[0] = x0, the state carried in.  Each block
+    of B samples, counted from d[0], is solved by one scaled cumulative sum,
+    x[j+1] = -c^j (sum_{k<=j} c^-k d[k] - c x[0]).
+    """
+    decay, inv, negpow = step
+    if decay == 0.0:
+        np.negative(d, out=d)
+        return
+    block = len(inv)
+    for start in range(0, len(d), block):
+        seg = d[start:start + block]
+        seg *= inv[:len(seg)]
+        seg[0] -= decay * x0
+        np.cumsum(seg, out=seg)
+        seg *= negpow[:len(seg)]
+        x0 = seg[-1]
+
+
+def _outputs(draws, scratch, burn, dt, gk, step):
     """Process stage of one sector up to the estimate: its two output records.
 
-    draws = (drive, dw1, dw2) holds the sector's draw stage.  Finishes the
-    drive, -(sqrt(2 g_in) dW0 + sqrt(2 g_l) dWl + 2 sqrt(g1) dW1 + 2 sqrt(g2)
-    dW2), runs the AR(1) step x[i+1] = (1 - D dt) x[i] + drive[i] over it,
-    and builds out_k = dWk / dt + 2 sqrt(g_k) x over dWk past the burn-in,
-    chunk by chunk through scratch.  Returns views of dw1 and dw2; drive is
-    free again on return.
+    draws = (drive, dw1, dw2) holds the sector's draw stage and step its
+    _ar1_step.  Finishes the drive, d = sqrt(2 g_in) dW0 + sqrt(2 g_l) dWl
+    + 2 sqrt(g1) dW1 + 2 sqrt(g2) dW2, runs the AR(1) step x[i+1] =
+    (1 - D dt) x[i] - d[i] over it, and builds out_k = dWk / dt + 2 sqrt(g_k)
+    x over dWk past the burn-in, chunk by chunk through scratch.  Returns
+    views of dw1 and dw2; drive is free again on return.
     """
-    from scipy.signal import lfilter  # deferred: only the oracle needs scipy.signal
-
     drive, dw1, dw2 = draws
     c1, c2 = (2.0 * math.sqrt(g) for g in gk)
-    ar1 = ([1.0], [1.0, -(1.0 - damping * dt)])
-    state = np.zeros(1)  # x[0] = 0
     for start in range(0, len(drive), len(scratch)):
         stop = min(start + len(scratch), len(drive))
         tmp = scratch[:stop - start]
         chunk = drive[start:stop]
         chunk += np.multiply(dw1[start:stop], c1, out=tmp)
         chunk += np.multiply(dw2[start:stop], c2, out=tmp)
-        np.negative(chunk, out=chunk)
-        # the filter is causal and carries its state across chunks: drive[i]
-        # becomes x[i + 1]
-        chunk[:], state = lfilter(*ar1, chunk, zi=state)
+        # drive[i] becomes x[i + 1], the state x[start] carried from the
+        # last chunk (x[0] = 0)
+        _ar1(chunk, drive[start - 1] if start else 0.0, step)
         lo = max(start, burn)
         for dw, c in ((dw1, c1), (dw2, c2)):
             out = dw[lo:stop]
@@ -202,8 +270,9 @@ def mc_spectra(
     """
     if n_realizations < 2:
         raise ValueError("n_realizations must be >= 2: the standard error is their scatter")
-    if not oversample > 0:
-        raise ValueError("oversample must be > 0")
+    if not oversample > 0.5:
+        # D_x dt = 1 / oversample: from 2 on, the Euler step diverges
+        raise ValueError("oversample must be > 0.5: the Euler step is unstable below")
     if avg_bins < 0:
         raise ValueError("avg_bins must be >= 0")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
@@ -223,7 +292,7 @@ def mc_spectra(
     burn = int(10.0 / (dx * dt)) + 1
 
     rng = np.random.default_rng(seed)
-    f, window, scale = _welch_setup(nperseg, fs)
+    f = np.fft.rfftfreq(nperseg, 1.0 / fs)
     centers = np.array([int(np.argmin(np.abs(f - ft))) for ft in freqs])
     if np.any(centers - avg_bins < 1) or np.any(centers + avg_bins >= len(f)):
         raise ValueError("frequency too close to the simulation grid edge")
@@ -236,7 +305,7 @@ def mc_spectra(
     records = [np.empty(n) for _ in range(5)]
     scratch = (np.empty(min(_CHUNK, n)), np.empty(min(_CHUNK, n)))
     sd = math.sqrt(dt)
-    sectors = [("x", dx), ("y", dy)] * n_realizations
+    sectors = ["x", "y"] * n_realizations
     per_real = {k: [] for k in ("s_x1", "s_x2", "c_x", "s_y1", "s_y2", "c_y")}
 
     def slots(k):
@@ -250,7 +319,11 @@ def mc_spectra(
         drive, dw1, dw2 = slots(0)
         pending = [worker.submit(_draw_drive, rng, drive, dw1, scratch[0], sd, glin_pair),
                    worker.submit(_normal, rng, dw2, sd)]
-        for k, (sector, damping) in enumerate(sectors):
+        # made while the first sector is drawn
+        window, scale = _welch_window(nperseg, fs)
+        buffers = _welch_buffers(nperseg, n_steps)
+        steps = {"x": _ar1_step(1.0 - dx * dt), "y": _ar1_step(1.0 - dy * dt)}
+        for k, sector in enumerate(sectors):
             for draw in pending:
                 draw.result()
             pending = []
@@ -258,10 +331,10 @@ def mc_spectra(
             drive, dw1, dw2 = slots(k + 1)
             if ahead:
                 pending.append(worker.submit(_draw_drive, rng, drive, dw1, scratch[0], sd, glin_pair))
-            out1, out2 = _outputs(slots(k), scratch[1], burn, dt, (g1, g2), damping)
+            out1, out2 = _outputs(slots(k), scratch[1], burn, dt, (g1, g2), steps[sector])
             if ahead:
                 pending.append(worker.submit(_normal, rng, dw2, sd))
-            p1, p2, cs = _welch_pair(out1, out2, window, scale)
+            p1, p2, cs = _welch_pair(out1, out2, window, scale, buffers)
             # one-sided vacuum level is 2; cross convention matches noise.QuadSpectra
             per_real["s_%s1" % sector].append(np.mean(p1[sel], axis=1) / 2.0)
             per_real["s_%s2" % sector].append(np.mean(p2[sel], axis=1) / 2.0)

@@ -5,10 +5,12 @@ the standard error estimated from a handful of realizations, so it follows
 a Student-t law rather than a normal one.  The assertions allow for that:
 a small fraction of comparisons may exceed 3 SE, none may exceed 6 SE.
 
-The oracle's own machinery is checked too: its Welch estimate against
-scipy.signal, its two-stage run (draws on a worker thread, one sector
-ahead) bit for bit against a serial reference, the worker's lifetime, and
-the rejection of bad input.
+The oracle's own machinery is checked too: its Welch estimate and its
+AR(1) kernel against scipy.signal (welch, csd and lfilter, the references
+here only), its two-stage run (draws on a worker thread, one sector ahead)
+bit for bit against a serial reference that runs the kernel over whole
+records, the worker's lifetime, and the rejection of bad input, an Euler
+step that would diverge among it.
 """
 
 import math
@@ -20,7 +22,16 @@ import pytest
 
 from tpsh import langevin_mc
 from tpsh.cavity import CavityParams, steady_state
-from tpsh.langevin_mc import _BLOCK_SAMPLES, _CHUNK, _welch_pair, _welch_setup, mc_spectra
+from tpsh.langevin_mc import (
+    _BLOCK_SAMPLES,
+    _CHUNK,
+    _ar1,
+    _ar1_step,
+    _welch_buffers,
+    _welch_pair,
+    _welch_window,
+    mc_spectra,
+)
 from tpsh.noise import quadrature_spectra
 
 FIELDS = ("s_x1", "s_x2", "c_x", "s_y1", "s_y2", "c_y")
@@ -97,9 +108,10 @@ def test_welch_pair_matches_scipy(nperseg, n_samples):
     _, p22 = signal.welch(rec2, **kwargs)
     _, p12 = signal.csd(rec1, rec2, **kwargs)
 
-    freqs, window, scale = _welch_setup(nperseg, fs)
-    q11, q22, q12 = _welch_pair(rec1, rec2, window, scale)
-    assert np.array_equal(freqs, f)
+    window, scale = _welch_window(nperseg, fs)
+    q11, q22, q12 = _welch_pair(rec1, rec2, window, scale, _welch_buffers(nperseg, n_samples))
+    # mc_spectra's frequency grid
+    assert np.array_equal(np.fft.rfftfreq(nperseg, 1.0 / fs), f)
     assert np.max(np.abs(q11 / p11 - 1.0)) <= 1e-10
     assert np.max(np.abs(q22 / p22 - 1.0)) <= 1e-10
     # the cross density passes through zero; compare on the auto scale
@@ -113,6 +125,9 @@ def test_welch_pair_matches_scipy(nperseg, n_samples):
     (dict(oversample=-100.0), "oversample"),
     (dict(oversample=float("nan")), "oversample"),
     (dict(avg_bins=-1), "avg_bins"),
+    # D_x dt = 1 / oversample >= 2: the Euler step diverges
+    (dict(oversample=0.5), "oversample"),
+    (dict(oversample=0.3), "oversample"),
 ])
 def test_mc_rejects_bad_input_before_drawing(kwargs, match, thread_starts):
     ss = steady_state(CavityParams())
@@ -121,6 +136,58 @@ def test_mc_rejects_bad_input_before_drawing(kwargs, match, thread_starts):
     with pytest.raises(ValueError, match=match):
         mc_spectra(ss, [6e6], seed=1, **args)
     assert thread_starts == []
+
+
+def _decay(sector, oversample):
+    """The AR(1) decay 1 - D dt of a sector of the default cavity."""
+    ss = steady_state(CavityParams())
+    gnl = ss.rate_nl_port1 + ss.rate_nl_port2
+    dx = ss.rate_input + ss.rate_loss + 3.0 * gnl
+    damping = {"x": dx, "y": ss.rate_input + ss.rate_loss + gnl}[sector]
+    return 1.0 - damping * (1.0 / (oversample * dx))
+
+
+AR1_DECAYS = {
+    "x-oversample-100": _decay("x", 100.0),
+    "y-oversample-100": _decay("y", 100.0),
+    "x-oversample-0.6": _decay("x", 0.6),  # c < 0
+    "y-oversample-0.6": _decay("y", 0.6),
+    "zero": 0.0,  # sector x at oversample 1
+}
+
+
+@pytest.mark.parametrize("x0", [0.0, -1.7])
+@pytest.mark.parametrize("decay", AR1_DECAYS.values(), ids=AR1_DECAYS.keys())
+def test_ar1_matches_lfilter(decay, x0):
+    from scipy.signal import lfilter
+
+    step = _ar1_step(decay)
+    block = len(step[1])
+    assert block & (block - 1) == 0 and _CHUNK % block == 0
+    # either recursion's rounding error, on the scale of the record, is a
+    # few eps times sum_k |c|^k = 1 / (1 - |c|)
+    tol = 8.0 * np.finfo(float).eps / (1.0 - abs(decay))
+    rng = np.random.default_rng(7)
+    for n in sorted({1, block - 1, block, block + 1, 1001, 65536, 66537} - {0}):
+        d = rng.standard_normal(n)
+        ref = lfilter([1.0], [1.0, -decay], -d, zi=[decay * x0])[0]
+        x = d.copy()
+        _ar1(x, x0, step)
+        assert np.max(np.abs(x - ref)) <= tol * np.max(np.abs(ref)), n
+
+
+@pytest.mark.parametrize("decay", AR1_DECAYS.values(), ids=AR1_DECAYS.keys())
+def test_ar1_in_chunks_equals_ar1_over_the_record(decay):
+    # blocks start at fixed offsets from the start of the record, so
+    # chunks of _CHUNK samples that carry the state give the same bits
+    step = _ar1_step(decay)
+    d = np.random.default_rng(8).standard_normal(2 * _CHUNK + 999)
+    whole = d.copy()
+    _ar1(whole, 0.0, step)
+    chunked = d.copy()
+    for start in range(0, len(d), _CHUNK):
+        _ar1(chunked[start:start + _CHUNK], chunked[start - 1] if start else 0.0, step)
+    assert np.array_equal(chunked, whole)
 
 
 def _serial_welch(rec1, rec2, window, scale):
@@ -154,10 +221,9 @@ def _serial_mc(ss, freqs, seed, n_realizations, n_steps, oversample=100.0,
 
     The draws are made with rng.normal in the oracle's order (dW0, dWl, dW1,
     dW2; sector x, then y; realization after realization) and the records
-    are built whole, with every temporary.
+    are built whole, with every temporary; the AR(1) kernel runs over the
+    whole record in one call.
     """
-    from scipy.signal import lfilter
-
     g1, g2 = ss.rate_nl_port1, ss.rate_nl_port2
     dx = ss.rate_input + ss.rate_loss + 3.0 * (g1 + g2)
     dy = ss.rate_input + ss.rate_loss + (g1 + g2)
@@ -165,17 +231,19 @@ def _serial_mc(ss, freqs, seed, n_realizations, n_steps, oversample=100.0,
     burn = int(10.0 / (dx * dt)) + 1
     n, sd = n_steps + burn, math.sqrt(dt)
     rng = np.random.default_rng(seed)
-    f, window, scale = _welch_setup(nperseg, 1.0 / dt)
+    fs = 1.0 / dt
+    f = np.fft.rfftfreq(nperseg, 1.0 / fs)
+    window, scale = _welch_window(nperseg, fs)
     centers = np.array([int(np.argmin(np.abs(f - ft))) for ft in freqs])
     sel = centers[:, None] + np.arange(-avg_bins, avg_bins + 1)[None, :]
     per_real = {k: [] for k in FIELDS}
     for _ in range(n_realizations):
         for sector, damping in (("x", dx), ("y", dy)):
             dw0, dwl, dw1, dw2 = (rng.normal(0.0, sd, n) for _ in range(4))
-            drive = -(dw0 * math.sqrt(2.0 * ss.rate_input) + dwl * math.sqrt(2.0 * ss.rate_loss)
-                      + 2.0 * math.sqrt(g1) * dw1 + 2.0 * math.sqrt(g2) * dw2)
-            x = np.zeros(n)
-            x[1:] = lfilter([1.0], [1.0, -(1.0 - damping * dt)], drive[:-1])
+            drive = (dw0 * math.sqrt(2.0 * ss.rate_input) + dwl * math.sqrt(2.0 * ss.rate_loss)
+                     + 2.0 * math.sqrt(g1) * dw1 + 2.0 * math.sqrt(g2) * dw2)
+            _ar1(drive, 0.0, _ar1_step(1.0 - damping * dt))
+            x = np.concatenate(([0.0], drive[:-1]))
             out1 = dw1 / dt + 2.0 * math.sqrt(g1) * x
             out2 = dw2 / dt + 2.0 * math.sqrt(g2) * x
             p1, p2, cs = _serial_welch(out1[burn:], out2[burn:], window, scale)
@@ -193,6 +261,7 @@ def _assert_equals_serial(ss, freqs, seed, **kwargs):
     for name in FIELDS:
         assert np.array_equal(getattr(mc.spec, name), means[name]), name
         assert np.array_equal(getattr(mc.se, name), ses[name]), name
+    return mc
 
 
 @pytest.mark.parametrize("params", CRITERION_7_CAVITIES)
@@ -219,6 +288,19 @@ def test_mc_equals_the_serial_oracle_with_odd_segments_and_long_records():
     assert n_steps > _BLOCK_SAMPLES
     _assert_equals_serial(ss, [0.1 * fx, 0.3 * fx], 5, n_realizations=2, n_steps=n_steps,
                           nperseg=1 << 14)
+
+
+def test_mc_equals_the_serial_oracle_where_the_decay_is_negative():
+    # 0.5 < oversample < 1: c = 1 - D dt < 0 in both sectors; the spectra
+    # are those of the serial oracle and finite
+    ss = steady_state(CavityParams())
+    fx = (ss.rate_input + ss.rate_loss + 3.0 * (ss.rate_nl_port1 + ss.rate_nl_port2)) / (
+        2.0 * np.pi
+    )
+    mc = _assert_equals_serial(ss, [0.05 * fx, 0.2 * fx], 6, n_realizations=2,
+                               n_steps=1 << 16, oversample=0.6)
+    for name in FIELDS:
+        assert np.all(np.isfinite(getattr(mc.spec, name))), name
 
 
 def test_mc_starts_one_worker_and_joins_it(thread_starts):
