@@ -20,6 +20,7 @@ into place, so readers never observe a partial file.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -105,6 +106,13 @@ def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrac
         raise ValueError("unsupported trace format version %d" % version)
     if channels != 2:
         raise ValueError("trace files carry exactly 2 channels, found %d" % channels)
+    for name, value in (("sample_rate", sample_rate), ("duration", duration),
+                        ("dc_1", dc_1), ("dc_2", dc_2)):
+        if not math.isfinite(value):
+            raise ValueError("trace header %s must be finite, found %r" % (name, value))
+    for name, value in (("dc_1", dc_1), ("dc_2", dc_2)):
+        if value < 0:
+            raise ValueError("trace header %s must be >= 0, found %r" % (name, value))
 
     if chain is None:
         chain = DetectionChain(

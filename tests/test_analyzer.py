@@ -456,6 +456,13 @@ class TestWitnessFromTraces:
             an.witness_from_traces(ab, silent, 100e3, (4e6, 8e6),
                                    gain_mode="fixed", fixed_gain=1.0)
 
+    def test_floor_that_cancels_the_signal_rejected(self):
+        # the signal as its own dark record: sum and difference correct to zero
+        chain = quiet_chain()
+        ab = witness_arm_traces(coherent_spectra(), chain, 0.010, seed=22)
+        with pytest.raises(ValueError, match="sum or difference spectrum vanishes"):
+            an.witness_from_traces(ab, None, 100e3, (4e6, 8e6), dark=ab)
+
     def test_gain_modes(self):
         chain = quiet_chain(adc_bits=16, dc_current_1=1e-3, dc_current_2=1.1e-3)
         ab = witness_arm_traces(coherent_spectra(), chain, 0.010, seed=24)

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import threading
@@ -413,6 +414,27 @@ class TestErrors:
         assert out == ""
         payload = json.loads(err)
         assert "missing.bin" in payload["error"]
+
+    def test_non_finite_trace_header(self, capsys, fast_conf, tmp_path):
+        rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
+        path = json.loads(out)["written"]
+        with open(path, "r+b") as fh:
+            fh.seek(16)  # the header's duration
+            fh.write(struct.pack("<d", float("inf")))
+        rc, out, err = run_cli(capsys, "analyze", path, "--config", fast_conf)
+        assert rc == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "trace header duration must be finite, found inf"}
+
+    def test_dark_record_that_cancels_the_signal(self, capsys, fast_conf):
+        rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
+        path = json.loads(out)["written"]
+        rc, out, err = run_cli(capsys, "analyze", path, "--dark", path, "--config", fast_conf)
+        assert rc == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "vanishes across the band" in json.loads(err)["error"]
 
     def test_bad_config_key(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"
