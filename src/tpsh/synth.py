@@ -22,8 +22,9 @@ filters the complex64 draws in place.  A block over which the matrix is
 constant (every block of the flat reference and dark matrices, and those
 beyond the end of the spectra's grid) is factored once.
 
-A run owns two complex64 spectrum buffers, which its traces reuse:
-channel 1 is transformed into a fresh float32 array and channel 2 into
+A run owns two complex64 spectrum buffers, which its traces reuse.  A
+trace's codes are one (2, n) array, its only grid-sized allocation:
+channel 1 is transformed into that array's memory and channel 2 into
 channel 1's spectrum buffer, free by then.  synthesize, witness_arm_traces,
 shot_noise_pair and dark_trace each make a run of one trace, which starts
 no thread.  witness_traces yields the witness's three traces through these
@@ -425,8 +426,8 @@ def _realize(job, spectra, phases, chain: DetectionChain, duration: float, n: in
     """The trace of one job from the draws in the two spectrum buffers.
 
     Mixes and filters the draws in place, adds the spur, and quantizes
-    channel 1 through a fresh float32 array and channel 2 through channel
-    1's spectrum buffer; both buffers are free again on return.
+    channel 1 through the memory of the trace's codes and channel 2 through
+    channel 1's spectrum buffer; both buffers are free again on return.
     """
     matrix, dc_pair, seed = job
     dc1, dc2 = (float(dc) for dc in dc_pair)
@@ -440,8 +441,14 @@ def _realize(job, spectra, phases, chain: DetectionChain, duration: float, n: in
             for x, dc, ph in ((x1, dc1, phases[0]), (x2, dc2, phases[1])):
                 x[k0] += chain.spur_current_amplitude(dc) * (n / 2.0) * np.exp(1j * ph)
 
-    codes_1, clipped_1 = _quantize(x1, n, chain, dc1)
-    codes_2, clipped_2 = _quantize(x2, n, chain, dc2, out=x1.view(np.float32)[:n])
+    # the trace's one grid-sized allocation: both channels' codes, with room
+    # for channel 1's float32 signal.  A long-lived allocation made between
+    # traces (SciPy's import at the first estimate) then cannot split the
+    # space that the next trace needs
+    codes = np.empty((2, n), dtype=_code_dtype(chain))
+    codes_1, clipped_1 = _quantize(x1, n, chain, dc1, out=codes.reshape(-1).view(np.float32)[:n],
+                                   codes=codes[0])
+    codes_2, clipped_2 = _quantize(x2, n, chain, dc2, out=x1.view(np.float32)[:n], codes=codes[1])
     return TwoChannelTrace(
         samples_1=codes_1,
         samples_2=codes_2,
@@ -455,28 +462,42 @@ def _realize(job, spectra, phases, chain: DetectionChain, duration: float, n: in
     )
 
 
-def _quantize(x: np.ndarray, n: int, chain: DetectionChain, dc: float, out=None):
+def _code_dtype(chain: DetectionChain):
+    return np.int16 if chain.adc_bits <= 16 else np.int32
+
+
+def _quantize(x: np.ndarray, n: int, chain: DetectionChain, dc: float, out=None, codes=None):
     """ADC codes of the n-sample signal with half spectrum x, and the clip count.
 
-    Codes are int16 for ADCs of up to 16 bits and int32 above.  The signal
-    is transformed into out (n float32, not overlapping x) or, by default,
-    into a fresh array.  Clipped samples are counted only when the codes
-    leave the range, so an unclipped signal makes no boolean temporaries.
+    Codes are int16 for ADCs of up to 16 bits and int32 above; they go into
+    codes (n of them) or, by default, a fresh array.  The signal is
+    transformed into out (n float32, not overlapping x) or, by default, into
+    a fresh array; out may start where codes does.  Clipped samples are
+    counted only when the codes leave the range, so an unclipped signal
+    makes no boolean temporaries.
     """
-    dtype = np.int16 if chain.adc_bits <= 16 else np.int32
+    if codes is None:
+        codes = np.empty(n, dtype=_code_dtype(chain))
     lsb = chain.lsb(dc)
     if lsb == 0.0:
         # silent channel: no signal, no noise, nothing to resolve
-        return np.zeros(n, dtype=dtype), 0
+        codes[...] = 0
+        return codes, 0
     y = np.fft.irfft(x, n=n, out=out)
     top = 2 ** (chain.adc_bits - 1)
     y /= np.float32(lsb)
-    codes = np.rint(y, out=y)
+    np.rint(y, out=y)
     clipped = 0
-    if codes.min() < -top or codes.max() > top - 1:
-        clipped = np.count_nonzero(codes < -top) + np.count_nonzero(codes > top - 1)
-        np.clip(codes, -top, top - 1, out=codes)
-    return codes.astype(dtype), int(clipped)
+    if y.min() < -top or y.max() > top - 1:
+        clipped = np.count_nonzero(y < -top) + np.count_nonzero(y > top - 1)
+        np.clip(y, -top, top - 1, out=y)
+    # front to back, one block at a time: a code is no wider than a float32,
+    # so block i of codes ends where block i + 1 of y starts at the latest
+    # (NumPy buffers a block that overlaps its own source)
+    for first in range(0, n, _BIN_BLOCK):
+        block = slice(first, first + _BIN_BLOCK)
+        np.copyto(codes[block], y[block], casting="unsafe")
+    return codes, int(clipped)
 
 
 def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int,

@@ -511,6 +511,27 @@ class TestQuantize:
         assert (want > 0) == loud
         assert np.array_equal(codes, np.clip(rounded, -top, top - 1).astype(np.int16))
 
+    @pytest.mark.parametrize("adc_bits", [14, 24])
+    def test_codes_over_their_own_signal_equal_fresh_codes(self, adc_bits):
+        # the signal starts where the codes do, as in a trace's one
+        # allocation; several blocks and a partial one
+        chain = DetectionChain(sample_rate=50e6, adc_bits=adc_bits)
+        n = 3 * synth._BIN_BLOCK + 1001
+        x = self.mixed_channel(loud_spectra(), chain, n, seed=13)
+        want, want_clipped = synth._quantize(x, n, chain, chain.dc_current_1)
+        codes = np.empty((2, n), dtype=want.dtype)
+        got, clipped = synth._quantize(x, n, chain, chain.dc_current_1,
+                                       out=codes.reshape(-1).view(np.float32)[:n], codes=codes[0])
+        assert got.base is codes
+        assert clipped == want_clipped
+        assert np.array_equal(got, want)
+
+    def test_a_trace_is_one_allocation(self):
+        chain = DetectionChain(sample_rate=50e6)
+        trace = synthesize(operating_point_spectra(), chain, 0.010, seed=14)
+        assert trace.samples_1.base is not None
+        assert trace.samples_1.base is trace.samples_2.base
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_clipping_on_one_side_only_is_counted(self, sign):
         chain = DetectionChain(sample_rate=50e6)
