@@ -37,9 +37,9 @@ never inflate, any nonclassical effect.
 
 SciPy is loaded here and nowhere else in the package, at the first
 estimate: the model, the synthesis, the sweep and the Monte-Carlo oracle
-never import it.  The estimate keeps SciPy's batched single-precision rfft
-because NumPy's float32 rfft is 3-4.5 times slower on these blocks, and a
-float64 NumPy estimator made `tpsh analyze` slower as well.
+never import it.  The estimate keeps SciPy's batched single-precision
+rfft: on a float32 block of 256 segments of 2000 samples NumPy's rfft took
+4.0 ms against SciPy's 1.3 ms (2-vCPU x86).
 """
 
 from __future__ import annotations
