@@ -415,8 +415,8 @@ class TestErrors:
         payload = json.loads(err)
         assert "missing.bin" in payload["error"]
 
-    def test_non_finite_trace_header(self, capsys, fast_conf, tmp_path):
-        rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
+    def test_non_finite_trace_header(self, capsys, fast_conf):
+        _, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
         path = json.loads(out)["written"]
         with open(path, "r+b") as fh:
             fh.seek(16)  # the header's duration
@@ -428,7 +428,7 @@ class TestErrors:
         assert json.loads(err) == {"error": "trace header duration must be finite, found inf"}
 
     def test_dark_record_that_cancels_the_signal(self, capsys, fast_conf):
-        rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
+        _, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
         path = json.loads(out)["written"]
         rc, out, err = run_cli(capsys, "analyze", path, "--dark", path, "--config", fast_conf)
         assert rc == 1

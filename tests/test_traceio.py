@@ -131,6 +131,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="adc_bits"):
             read_trace(path, chain=other_bits)
 
+    @staticmethod
+    def patched_header(tmp_path, offset, value):
+        """A trace file whose header holds the f64 value at offset."""
+        path = str(tmp_path / "trace.bin")
+        write_trace(small_trace(), path)
+        blob = bytearray(Path(path).read_bytes())
+        blob[offset:offset + 8] = struct.pack("<d", value)
+        Path(path).write_bytes(bytes(blob))
+        return path
+
     @pytest.mark.parametrize("field, offset, value", [
         ("sample_rate", 6, float("nan")),
         ("duration", 16, float("inf")),
@@ -138,21 +148,13 @@ class TestValidation:
         ("dc_2", 40, float("-inf")),
     ])
     def test_non_finite_header_field_rejected(self, tmp_path, field, offset, value):
-        path = str(tmp_path / "trace.bin")
-        write_trace(small_trace(), path)
-        blob = bytearray(Path(path).read_bytes())
-        blob[offset:offset + 8] = struct.pack("<d", value)
-        Path(path).write_bytes(bytes(blob))
+        path = self.patched_header(tmp_path, offset, value)
         for chain in (None, DetectionChain(sample_rate=50e6, adc_bits=14)):
             with pytest.raises(ValueError, match="%s must be finite" % field):
                 read_trace(path, chain=chain)
 
     @pytest.mark.parametrize("field, offset", [("dc_1", 32), ("dc_2", 40)])
     def test_negative_dc_rejected(self, tmp_path, field, offset):
-        path = str(tmp_path / "trace.bin")
-        write_trace(small_trace(), path)
-        blob = bytearray(Path(path).read_bytes())
-        blob[offset:offset + 8] = struct.pack("<d", -1e-3)
-        Path(path).write_bytes(bytes(blob))
+        path = self.patched_header(tmp_path, offset, -1e-3)
         with pytest.raises(ValueError, match="%s must be >= 0" % field):
             read_trace(path, chain=DetectionChain(sample_rate=50e6, adc_bits=14))
