@@ -54,6 +54,9 @@ from .noise import WitnessReport, minimizing_gain
 from .synth import DetectionChain, TwoChannelTrace
 
 GAIN_MODES = ("fixed", "optimal", "dc_balance")
+DEFAULT_GAIN_MODE = "dc_balance"
+DEFAULT_FIXED_GAIN = 0.95
+GAIN_WINDOW = (0.5, 2.0)
 
 # bins dropped on each side of the spur line in band averages
 _SPUR_GUARD = 2
@@ -332,10 +335,10 @@ def analytic_dark_spectrum(trace: TwoChannelTrace, gain: float, grid: NoiseSpect
 
 
 def gain_balance_from_dc(record) -> float:
-    """DC balancing gain dc_1/dc_2 of a trace or its matrix, clamped to [0.5, 2]."""
+    """DC balancing gain dc_1/dc_2 of a trace or its matrix, clamped to GAIN_WINDOW."""
     if record.dc_1 <= 0 or record.dc_2 <= 0:
         raise ValueError("gain balancing requires nonzero DC on both channels")
-    return float(min(max(record.dc_1 / record.dc_2, 0.5), 2.0))
+    return float(min(max(record.dc_1 / record.dc_2, GAIN_WINDOW[0]), GAIN_WINDOW[1]))
 
 
 def _band_mask(freqs: np.ndarray, band, chain: DetectionChain, rbw: float) -> np.ndarray:
@@ -363,26 +366,29 @@ def _band_stats(spec: NoiseSpectrum, mask: np.ndarray):
 
 def _resolve_gain(signal: CrossSpectralMatrix, gain_mode, fixed_gain, mask) -> float:
     if gain_mode == "fixed":
-        if fixed_gain <= 0:
+        if not fixed_gain > 0:  # NaN included
             raise ValueError("fixed gain must be > 0")
         return float(fixed_gain)
+    balance = gain_balance_from_dc(signal)  # refuses a channel at zero DC
     if gain_mode == "optimal":
-        # closed-form minimizer applied to the band-averaged measured matrix
-        c = 2.0 * float(np.mean(signal.p12.real[mask]))
+        # the closed-form minimizer assumes the shot level 1 + g^2, so it fits the
+        # band-averaged matrix in shot-noise units: P_kk/dc_k, 2 Re P12/sqrt(dc_1 dc_2)
+        dc_1, dc_2 = signal.dc_1, signal.dc_2
+        c = 2.0 * float(np.mean(signal.p12.real[mask])) / math.sqrt(dc_1 * dc_2)
         if c != 0.0:
-            g = minimizing_gain(float(np.mean(signal.p11[mask])), float(np.mean(signal.p22[mask])), c)
-            # the electronic scale factor is a small balancing correction; when
-            # the measured cross term is insignificant the minimizer wanders (it
-            # can even go negative), so anything far from unity falls back to
-            # DC balance
-            if 0.5 <= g <= 2.0:
+            g = minimizing_gain(float(np.mean(signal.p11[mask])) / dc_1,
+                                float(np.mean(signal.p22[mask])) / dc_2, c) * math.sqrt(dc_1 / dc_2)
+            # the gain is a small balancing correction: an insignificant cross
+            # term sends the fit far from unity, even below 0, and a gain
+            # outside GAIN_WINDOW falls back to DC balance
+            if GAIN_WINDOW[0] <= g <= GAIN_WINDOW[1]:
                 return g
-    return gain_balance_from_dc(signal)
+    return balance
 
 
 def witness_from_matrices(signal: CrossSpectralMatrix, reference: CrossSpectralMatrix | None,
                           dark: CrossSpectralMatrix | None, chain: DetectionChain, band,
-                          gain_mode: str = "dc_balance", fixed_gain: float = 0.95):
+                          gain_mode: str = DEFAULT_GAIN_MODE, fixed_gain: float = DEFAULT_FIXED_GAIN):
     """Witness evaluation from the matrices of a post-beamsplitter pair.
 
     var_plus = 2 PSD_sum / QNL_pair and var_minus = 2 PSD_diff / QNL_pair,
@@ -408,6 +414,8 @@ def witness_from_matrices(signal: CrossSpectralMatrix, reference: CrossSpectralM
 
     def corrected(m, modes):
         floor = dark if dark is not None else analytic_dark_matrix(chain, m)
+        # a call through the module's global, which benchmark tracing rebinds:
+        # the one analyzer span a witness or analyze run records
         return [correct_electronic_noise(m.combination(g, mode), floor.combination(g, mode))
                 for mode in modes]
 
@@ -443,8 +451,8 @@ def witness_from_traces(
     rbw: float,
     band,
     dark: TwoChannelTrace | None = None,
-    gain_mode: str = "dc_balance",
-    fixed_gain: float = 0.95,
+    gain_mode: str = DEFAULT_GAIN_MODE,
+    fixed_gain: float = DEFAULT_FIXED_GAIN,
 ) -> WitnessReport:
     """witness_from_matrices on the cross-spectral matrix of each trace.
 

@@ -29,7 +29,7 @@ def refuse_infinite(params) -> None:
             raise ValueError("%s must be finite" % f.name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CavityParams:
     """Static cavity and detection-path parameters.
 
@@ -41,10 +41,10 @@ class CavityParams:
     mirror_separation       m, physical mirror spacing
     crystal_length          m
     crystal_index           refractive index of the crystal
-    fundamental_wavelength  m
-    harmonic_wavelength     m, must equal fundamental / 2
     detector_efficiency     quantum efficiency of the photodiodes
     path_efficiency         transmission of the optical path to the detectors
+
+    Frozen: dataclasses.replace builds and validates a varied copy.
     """
 
     pump_power: float = 0.034
@@ -55,8 +55,6 @@ class CavityParams:
     mirror_separation: float = 0.0156
     crystal_length: float = 0.010
     crystal_index: float = 2.28
-    fundamental_wavelength: float = 857e-9
-    harmonic_wavelength: float = 428.5e-9
     detector_efficiency: float = 0.96
     path_efficiency: float = 0.95
 
@@ -81,11 +79,6 @@ class CavityParams:
             raise ValueError("crystal_length must be smaller than mirror_separation")
         if not self.crystal_index >= 1:
             raise ValueError("crystal_index must be >= 1")
-        if not self.fundamental_wavelength > 0:
-            raise ValueError("fundamental_wavelength must be > 0")
-        rel = abs(self.harmonic_wavelength - self.fundamental_wavelength / 2.0)
-        if not rel <= 1e-6 * self.fundamental_wavelength / 2.0:
-            raise ValueError("harmonic_wavelength must equal fundamental_wavelength / 2")
         if not 0 < self.detector_efficiency <= 1:
             raise ValueError("detector_efficiency must lie in (0, 1]")
         if not 0 < self.path_efficiency <= 1:
@@ -199,10 +192,8 @@ def steady_state(params: CavityParams) -> SteadyState:
     fsr = free_spectral_range(params)
 
     lin_buildup = 4.0 * t * p_in / (t + ell) ** 2
-    if p_in == 0.0 or e_eff == 0.0:
-        pc = lin_buildup
-    else:
-        pc = lin_buildup
+    pc = lin_buildup
+    if p_in != 0.0 and e_eff != 0.0:
         converged = False
         for _ in range(1000):
             nxt = 0.5 * pc + 0.5 * 4.0 * t * p_in / (t + ell + 2.0 * e_eff * pc) ** 2
@@ -248,6 +239,4 @@ def reflected_power(params: CavityParams, ss: SteadyState) -> float:
     """
     t = params.input_transmission
     ell = params.roundtrip_loss + 2.0 * params.effective_conversion * ss.circulating_power
-    if t + ell == 0:
-        return params.pump_power
     return params.pump_power * ((t - ell) / (t + ell)) ** 2

@@ -95,11 +95,8 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, allow_nan=False))
 
 
-def _detected_spectra(cfg: RunConfig, frequencies=None):
-    if frequencies is None:
-        frequencies = default_frequency_grid()
-    ss = steady_state(cfg.cavity)
-    spec = quadrature_spectra(ss, frequencies)
+def _detected_spectra(cfg: RunConfig):
+    spec = quadrature_spectra(steady_state(cfg.cavity), default_frequency_grid())
     return apply_detection_loss(spec, cfg.cavity.total_detection_efficiency)
 
 
@@ -134,16 +131,26 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_analyze(cfg: RunConfig, args) -> int:
+def _witness(cfg: RunConfig, records):
+    """witness_from_matrices of the signal, reference and dark records, or None.
+
+    Each record is reduced to its matrix and dropped before the next is pulled.
+    """
     a = cfg.analysis
-    # each file is reduced to its matrix before the next is read
-    signal, reference, dark = (
-        cross_spectral_matrix(read_trace(path, chain=cfg.chain), a.rbw) if path else None
+    matrices = []
+    for record in records:
+        matrices.append(None if record is None else cross_spectral_matrix(record, a.rbw))
+        del record
+    return witness_from_matrices(
+        *matrices, cfg.chain, (a.band_low, a.band_high), a.gain_mode, a.fixed_gain,
+    )
+
+
+def cmd_analyze(cfg: RunConfig, args) -> int:
+    report, psd_sum, psd_diff = _witness(cfg, (
+        read_trace(path, chain=cfg.chain) if path else None
         for path in (args.trace, args.reference, args.dark)
-    )
-    report, psd_sum, psd_diff = witness_from_matrices(
-        signal, reference, dark, cfg.chain, (a.band_low, a.band_high), a.gain_mode, a.fixed_gain,
-    )
+    ))
     for ns, name in ((psd_sum, "sum_spectrum.csv"), (psd_diff, "difference_spectrum.csv")):
         _write_csv(_out_path(cfg, name), "freq_hz,power,sigma",
                    zip(ns.frequencies, ns.power, ns.sigma))
@@ -155,21 +162,9 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 
 def cmd_witness(cfg: RunConfig, args) -> int:
     spec = _detected_spectra(cfg)
-    chain = cfg.chain
-    a = cfg.analysis
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3, dtype=np.uint64)
-    # arms, shot-noise reference and dark trace: each is reduced to its matrix
-    # and dropped before the next is synthesized, whose deviates are drawn
-    # meanwhile
-    matrices = []
-    with contextlib.closing(witness_traces(spec, chain, cfg.duration, seeds)) as traces:
-        for trace in traces:
-            matrices.append(cross_spectral_matrix(trace, a.rbw))
-            del trace
-    signal, reference, dark = matrices
-    report = witness_from_matrices(
-        signal, reference, dark, chain, (a.band_low, a.band_high), a.gain_mode, a.fixed_gain,
-    )[0]
+    with contextlib.closing(witness_traces(spec, cfg.chain, cfg.duration, seeds)) as traces:
+        report = _witness(cfg, traces)[0]
     _write_json(_out_path(cfg, "witness.json"), report.as_dict())
     _log(cfg, "witness seed=%d" % cfg.seed)
     _print_json(report.as_dict())

@@ -1,7 +1,7 @@
 """Run configuration from flat key-value files.
 
 Format: one "section.key = value" per line, '#' starts a comment, blank
-lines ignored.  Values accept SI suffixes (34 mW, 5 MHz, 857 nm, 80 ms,
+lines ignored.  Values accept SI suffixes (34 mW, 5 MHz, 15.6 mm, 80 ms,
 1.1 %).  Unknown keys are errors; anything omitted takes the documented
 default, which reproduces the reference operating point.  The environment
 variable TPSH_DEFAULTS may name a file applied between the built-in
@@ -16,7 +16,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .analyzer import GAIN_MODES
+from .analyzer import DEFAULT_FIXED_GAIN, DEFAULT_GAIN_MODE, GAIN_MODES
 from .cavity import CavityParams, refuse_infinite
 from .synth import DetectionChain
 
@@ -33,15 +33,15 @@ _SUFFIXES = (
 _NUMBER = re.compile(r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*([A-Za-z%]*)$")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisConfig:
     """Spectral-analysis settings shared by the analyze/witness commands."""
 
     rbw: float = 100e3
     band_low: float = 4.5e6
     band_high: float = 5.5e6
-    gain_mode: str = "dc_balance"
-    fixed_gain: float = 0.95
+    gain_mode: str = DEFAULT_GAIN_MODE
+    fixed_gain: float = DEFAULT_FIXED_GAIN
 
     def __post_init__(self):
         # NaN fails the checks below
@@ -56,7 +56,7 @@ class AnalysisConfig:
             raise ValueError("fixed_gain must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     cavity: CavityParams = field(default_factory=CavityParams)
     chain: DetectionChain = field(default_factory=DetectionChain)

@@ -29,6 +29,9 @@ import numpy as np
 
 from .cavity import SteadyState
 
+# Hz: the model grid's span, which synthesized spectra must cover
+ANALYSIS_BAND = (0.5e6, 20e6)
+
 
 @dataclass
 class QuadSpectra:
@@ -132,9 +135,9 @@ class WitnessReport:
         return out
 
 
-def default_frequency_grid(n: int = 256, low: float = 0.5e6, high: float = 20e6) -> np.ndarray:
-    """Log-spaced analysis frequency grid in Hz."""
-    return np.logspace(math.log10(low), math.log10(high), n)
+def default_frequency_grid(n: int = 256) -> np.ndarray:
+    """n log-spaced analysis frequencies in Hz spanning ANALYSIS_BAND."""
+    return np.logspace(*(math.log10(f) for f in ANALYSIS_BAND), n)
 
 
 def quadrature_spectra(ss: SteadyState, frequencies) -> QuadSpectra:

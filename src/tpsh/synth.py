@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import refuse_infinite
-from .noise import QuadSpectra, witness_pair
+from .noise import ANALYSIS_BAND, QuadSpectra, witness_pair
 
 # Spur amplitudes are quoted relative to the shot-noise RMS in this bandwidth,
 # so the default produces a fixed peak-over-baseline at the nominal 100 kHz RBW.
@@ -100,8 +100,9 @@ class DetectionChain:
     def __post_init__(self):
         # every parameter is a finite physical quantity; NaN fails the checks below
         refuse_infinite(self)
-        if not self.sample_rate > 40e6:
-            raise ValueError("sample_rate must exceed twice the 20 MHz analysis band")
+        if not self.sample_rate > 2.0 * ANALYSIS_BAND[1]:
+            raise ValueError("sample_rate must exceed twice the %g MHz analysis band"
+                             % (ANALYSIS_BAND[1] / 1e6))
         if not 8 <= int(self.adc_bits) <= 24:
             raise ValueError("adc_bits must lie in [8, 24]")
         object.__setattr__(self, "adc_bits", int(self.adc_bits))
@@ -346,8 +347,9 @@ def _mix(x1: np.ndarray, x2: np.ndarray, matrix, dc_pair, chain: DetectionChain,
 def _check(job) -> None:
     """Validate a job (matrix, dc_pair, seed) before anything is drawn for it."""
     (spec_freqs, *_), dc_pair, _ = job
-    if np.min(spec_freqs) > 0.5e6 + 1.0 or np.max(spec_freqs) < 20e6 - 1.0:
-        raise ValueError("input spectra must cover 0.5 to 20 MHz")
+    low, high = ANALYSIS_BAND
+    if np.min(spec_freqs) > low + 1.0 or np.max(spec_freqs) < high - 1.0:
+        raise ValueError("input spectra must cover %g to %g MHz" % (low / 1e6, high / 1e6))
     if min(dc_pair) < 0:
         raise ValueError("dc currents must be >= 0")
 
@@ -504,8 +506,8 @@ def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: 
                *, _run: _Run | None = None) -> TwoChannelTrace:
     """Direct-detection trace pair realizing the amplitude-sector spectra.
 
-    duration >= 10 ms; the spectra grid must cover 0.5 to 20 MHz (values are
-    interpolated onto the synthesis grid and clamped beyond the ends).
+    duration >= 10 ms; the spectra grid must cover noise.ANALYSIS_BAND (values
+    are interpolated onto the synthesis grid and clamped beyond the ends).
     _run, here and below, is the run of witness_traces whose buffers the
     trace goes through; by default the call makes and ends a run of its own.
     """

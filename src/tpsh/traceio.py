@@ -106,6 +106,8 @@ def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrac
         raise ValueError("unsupported trace format version %d" % version)
     if channels != 2:
         raise ValueError("trace files carry exactly 2 channels, found %d" % channels)
+    if adc_bits > 16:
+        raise ValueError("trace files hold 16-bit samples; header adc_bits is %d" % adc_bits)
     for name, value in (("sample_rate", sample_rate), ("duration", duration),
                         ("dc_1", dc_1), ("dc_2", dc_2)):
         if not math.isfinite(value):

@@ -15,6 +15,7 @@ from tpsh.noise import (
     apply_detection_loss,
     default_frequency_grid,
     quadrature_spectra,
+    witness_pair,
     witness_report,
 )
 from tpsh.synth import DetectionChain, TwoChannelTrace, dark_trace, shot_noise_pair, synthesize, witness_arm_traces
@@ -417,6 +418,34 @@ class TestGainBalance:
         tr = shot_noise_pair(1e-3, 0.0, chain, 0.010, seed=14)
         with pytest.raises(ValueError, match="DC"):
             an.gain_balance_from_dc(tr)
+        # the optimal fit divides by each channel's DC, and refuses it the same way
+        with pytest.raises(ValueError, match="DC"):
+            an.witness_from_matrices(an.cross_spectral_matrix(tr, 100e3), None, None, chain,
+                                     (4.5e6, 5.5e6), "optimal")
+
+    @pytest.mark.parametrize("eta", (0.97, 0.9))
+    def test_optimal_fit_in_shot_noise_units(self, eta):
+        # the 23 mW arm matrix at 5 MHz with arm 1 behind a further loss eta:
+        # its DC, its excess noise and the cross density all scale, and the
+        # balanced sum (P11 + g^2 P22 + 2g Re P12) / (dc_1 + g^2 dc_2) is
+        # lowest at g = 1
+        params = CavityParams(pump_power=0.023)
+        spec = apply_detection_loss(quadrature_spectra(steady_state(params), [5e6]),
+                                    params.total_detection_efficiency)
+        vp, vm = (float(v[0]) for v in witness_pair(spec))
+        s_arm, c_arm, dc = (vp + vm) / 4.0, (vp - vm) / 2.0, 1e-3
+        p11, p22, p12 = eta * dc * (eta * s_arm + 1.0 - eta), dc * s_arm, eta * dc * c_arm / 2.0
+        g = np.linspace(0.5, 2.0, 30001)
+        ratio = (p11 + g * g * p22 + 2.0 * g * p12) / (eta * dc + g * g * dc)
+        assert g[np.argmin(ratio)] == pytest.approx(1.0, abs=1e-4)
+
+        freqs = np.arange(0.0, 10e6, 100e3)
+        full = lambda x: np.full(len(freqs), x)
+        signal = an.CrossSpectralMatrix(freqs, full(p11), full(p22), full(complex(p12)),
+                                        100e3, math.inf, eta * dc, dc)
+        report, _, _ = an.witness_from_matrices(signal, None, None, quiet_chain(),
+                                                (4.5e6, 5.5e6), "optimal")
+        assert report.optimal_gain == pytest.approx(1.0, abs=1e-9)
 
 
 class TestWitnessFromTraces:
@@ -475,6 +504,9 @@ class TestWitnessFromTraces:
         assert 0.5 < opt.optimal_gain < 2.0
         with pytest.raises(ValueError, match="gain_mode"):
             an.witness_from_traces(ab, None, 100e3, (4e6, 8e6), gain_mode="best")
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="fixed gain must be > 0"):
+                an.witness_from_traces(ab, None, 100e3, (4e6, 8e6), gain_mode="fixed", fixed_gain=bad)
 
     def test_band_must_contain_bins(self):
         chain = quiet_chain()

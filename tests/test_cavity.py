@@ -198,10 +198,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             default_params(crystal_length=0.02)
 
-    def test_wavelength_mismatch(self):
-        with pytest.raises(ValueError):
-            default_params(harmonic_wavelength=430e-9)
-
     def test_bad_efficiency(self):
         with pytest.raises(ValueError):
             default_params(detector_efficiency=0.0)

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from tpsh.cavity import CavityParams
 from tpsh.config import AnalysisConfig, RunConfig, load_config, parse_scalar
 
 
@@ -86,9 +87,11 @@ class TestLoadConfig:
         assert cfg.cavity.pump_power == pytest.approx(0.023)
 
     def test_unknown_key_names_line(self, tmp_path):
-        path = write(tmp_path, "\ncavity.finesse = 120\n")
-        with pytest.raises(ValueError, match=r":2: unknown key 'cavity.finesse'"):
-            load_config(path)
+        # the apparatus wavelengths are prose, not keys: no output depends on them
+        for key in ("cavity.finesse", "cavity.fundamental_wavelength", "cavity.harmonic_wavelength"):
+            path = write(tmp_path, "\n%s = 120\n" % key)
+            with pytest.raises(ValueError, match=r":2: unknown key '%s'" % key):
+                load_config(path)
 
     def test_malformed_line_names_line(self, tmp_path):
         path = write(tmp_path, "cavity.pump_power 34 mW")
@@ -134,6 +137,16 @@ class TestLoadConfig:
             for value in (float("inf"), float("-inf")):
                 with pytest.raises(ValueError, match="^%s must be finite$" % f.name):
                     cls(**{f.name: value})
+
+    @pytest.mark.parametrize("cls, name, value", [
+        (CavityParams, "input_transmission", float("nan")),
+        (AnalysisConfig, "gain_mode", "vibes"),
+        (RunConfig, "seed", -1),
+    ])
+    def test_assignment_refused(self, cls, name, value):
+        # an assignment would skip the validation of __post_init__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cls(), name, value)
 
     def test_env_defaults_layer_under_explicit_file(self, tmp_path, monkeypatch):
         base = write(tmp_path, "cavity.pump_power = 23 mW\nrun.seed = 2", name="site.conf")

@@ -132,12 +132,13 @@ class TestValidation:
             read_trace(path, chain=other_bits)
 
     @staticmethod
-    def patched_header(tmp_path, offset, value):
-        """A trace file whose header holds the f64 value at offset."""
+    def patched_header(tmp_path, offset, value, fmt="<d"):
+        """A trace file whose header holds value, packed as fmt, at offset."""
         path = str(tmp_path / "trace.bin")
         write_trace(small_trace(), path)
         blob = bytearray(Path(path).read_bytes())
-        blob[offset:offset + 8] = struct.pack("<d", value)
+        field = struct.pack(fmt, value)
+        blob[offset:offset + len(field)] = field
         Path(path).write_bytes(bytes(blob))
         return path
 
@@ -151,6 +152,13 @@ class TestValidation:
         path = self.patched_header(tmp_path, offset, value)
         for chain in (None, DetectionChain(sample_rate=50e6, adc_bits=14)):
             with pytest.raises(ValueError, match="%s must be finite" % field):
+                read_trace(path, chain=chain)
+
+    def test_wide_adc_header_rejected(self, tmp_path):
+        # a 20-bit header would scale the codes by an LSB 1/64 of the true one
+        path = self.patched_header(tmp_path, 15, 20, fmt="<B")
+        for chain in (None, DetectionChain(sample_rate=50e6, adc_bits=20)):
+            with pytest.raises(ValueError, match="trace files hold 16-bit samples"):
                 read_trace(path, chain=chain)
 
     @pytest.mark.parametrize("field, offset", [("dc_1", 32), ("dc_2", 40)])
