@@ -26,9 +26,10 @@ reference combination alike.  A missing reference or dark record is
 replaced by a model matrix with P12 = 0 built from the chain and the DC pair
 of the estimate it stands in for: the shot noise dc_k |H|^2, or the
 electronic floor e |H|^2 plus the quantization density lsb_k^2 / (6 fs).  A
-model matrix has n_averages = inf, so its sigma is zero, and every estimate
-is corrected the same way, by linear subtraction of its floor matrix's
-combination at the same gain.
+model matrix has n_averages = inf, so its sigma is zero.  Every estimate
+is corrected the same way: correct_electronic_noise attaches its floor
+matrix, and each combination subtracts the floor's combination at the same
+gain and clamps the difference at zero, once.
 
 Shot-noise referencing follows the measurement convention: the difference
 PSD of an uncorrelated reference pair is used directly as the pair quantum
@@ -44,6 +45,7 @@ rfft: on a float32 block of 256 segments of 2000 samples NumPy's rfft took
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -68,13 +70,14 @@ _BLOCK_SEGMENTS = 256
 _CROSS_ROWS = 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpectrum:
-    """Averaged one-sided PSD with per-bin statistical error.
+    """Averaged one-sided PSD with per-bin statistical error: an output only.
 
     power is in (current units)^2/Hz unless stated otherwise; rbw is the bin
-    spacing sample_rate/nperseg; sigma = power/sqrt(n_averages), zero for a
-    model spectrum (n_averages = inf).
+    spacing sample_rate/nperseg; sigma is power/sqrt(n_averages) for a raw
+    estimate and zero for a model spectrum (n_averages = inf).  welch_psd
+    and CrossSpectralMatrix.combination return it; nothing takes it back in.
     """
 
     frequencies: np.ndarray
@@ -84,17 +87,7 @@ class NoiseSpectrum:
     sigma: np.ndarray
 
 
-def _noise_spectrum(frequencies, power, rbw, n_averages) -> NoiseSpectrum:
-    return NoiseSpectrum(
-        frequencies=frequencies,
-        power=power,
-        rbw=rbw,
-        n_averages=n_averages,
-        sigma=power / math.sqrt(n_averages),
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class CrossSpectralMatrix:
     """Averaged one-sided cross-spectral matrix of a two-channel record.
 
@@ -102,7 +95,8 @@ class CrossSpectralMatrix:
     (the scipy.signal.csd convention), in (current units)^2/Hz; rbw and
     n_averages are as in NoiseSpectrum, with n_averages = inf for a model
     matrix, whose combinations carry zero sigma.  dc_1 and dc_2 are the
-    mean photocurrents of the record.
+    mean photocurrents of the record.  floor is the electronic floor matrix
+    that correct_electronic_noise attached, or None.
     """
 
     frequencies: np.ndarray
@@ -113,21 +107,32 @@ class CrossSpectralMatrix:
     n_averages: float
     dc_1: float
     dc_2: float
+    floor: CrossSpectralMatrix | None = None
+
+    def _psd(self, gain: float, mode: str) -> np.ndarray:
+        cross = 2.0 * gain * self.p12.real
+        return self.p11 + gain * gain * self.p22 + (cross if mode == "sum" else -cross)
 
     def combination(self, gain: float, mode: str) -> NoiseSpectrum:
-        """PSD of i1 -/+ gain*i2; mode is 'difference' or 'sum'."""
-        _check_combination(gain, mode)
-        cross = 2.0 * gain * self.p12.real
-        power = self.p11 + gain * gain * self.p22 + (cross if mode == "sum" else -cross)
-        # a combination's PSD is nonnegative; only rounding can take it below
-        return _noise_spectrum(self.frequencies, np.maximum(power, 0.0), self.rbw, self.n_averages)
+        """PSD of i1 -/+ gain*i2 less the floor's; mode is 'difference' or 'sum'.
 
-
-def _check_combination(gain: float, mode: str) -> None:
-    if mode not in ("sum", "difference"):
-        raise ValueError("mode must be 'sum' or 'difference'")
-    if gain < 0:
-        raise ValueError("gain must be >= 0")
+        The floor's combination is taken at the same gain, and sigma adds
+        the two errors in quadrature: hypot(raw/sqrt(n), floor/sqrt(n_floor)).
+        """
+        if mode not in ("sum", "difference"):
+            raise ValueError("mode must be 'sum' or 'difference'")
+        if gain < 0:
+            raise ValueError("gain must be >= 0")
+        power = self._psd(gain, mode)
+        sigma = np.abs(power) / math.sqrt(self.n_averages)
+        if self.floor is not None:
+            floor = self.floor._psd(gain, mode)
+            power -= floor
+            sigma = np.hypot(sigma, floor / math.sqrt(self.floor.n_averages))
+        # the one clamp: a PSD is nonnegative, and only rounding or a floor
+        # above the estimate takes it below
+        return NoiseSpectrum(self.frequencies, np.maximum(power, 0.0), self.rbw,
+                             self.n_averages, sigma)
 
 
 def _segment_length(sample_rate: float, rbw: float) -> int:
@@ -247,7 +252,7 @@ def welch_psd(x: np.ndarray, sample_rate: float, rbw: float) -> NoiseSpectrum:
     x = np.asarray(x)
     dtype = np.result_type(x.dtype, np.float32)
     freqs, (power,), rbw, n_averages = _averaged_periodograms((x,), (1.0,), sample_rate, rbw, dtype)
-    return _noise_spectrum(freqs, power, rbw, n_averages)
+    return NoiseSpectrum(freqs, power, rbw, n_averages, power / math.sqrt(n_averages))
 
 
 def cross_spectral_matrix(trace: TwoChannelTrace, rbw: float) -> CrossSpectralMatrix:
@@ -263,33 +268,33 @@ def cross_spectral_matrix(trace: TwoChannelTrace, rbw: float) -> CrossSpectralMa
 
 
 def combined_spectrum(trace: TwoChannelTrace, gain: float, mode: str, rbw: float) -> NoiseSpectrum:
-    """PSD of i1 -/+ gain*i2 after DC removal; mode is 'difference' or 'sum'.
+    """cross_spectral_matrix(trace, rbw).combination(gain, mode).
 
-    A one-call view of cross_spectral_matrix(trace, rbw).combination; it
-    stays public because benchmark tracing and user code name it.
+    Kept only because benchmark tracing names it; not part of the package API.
     """
-    _check_combination(gain, mode)  # bad arguments fail before the estimate
     return cross_spectral_matrix(trace, rbw).combination(gain, mode)
 
 
 def _check_same_grid(a, b, names: str) -> None:
-    """Raise unless spectra or matrices a and b share frequencies and rbw."""
+    """Raise unless matrices a and b share frequencies and rbw."""
     if len(a.frequencies) != len(b.frequencies) or not np.allclose(a.frequencies, b.frequencies):
         raise ValueError("%s are on different frequency grids" % names)
     if abs(a.rbw - b.rbw) > 1e-9 * a.rbw:
         raise ValueError("%s have different rbw" % names)
 
 
-def correct_electronic_noise(spec: NoiseSpectrum, dark: NoiseSpectrum) -> NoiseSpectrum:
-    """Linear power subtraction of the dark spectrum, floored at zero."""
-    _check_same_grid(spec, dark, "signal and dark spectra")
-    return NoiseSpectrum(
-        frequencies=spec.frequencies,
-        power=np.maximum(spec.power - dark.power, 0.0),
-        rbw=spec.rbw,
-        n_averages=spec.n_averages,
-        sigma=np.hypot(spec.sigma, dark.sigma),
-    )
+def correct_electronic_noise(matrix: CrossSpectralMatrix,
+                             floor: CrossSpectralMatrix) -> CrossSpectralMatrix:
+    """matrix with floor attached: each combination then subtracts floor's.
+
+    The floor is a dark record's matrix or a model one on matrix's grid.  A
+    matrix that already has a floor, or a floor with its own, is refused,
+    so no correction silently replaces or stacks on another.
+    """
+    _check_same_grid(matrix, floor, "matrix and floor")
+    if matrix.floor is not None or floor.floor is not None:
+        raise ValueError("a matrix takes one floor, and a floor has none of its own")
+    return dataclasses.replace(matrix, floor=floor)
 
 
 def chain_power_response(chain: DetectionChain, frequencies: np.ndarray) -> np.ndarray:
@@ -323,15 +328,13 @@ def analytic_qnl_matrix(chain: DetectionChain, grid: CrossSpectralMatrix) -> Cro
 
 
 def analytic_dark_spectrum(trace: TwoChannelTrace, gain: float, grid: NoiseSpectrum) -> NoiseSpectrum:
-    """Chain noise floor of i1 -/+ gain*i2 for trace's DC pair on grid's bins.
+    """analytic_dark_matrix(...).combination(gain, "sum") at trace's DC pair on grid's bins.
 
-    A NoiseSpectrum view of analytic_dark_matrix; it stays public because
-    benchmark tracing and user code name it.
+    Kept only because benchmark tracing names it; not part of the package API.
     """
-    empty = np.zeros_like(grid.frequencies)
-    bins = CrossSpectralMatrix(grid.frequencies, empty, empty, empty, grid.rbw, math.inf,
-                               trace.dc_1, trace.dc_2)
-    return analytic_dark_matrix(trace.chain, bins).combination(gain, "sum")
+    return analytic_dark_matrix(trace.chain, CrossSpectralMatrix(
+        grid.frequencies, *(np.zeros_like(grid.frequencies),) * 3, grid.rbw, math.inf,
+        trace.dc_1, trace.dc_2)).combination(gain, "sum")
 
 
 def gain_balance_from_dc(record) -> float:
@@ -357,17 +360,16 @@ def _band_mask(freqs: np.ndarray, band, chain: DetectionChain, rbw: float) -> np
     return mask
 
 
-def _band_stats(spec: NoiseSpectrum, mask: np.ndarray):
-    n = int(np.count_nonzero(mask))
-    mean = float(np.mean(spec.power[mask]))
-    sigma = float(np.sqrt(np.sum(spec.sigma[mask] ** 2)) / n)
-    return mean, sigma
+def check_gain_settings(gain_mode: str, fixed_gain: float) -> None:
+    """Raise unless gain_mode is one of GAIN_MODES and fixed_gain is > 0."""
+    if gain_mode not in GAIN_MODES:
+        raise ValueError("gain_mode must be one of %s" % (GAIN_MODES,))
+    if not fixed_gain > 0:  # NaN included
+        raise ValueError("fixed gain must be > 0")
 
 
 def _resolve_gain(signal: CrossSpectralMatrix, gain_mode, fixed_gain, mask) -> float:
     if gain_mode == "fixed":
-        if not fixed_gain > 0:  # NaN included
-            raise ValueError("fixed gain must be > 0")
         return float(fixed_gain)
     balance = gain_balance_from_dc(signal)  # refuses a channel at zero DC
     if gain_mode == "optimal":
@@ -404,32 +406,27 @@ def witness_from_matrices(signal: CrossSpectralMatrix, reference: CrossSpectralM
     Returns (report, psd_sum, psd_diff): the sum and difference PSDs at the
     report's gain, with electronic noise removed.
     """
-    if gain_mode not in GAIN_MODES:
-        raise ValueError("gain_mode must be one of %s" % (GAIN_MODES,))
+    check_gain_settings(gain_mode, fixed_gain)
     for name, m in (("reference", reference), ("dark", dark)):
         if m is not None:
             _check_same_grid(signal, m, "signal and %s matrices" % name)
     mask = _band_mask(signal.frequencies, band, chain, signal.rbw)
     g = _resolve_gain(signal, gain_mode, fixed_gain, mask)
 
-    def corrected(m, modes):
-        floor = dark if dark is not None else analytic_dark_matrix(chain, m)
-        # a call through the module's global, which benchmark tracing rebinds:
-        # the one analyzer span a witness or analyze run records
-        return [correct_electronic_noise(m.combination(g, mode), floor.combination(g, mode))
-                for mode in modes]
-
-    psd_sum, psd_diff = corrected(signal, ("sum", "difference"))
-    if reference is not None:
-        (qnl,) = corrected(reference, ("difference",))
-    else:
-        qnl = analytic_qnl_matrix(chain, signal).combination(g, "difference")
+    # calls through the module's global, which benchmark tracing rebinds: the
+    # analyzer spans a witness or analyze run records
+    signal = correct_electronic_noise(signal, dark or analytic_dark_matrix(chain, signal))
+    reference = (analytic_qnl_matrix(chain, signal) if reference is None else
+                 correct_electronic_noise(reference, dark or analytic_dark_matrix(chain, reference)))
+    psd_sum, psd_diff, qnl = (m.combination(g, mode) for m, mode in (
+        (signal, "sum"), (signal, "difference"), (reference, "difference")))
     if np.any(qnl.power[mask] <= 0):
         raise ValueError("shot-noise reference vanishes inside the band")
 
-    sum_mean, sum_sigma = _band_stats(psd_sum, mask)
-    diff_mean, diff_sigma = _band_stats(psd_diff, mask)
-    qnl_mean, qnl_sigma = _band_stats(qnl, mask)
+    n = int(np.count_nonzero(mask))
+    (sum_mean, sum_sigma), (diff_mean, diff_sigma), (qnl_mean, qnl_sigma) = (
+        (float(np.mean(s.power[mask])), float(np.sqrt(np.sum(s.sigma[mask] ** 2)) / n))
+        for s in (psd_sum, psd_diff, qnl))
     # a floor that cancels a whole estimate leaves no relative error to take
     if sum_mean <= 0 or diff_mean <= 0:
         raise ValueError("floor-corrected sum or difference spectrum vanishes across the band")

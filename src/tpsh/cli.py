@@ -31,7 +31,7 @@ from .noise import (
     witness_report,
 )
 from .synth import synthesize, witness_traces
-from .traceio import atomic_write, read_trace, write_trace
+from .traceio import atomic_write, check_adc_bits, read_trace, write_trace
 
 
 # glibc's mallopt parameters, and the size below which freed blocks stay in
@@ -118,6 +118,7 @@ def cmd_spectra(cfg: RunConfig, args) -> int:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
+    check_adc_bits(cfg.chain.adc_bits)  # a trace no file can hold is never synthesized
     spec = _detected_spectra(cfg)
     trace = synthesize(spec, cfg.chain, cfg.duration, cfg.seed)
     path = _out_path(cfg, "trace.bin")

@@ -16,7 +16,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .analyzer import DEFAULT_FIXED_GAIN, DEFAULT_GAIN_MODE, GAIN_MODES
+from .analyzer import DEFAULT_FIXED_GAIN, DEFAULT_GAIN_MODE, check_gain_settings
 from .cavity import CavityParams, refuse_infinite
 from .synth import DetectionChain
 
@@ -50,10 +50,7 @@ class AnalysisConfig:
             raise ValueError("rbw must be > 0")
         if not self.band_low < self.band_high:
             raise ValueError("band_low must be below band_high")
-        if self.gain_mode not in GAIN_MODES:
-            raise ValueError("gain_mode must be one of %s" % (GAIN_MODES,))
-        if not self.fixed_gain > 0:
-            raise ValueError("fixed_gain must be > 0")
+        check_gain_settings(self.gain_mode, self.fixed_gain)
 
 
 @dataclass(frozen=True)

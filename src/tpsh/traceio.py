@@ -35,6 +35,7 @@ HEADER_SIZE = 64
 
 _HEADER = struct.Struct("<4sHdBBdQdd")
 _SAMPLE_DTYPE = np.dtype("<i2")
+_SAMPLE_BITS = 8 * _SAMPLE_DTYPE.itemsize
 _FRAME_BYTES = 2 * _SAMPLE_DTYPE.itemsize
 
 
@@ -58,10 +59,16 @@ def atomic_write(path: str, *chunks) -> None:
         raise
 
 
+def check_adc_bits(adc_bits: int) -> None:
+    """Raise unless codes of adc_bits bits fit the file's 16-bit sample slots."""
+    if adc_bits > _SAMPLE_BITS:
+        raise ValueError("trace files hold %d-bit samples; adc_bits %d does not fit"
+                         % (_SAMPLE_BITS, adc_bits))
+
+
 def write_trace(trace: TwoChannelTrace, path: str) -> None:
     """Write a trace; adc_bits must fit the 16-bit sample slots."""
-    if trace.chain.adc_bits > 16:
-        raise ValueError("trace files hold 16-bit samples; adc_bits > 16 does not fit")
+    check_adc_bits(trace.chain.adc_bits)
     if not 0 <= trace.seed < 2 ** 64:
         raise ValueError("seed must fit an unsigned 64-bit field")
     header = _HEADER.pack(
@@ -106,8 +113,7 @@ def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrac
         raise ValueError("unsupported trace format version %d" % version)
     if channels != 2:
         raise ValueError("trace files carry exactly 2 channels, found %d" % channels)
-    if adc_bits > 16:
-        raise ValueError("trace files hold 16-bit samples; header adc_bits is %d" % adc_bits)
+    check_adc_bits(adc_bits)
     for name, value in (("sample_rate", sample_rate), ("duration", duration),
                         ("dc_1", dc_1), ("dc_2", dc_2)):
         if not math.isfinite(value):

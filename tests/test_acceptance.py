@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tpsh.analyzer import (
-    analytic_dark_spectrum,
+    analytic_dark_matrix,
     analytic_qnl_matrix,
     correct_electronic_noise,
     cross_spectral_matrix,
@@ -97,14 +97,14 @@ def test_criterion_2_intensity_correlations(chain):
     band = (5.5e6, 6.5e6)
     pulls = {}
     matrix = cross_spectral_matrix(trace, RBW)
+    corrected = correct_electronic_noise(matrix, analytic_dark_matrix(chain, matrix))
     for mode in ("sum", "difference"):
-        raw = matrix.combination(1.0, mode)
-        corr = correct_electronic_noise(raw, analytic_dark_spectrum(trace, 1.0, raw))
+        corr = corrected.combination(1.0, mode)
         qnl = analytic_qnl_matrix(chain, matrix).combination(1.0, mode)
-        mask = (raw.frequencies >= band[0]) & (raw.frequencies <= band[1])
+        mask = (corr.frequencies >= band[0]) & (corr.frequencies <= band[1])
         measured = np.mean(corr.power[mask]) / np.mean(qnl.power[mask])
         sigma = np.sqrt(np.sum(corr.sigma[mask] ** 2)) / mask.sum() / np.mean(qnl.power[mask])
-        model = lossy_spectra(params, raw.frequencies[mask])
+        model = lossy_spectra(params, corr.frequencies[mask])
         vd, vs = sumdiff_variance(model, gain=1.0)
         weights = qnl.power[mask]
         predicted = np.sum((vs if mode == "sum" else vd) * weights) / np.sum(weights)

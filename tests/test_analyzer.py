@@ -346,33 +346,46 @@ class TestShotNoiseReference:
         assert abs(float(np.mean(z))) * math.sqrt(np.count_nonzero(sel)) < 3.0
 
 
+def flat_matrix(n_bins, auto, n_averages):
+    """A matrix of uncorrelated channels with equal, flat auto densities."""
+    p = np.full(n_bins, auto)
+    return an.CrossSpectralMatrix(np.arange(float(n_bins)), p, p, np.zeros(n_bins, complex),
+                                  1.0, n_averages, 1.0, 1.0)
+
+
 class TestElectronicCorrection:
+    # at unit gain each combination is twice the auto density, and its
+    # sigma is that combination over sqrt(n_averages): 1.1/sqrt(3025) = 0.02
+    # for the signal and 0.1/sqrt(100) = 0.01 for the floor
     def test_trivial_arithmetic(self):
-        f = np.arange(5.0)
-        sig = an.NoiseSpectrum(f, np.full(5, 1.1), 1.0, 100, np.full(5, 0.02))
-        dark = an.NoiseSpectrum(f, np.full(5, 0.1), 1.0, 100, np.full(5, 0.01))
-        out = an.correct_electronic_noise(sig, dark)
-        assert np.allclose(out.power, 1.0)
-        assert np.allclose(out.sigma, np.hypot(0.02, 0.01))
+        out = an.correct_electronic_noise(flat_matrix(5, 0.55, 3025), flat_matrix(5, 0.05, 100))
+        for mode in ("sum", "difference"):
+            spec = out.combination(1.0, mode)
+            assert np.allclose(spec.power, 1.0)
+            assert np.allclose(spec.sigma, np.hypot(0.02, 0.01))
 
     def test_zero_dark_is_identity(self):
-        f = np.arange(5.0)
-        sig = an.NoiseSpectrum(f, np.full(5, 1.1), 1.0, 100, np.full(5, 0.02))
-        dark = an.NoiseSpectrum(f, np.zeros(5), 1.0, 100, np.zeros(5))
-        out = an.correct_electronic_noise(sig, dark)
-        assert np.array_equal(out.power, sig.power)
+        sig = flat_matrix(5, 0.55, 3025)
+        out = an.correct_electronic_noise(sig, flat_matrix(5, 0.0, 100))
+        assert np.array_equal(out.combination(1.0, "sum").power, sig.combination(1.0, "sum").power)
 
     def test_floor_at_zero(self):
-        f = np.arange(3.0)
-        sig = an.NoiseSpectrum(f, np.full(3, 0.1), 1.0, 100, np.full(3, 0.01))
-        dark = an.NoiseSpectrum(f, np.full(3, 0.3), 1.0, 100, np.full(3, 0.01))
-        assert np.all(an.correct_electronic_noise(sig, dark).power == 0.0)
+        out = an.correct_electronic_noise(flat_matrix(3, 0.05, 100), flat_matrix(3, 0.15, 100))
+        assert np.all(out.combination(1.0, "difference").power == 0.0)
 
     def test_grid_mismatch_rejected(self):
-        a = an.NoiseSpectrum(np.arange(5.0), np.ones(5), 1.0, 100, np.ones(5))
-        b = an.NoiseSpectrum(np.arange(4.0), np.ones(4), 1.0, 100, np.ones(4))
         with pytest.raises(ValueError, match="grid"):
-            an.correct_electronic_noise(a, b)
+            an.correct_electronic_noise(flat_matrix(5, 1.0, 100), flat_matrix(4, 1.0, 100))
+
+    def test_second_floor_refused(self):
+        sig = an.correct_electronic_noise(flat_matrix(5, 1.0, 100), flat_matrix(5, 0.1, 100))
+        with pytest.raises(ValueError, match="one floor"):
+            an.correct_electronic_noise(sig, flat_matrix(5, 0.1, 100))
+
+    def test_floor_with_its_own_floor_refused(self):
+        floor = an.correct_electronic_noise(flat_matrix(5, 0.2, 100), flat_matrix(5, 0.1, 100))
+        with pytest.raises(ValueError, match="none of its own"):
+            an.correct_electronic_noise(flat_matrix(5, 1.0, 100), floor)
 
     def test_corrected_trace_matches_clean_synthesis(self):
         spec = coherent_spectra()
@@ -382,10 +395,9 @@ class TestElectronicCorrection:
         clean = synthesize(spec, clean_chain, 0.020, seed=11)
         dark = dark_trace(noisy_chain, 0.020, seed=12)
         est = an.correct_electronic_noise(
-            an.combined_spectrum(noisy, 1.0, "difference", 100e3),
-            an.combined_spectrum(dark, 1.0, "difference", 100e3),
-        )
-        want = an.combined_spectrum(clean, 1.0, "difference", 100e3)
+            an.cross_spectral_matrix(noisy, 100e3), an.cross_spectral_matrix(dark, 100e3),
+        ).combination(1.0, "difference")
+        want = an.cross_spectral_matrix(clean, 100e3).combination(1.0, "difference")
         sel = (est.frequencies >= 4e6) & (est.frequencies <= 8e6)
         n = np.count_nonzero(sel)
         pull = float(np.mean((est.power[sel] - want.power[sel]) / est.sigma[sel]))

@@ -114,8 +114,7 @@ class TestCommands:
         outdir = os.path.dirname(trace_path)
         for mode, name in (("sum", "sum_spectrum.csv"),
                            ("difference", "difference_spectrum.csv")):
-            want = correct_electronic_noise(matrix.combination(gain, mode),
-                                            dark.combination(gain, mode))
+            want = correct_electronic_noise(matrix, dark).combination(gain, mode)
             data = np.genfromtxt(os.path.join(outdir, name), delimiter=",", names=True)
             np.testing.assert_allclose(data["freq_hz"], want.frequencies, rtol=1e-12)
             np.testing.assert_allclose(data["power"], want.power, rtol=1e-12)
@@ -435,6 +434,19 @@ class TestErrors:
         assert out == ""
         assert err.count("\n") == 1
         assert "vanishes across the band" in json.loads(err)["error"]
+
+    def test_synth_refuses_wide_adc_before_synthesizing(self, capsys, fast_conf, monkeypatch):
+        # a 20-bit chain cannot be written to a trace file, so no trace is made
+        with open(fast_conf, "a") as fh:
+            fh.write("chain.adc_bits = 20\n")
+        calls = []
+        monkeypatch.setattr(cli, "synthesize", lambda *args: calls.append(args))
+        rc, out, err = run_cli(capsys, "synth", "--config", fast_conf)
+        assert rc == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "trace files hold 16-bit samples" in json.loads(err)["error"]
+        assert calls == []
 
     def test_bad_config_key(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"
