@@ -7,8 +7,14 @@ cross-spectral matrix: each channel is cut once into segments, the segments
 are transformed in fixed-size blocks by a batched single-precision FFT, and
 P11, P22 and P12 = <X1* X2> are summed in double precision.  Every channel
 combination then follows algebraically, PSD(i1 +/- g i2) = P11 + g^2 P22
-+/- 2g Re P12.  Memory stays bounded by the block size, whatever the record
-length: one segment buffer and one block-sized spectrum per call.
++/- 2g Re P12.  The record may arrive whole or in pieces of any size, the
+blocks of a TraceStream: the pieces are gathered into whole blocks of
+segments from the record's start, and the half segment that two blocks
+share is carried over, so the matrix does not depend on how the samples
+arrive.  The CLI's witness and analyze push each block as it is
+synthesized or read and never hold a record.  Memory stays bounded by the
+block size, whatever the record length: one gathered block per channel,
+one segment buffer and one block-sized spectrum per call.
 
 The quoted n_averages is the non-overlapping segment count and sigma =
 power / sqrt(n_averages).  Per bin that is 1/0.775 of the scatter: the
@@ -53,7 +59,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .noise import WitnessReport, minimizing_gain
-from .synth import DetectionChain, TwoChannelTrace
+from .synth import DetectionChain, TraceStream, TwoChannelTrace
 
 GAIN_MODES = ("fixed", "optimal", "dc_balance")
 DEFAULT_GAIN_MODE = "dc_balance"
@@ -147,12 +153,9 @@ def _segment_length(sample_rate: float, rbw: float) -> int:
 def _segments(x, nperseg: int, step: int, weight, buf):
     """x's segments cast into buf, mean-removed and windowed there in place.
 
-    x is one block's stretch of one channel.
+    x is one block's contiguous stretch of one channel.
     """
-    # a channel read from a file is a stride-4 view of interleaved frames;
-    # one packed copy of the block is cheaper than casting every sample
-    # twice (the segments overlap by half) from the strided memory
-    view = sliding_window_view(np.ascontiguousarray(x), nperseg)[::step]
+    view = sliding_window_view(x, nperseg)[::step]
     seg = buf[: len(view)]
     seg[...] = view
     seg -= seg.mean(axis=1, keepdims=True)
@@ -165,7 +168,7 @@ def _power_in(buf, shape):
     return buf.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
 
 
-def _block_sums(channels, weights, span, nperseg: int, step: int, buf):
+def _block_sums(channels, weights, nperseg: int, step: int, buf):
     """Column sums of one block: |X1|^2, then |X2|^2 and conj(X1) X2.
 
     Each channel's segments go through buf, and |X| of a transformed batch
@@ -180,12 +183,12 @@ def _block_sums(channels, weights, span, nperseg: int, step: int, buf):
     # a fresh process (2-vCPU x86) that no command without an estimate needs
     from scipy.fft import rfft
 
-    x1 = rfft(_segments(channels[0][span], nperseg, step, weights[0], buf), axis=1)
+    x1 = rfft(_segments(channels[0], nperseg, step, weights[0], buf), axis=1)
     power = np.abs(x1, out=_power_in(buf, x1.shape))
     power *= power
     sums = [power.sum(axis=0, dtype=np.float64)]
     if len(channels) == 2:
-        seg = _segments(channels[1][span], nperseg, step, weights[1], buf)
+        seg = _segments(channels[1], nperseg, step, weights[1], buf)
         # power row i ends at (i + 1) * bins <= (i + 1) * nperseg, before
         # the segments still to be transformed
         for first in range(0, len(seg), _CROSS_ROWS):
@@ -199,39 +202,72 @@ def _block_sums(channels, weights, span, nperseg: int, step: int, buf):
     return sums
 
 
-def _averaged_periodograms(channels, scales, sample_rate: float, rbw: float, dtype):
+def _averaged_periodograms(blocks, scales, sample_rate: float, rbw: float, dtype):
     """Averaged periodograms of one or two equally long records in one pass.
 
-    Channel k is multiplied by scales[k] and transformed in precision dtype.
-    Returns the frequencies, the auto densities of every channel followed,
-    for two channels, by their cross density <X1* X2>, the snapped rbw and
-    the non-overlapping segment count.
+    blocks yields the records in pieces, in order: tuples with one array
+    per channel, of equal length; a piece may reuse the previous piece's
+    memory.  Channel k is multiplied by scales[k] and transformed in
+    precision dtype.  Returns the frequencies, the auto densities of every
+    channel followed, for two channels, by their cross density <X1* X2>,
+    the snapped rbw and the non-overlapping segment count.
 
-    The segments go through the FFT _BLOCK_SEGMENTS at a time, through one
-    segment buffer, and the block sums are added in block order.
+    The segments go through the FFT _BLOCK_SEGMENTS at a time from the
+    record's start, through one segment buffer, and the block sums are
+    added in block order.  The pieces are gathered into one block-sized
+    buffer per channel, in its own dtype, until a block is complete; the
+    half segment it shares with the next block stays.  So the estimate
+    depends on the records alone, not on how they are cut into pieces.
     """
     nperseg = _segment_length(sample_rate, rbw)
-    n = len(channels[0])
+    step = nperseg - nperseg // 2
+    window = np.sin(np.pi * np.arange(nperseg) / nperseg)  # square root of periodic Hann
+    weights = [(window * scale).astype(dtype) for scale in scales]
+    bins = nperseg // 2 + 1
+    sums = [np.zeros(bins) for _ in scales]
+    if len(scales) == 2:
+        sums.append(np.zeros(bins, dtype=complex))
+    span = (_BLOCK_SEGMENTS - 1) * step + nperseg  # samples of a whole block
+    shift = _BLOCK_SEGMENTS * step  # from one block's start to the next's
+    # allocated at the first piece, once per call, and reused by every block
+    staged, buf = None, None
+
+    def add(length):
+        for total, block_total in zip(sums, _block_sums([s[:length] for s in staged], weights,
+                                                        nperseg, step, buf)):
+            total += block_total
+
+    n, filled = 0, 0  # samples seen, and samples of the current block in staged
+    for piece in blocks:
+        if staged is None:
+            staged = [np.empty(span, dtype=x.dtype) for x in piece]
+            buf = np.empty((_BLOCK_SEGMENTS, nperseg), dtype=dtype)
+        length = len(piece[0])
+        if any(len(x) != length for x in piece):
+            raise ValueError("channels must have equal length")
+        n += length
+        done = 0
+        while done < length:
+            take = min(span - filled, length - done)
+            for s, x in zip(staged, piece):
+                s[filled:filled + take] = x[done:done + take]
+            filled += take
+            done += take
+            if filled == span:
+                add(span)
+                for s in staged:
+                    s[: span - shift] = s[shift:]
+                filled = span - shift
+
     n_averages = n // nperseg
     if n_averages < 10:
         raise ValueError(
             "trace too short for the requested rbw: %d averages < 10" % n_averages
         )
-    step = nperseg - nperseg // 2
     n_segments = (n - nperseg) // step + 1
-    window = np.sin(np.pi * np.arange(nperseg) / nperseg)  # square root of periodic Hann
-    weights = [(window * scale).astype(dtype) for scale in scales]
-    # allocated once per call and reused by every block
-    buf = np.empty((min(_BLOCK_SEGMENTS, n_segments), nperseg), dtype=dtype)
-    bins = nperseg // 2 + 1
-    sums = [np.zeros(bins) for _ in channels]
-    if len(channels) == 2:
-        sums.append(np.zeros(bins, dtype=complex))
-    for first in range(0, n_segments, _BLOCK_SEGMENTS):
-        last = min(first + _BLOCK_SEGMENTS, n_segments)
-        span = slice(first * step, (last - 1) * step + nperseg)
-        for total, block_total in zip(sums, _block_sums(channels, weights, span, nperseg, step, buf)):
-            total += block_total
+    # the last block, with the segments that start in it
+    if n_segments % _BLOCK_SEGMENTS:
+        add((n_segments % _BLOCK_SEGMENTS - 1) * step + nperseg)
 
     # density scaling; every bin but DC (and Nyquist for even nperseg) is
     # doubled to fold in the negative frequencies
@@ -251,17 +287,22 @@ def welch_psd(x: np.ndarray, sample_rate: float, rbw: float) -> NoiseSpectrum:
     """
     x = np.asarray(x)
     dtype = np.result_type(x.dtype, np.float32)
-    freqs, (power,), rbw, n_averages = _averaged_periodograms((x,), (1.0,), sample_rate, rbw, dtype)
+    freqs, (power,), rbw, n_averages = _averaged_periodograms(((x,),), (1.0,), sample_rate, rbw,
+                                                              dtype)
     return NoiseSpectrum(freqs, power, rbw, n_averages, power / math.sqrt(n_averages))
 
 
-def cross_spectral_matrix(trace: TwoChannelTrace, rbw: float) -> CrossSpectralMatrix:
-    """Cross-spectral matrix of a trace's two channels in current units."""
+def cross_spectral_matrix(trace: TwoChannelTrace | TraceStream, rbw: float) -> CrossSpectralMatrix:
+    """Cross-spectral matrix of a trace's two channels in current units.
+
+    trace is a TwoChannelTrace or a TraceStream, whose blocks are reduced
+    as they arrive; the matrix is the same either way.
+    """
     # codes to current units in single precision: percent-level estimates
     # at about half the FFT cost of double
     chain = trace.chain
     freqs, (p11, p22, p12), rbw, n_averages = _averaged_periodograms(
-        (trace.samples_1, trace.samples_2), (chain.lsb(trace.dc_1), chain.lsb(trace.dc_2)),
+        trace.blocks, (chain.lsb(trace.dc_1), chain.lsb(trace.dc_2)),
         chain.sample_rate, rbw, np.float32,
     )
     return CrossSpectralMatrix(freqs, p11, p22, p12, rbw, n_averages, trace.dc_1, trace.dc_2)

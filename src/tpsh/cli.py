@@ -30,25 +30,25 @@ from .noise import (
     quadrature_spectra,
     witness_report,
 )
-from .synth import synthesize, witness_traces
-from .traceio import atomic_write, check_adc_bits, read_trace, write_trace
+from .synth import synthesis_stream, witness_streams
+from .traceio import atomic_write, check_adc_bits, stream_trace, write_trace
 
 
 # glibc's mallopt parameters, and the size below which freed blocks stay in
-# the heap: above every grid-sized array of a default run.  At glibc's own
-# 32 MiB ceiling an 80 ms run's 64 MB arrays were still unmapped on free,
-# and a fresh 80 ms synth peaked 7 MiB higher (fragmentation)
+# the heap: above every array of a run, whatever its length
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _KEEP_FREED_BYTES = 1 << 30
 
 
 def _keep_freed_memory() -> None:
-    """Have glibc keep freed grid-sized blocks in the heap for reuse.
+    """Have glibc keep freed blocks in the heap for reuse.
 
-    By default glibc serves large blocks by mmap and returns them to the
-    kernel on free, so each trace faults its arrays (pocketfft's work array
-    inside every irfft among them) in again.  Set once at CLI entry, never
+    By default glibc serves blocks above its dynamic threshold by mmap and
+    trims the heap's top on free, so every run faults its arrays in again:
+    at 200 MS/s a warm witness or analyze of 10 ms traces faulted 3,000 to
+    4,300 pages per run without this (the estimator's 2 MB block arrays
+    among them) and about ten with it.  Set once at CLI entry, never
     by the library; without glibc's mallopt this does nothing.
     """
     try:
@@ -83,12 +83,12 @@ def _write_csv(path: str, header: str, rows) -> None:
     values = tuple(itertools.chain.from_iterable(rows))
     n_cols = header.count(",") + 1
     line = ",".join(["%.17g"] * n_cols) + "\n"
-    atomic_write(path, (header + "\n" + line * (len(values) // n_cols) % values).encode())
+    atomic_write(path, [(header + "\n" + line * (len(values) // n_cols) % values).encode()])
 
 
 # a non-finite value is an error, never an Infinity or NaN token in the output
 def _write_json(path: str, payload: dict) -> None:
-    atomic_write(path, (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode())
+    atomic_write(path, [(json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()])
 
 
 def _print_json(payload: dict) -> None:
@@ -120,14 +120,15 @@ def cmd_spectra(cfg: RunConfig, args) -> int:
 def cmd_synth(cfg: RunConfig, args) -> int:
     check_adc_bits(cfg.chain.adc_bits)  # a trace no file can hold is never synthesized
     spec = _detected_spectra(cfg)
-    trace = synthesize(spec, cfg.chain, cfg.duration, cfg.seed)
     path = _out_path(cfg, "trace.bin")
-    write_trace(trace, path)
+    # each block goes to the file as it is synthesized
+    with synthesis_stream(spec, cfg.chain, cfg.duration, cfg.seed) as stream:
+        write_trace(stream, path)
     _log(cfg, "synth seed=%d" % cfg.seed)
     _print_json({
         "written": path,
-        "samples_per_channel": trace.n_samples,
-        "clipped": [trace.clipped_1, trace.clipped_2],
+        "samples_per_channel": stream.n_samples,
+        "clipped": [stream.clipped_1, stream.clipped_2],
     })
     return 0
 
@@ -135,7 +136,8 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 def _witness(cfg: RunConfig, records):
     """witness_from_matrices of the signal, reference and dark records, or None.
 
-    Each record is reduced to its matrix and dropped before the next is pulled.
+    Each record, a trace or a stream, is reduced to its matrix and dropped
+    before the next is pulled.
     """
     a = cfg.analysis
     matrices = []
@@ -149,7 +151,7 @@ def _witness(cfg: RunConfig, records):
 
 def cmd_analyze(cfg: RunConfig, args) -> int:
     report, psd_sum, psd_diff = _witness(cfg, (
-        read_trace(path, chain=cfg.chain) if path else None
+        stream_trace(path, chain=cfg.chain) if path else None
         for path in (args.trace, args.reference, args.dark)
     ))
     for ns, name in ((psd_sum, "sum_spectrum.csv"), (psd_diff, "difference_spectrum.csv")):
@@ -164,8 +166,9 @@ def cmd_analyze(cfg: RunConfig, args) -> int:
 def cmd_witness(cfg: RunConfig, args) -> int:
     spec = _detected_spectra(cfg)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(3, dtype=np.uint64)
-    with contextlib.closing(witness_traces(spec, cfg.chain, cfg.duration, seeds)) as traces:
-        report = _witness(cfg, traces)[0]
+    # each block goes to the estimator as it is synthesized: no trace is held
+    with contextlib.closing(witness_streams(spec, cfg.chain, cfg.duration, seeds)) as streams:
+        report = _witness(cfg, streams)[0]
     _write_json(_out_path(cfg, "witness.json"), report.as_dict())
     _log(cfg, "witness seed=%d" % cfg.seed)
     _print_json(report.as_dict())

@@ -9,38 +9,42 @@ to PSDs as
 (the 1/2 undoes the symmetrized-cross-spectrum convention).  Every trace is
 a job, such a normalized matrix (s_11, s_22, c_12 on a frequency grid), the
 DC pair and a seed, realized by a synthesis run (_Run).
-Traces are synthesized in the frequency domain: per-bin Cholesky
-factorization of the 2x2 spectral matrix drives independent complex
-Gaussian draws (circulant embedding), then the chain applies, in order,
-electronic noise, AC-coupling bandpass, detector pole, spur injection, and
-quantization.  The sample stream is the AC-coupled fluctuation; mean
-currents ride along as metadata because the bandpass would remove any
-embedded DC anyway.  Codes are int16 for ADCs of up to 16 bits (int32
-above).  No float64 array spans the synthesis grid: one pass over blocks of
-_BIN_BLOCK bins evaluates the spectra and Cholesky factors and mixes and
-filters the complex64 draws in place.  A block over which the matrix is
-constant (every block of the flat reference and dark matrices, and those
-beyond the end of the spectra's grid) is factored once.
 
-A run owns two complex64 spectrum buffers, which its traces reuse.  A
-trace's codes are one (2, n) array, its only grid-sized allocation:
-channel 1 is transformed into that array's memory and channel 2 into
-channel 1's spectrum buffer, free by then.  synthesize, witness_arm_traces,
-shot_noise_pair and dark_trace each make a run of one trace, which starts
-no thread.  witness_traces yields the witness's three traces through these
-same functions and one run of three: after each trace, one worker thread
-draws the next trace's normal deviates into the buffers while the caller
-reduces the trace just yielded (the fill releases the GIL).  Every buffer
-is allocated on the calling thread, and the worker is joined when the run
-ends, raises or is closed.  Each trace draws from its own SeedSequence
-stream, so its codes equal those of a call on its own.
+Traces are white noise filtered by overlap-save FIR convolution (Oppenheim
+& Schafer).  The per-bin Cholesky factors of the 2x2 PSD matrix (electronic
+noise included, as it is white before the chain), times the chain response
+(AC-coupling bandpass and detector pole), are sampled on a _TAPS-point grid;
+the irfft of each is a _TAPS-tap kernel.  Two streams of white float32
+noise, drawn from the trace's own SeedSequence, are filtered in blocks of
+_HOP samples through _FFT-point transforms: channel 1 = k11 * w1 and
+channel 2 = k21 * w1 + k22 * w2.  Each block then gets the spur, a cosine
+at exactly spur_freq, and is quantized.  The sample stream is the
+AC-coupled fluctuation; mean currents ride along as metadata because the
+bandpass would remove any embedded DC anyway.  Codes are int16 for ADCs of
+up to 16 bits (int32 above).
+
+No array spans the record but a trace's codes: a run's buffers hold a few
+blocks, whatever the duration.  A TraceStream hands a trace's codes over
+block by block, so a caller that reduces them as they come (the CLI's
+witness and synth) never holds the trace; synthesize, witness_arm_traces,
+shot_noise_pair and dark_trace assemble the same blocks into one (2, n)
+array of codes, their only record-sized allocation, and draw on the
+calling thread.  witness_traces and witness_streams make the witness's
+three traces in one run, and synthesis_stream one trace: while the caller
+filters blocks, one worker thread draws the noise of the next
+_DRAW_BLOCKS blocks and their forward transforms, and after a trace's last
+blocks the next trace's first (NumPy releases the GIL for both).
+Each trace draws from its own SeedSequence stream in fixed blocks, so its
+codes equal those of a call on its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +62,19 @@ _RMS_GRID = 65537
 # Full scale = this many analytic RMS; clipping beyond it is counted.
 _FULL_SCALE_SIGMAS = 6.0
 
-# bins of the synthesis grid per block: the float64 spectra and Cholesky
-# factors and the complex128 chain response exist one block (0.5-1 MiB per
-# array) at a time, whatever the trace length
-_BIN_BLOCK = 1 << 16
+# Kernel length: at 50 MS/s, 1024 taps keep |K|^2 of the auto factors
+# within 1e-5 of their targets over 0.5-20 MHz.  Each block of _HOP samples
+# per channel goes through _FFT-point transforms, whose first _TAPS - 1
+# outputs wrap around.
+_TAPS = 1024
+_FFT = 1 << 14
+_HOP = _FFT - _TAPS + 1
+# blocks per draw: noise is drawn and transformed this many blocks at a
+# time, so that the worker makes few, long calls and the two threads hand
+# the interpreter lock over less often (a warm 200 MS/s, 10 ms witness
+# switched context about 3,500 times with one block per draw and 1,100
+# with eight, and took 0.49 s against 0.41 s, on a 2-vCPU x86 host)
+_DRAW_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -81,8 +94,8 @@ class DetectionChain:
                          RMS in SPUR_REFERENCE_BANDWIDTH (scales with sqrt(dc))
 
     A chain is immutable and hashable: derived values (the ADC scaling, the
-    response on the synthesis grid) are cached by the chain's value, so they
-    cannot go stale.  Vary a chain with dataclasses.replace, which builds and
+    digital filters) are cached by the chain's value, so they cannot go
+    stale.  Vary a chain with dataclasses.replace, which builds and
     validates a new one.
     """
 
@@ -172,7 +185,7 @@ def _bilinear(b, a, fs: float):
 
 # the bilinear transforms go through np.polynomial (about 2 ms each) and
 # depend only on the chain, not on the frequencies a response is asked for,
-# so they are derived once per chain rather than once per block; keyed by
+# so they are derived once per chain rather than once per trace; keyed by
 # the chain's value, and returned as tuples so no caller can alter them
 @functools.lru_cache(maxsize=256)
 def _digital_filters(chain: DetectionChain):
@@ -205,33 +218,6 @@ def _analytic_rms(chain: DetectionChain, dc: float) -> float:
     return math.sqrt(var)
 
 
-def _grid_blocks(n: int, fs: float):
-    """(bins, freqs) over the grid rfftfreq(n, 1/fs) in blocks of _BIN_BLOCK.
-
-    bins is the block's slice of the grid; freqs are formed as rfftfreq
-    forms them (integer bin times 1/(n d)), so they agree to the last bit.
-    """
-    nfreq = n // 2 + 1
-    df = 1.0 / (n * (1.0 / fs))
-    for lo in range(0, nfreq, _BIN_BLOCK):
-        hi = min(lo + _BIN_BLOCK, nfreq)
-        yield slice(lo, hi), np.arange(lo, hi) * df
-
-
-# the response on the grid rfftfreq(n, 1/fs) takes about 0.17 s for a 10 ms
-# trace at 200 MS/s (1 000 001 bins, 2-vCPU x86 host), in proportion to the
-# duration, and is shared by the traces of one run (signal, reference,
-# dark), whose _mix multiplies it in block by block; it is evaluated block
-# by block into the complex64 result (8 MB at that size, with no
-# full-length complex128 transient), and only the latest grid is kept, so
-# at most one such array outlives its chain
-@functools.lru_cache(maxsize=1)
-def _synthesis_response(chain: DetectionChain, n: int) -> np.ndarray:
-    h = np.empty(n // 2 + 1, dtype=np.complex64)
-    for bins, freqs in _grid_blocks(n, chain.sample_rate):
-        h[bins] = chain.response(freqs)
-    h.flags.writeable = False
-    return h
 
 
 @dataclass
@@ -269,79 +255,138 @@ class TwoChannelTrace:
     def n_samples(self) -> int:
         return len(self.samples_1)
 
+    @property
+    def blocks(self):
+        """The codes as one block, in the form a TraceStream hands them over."""
+        return ((self.samples_1, self.samples_2),)
 
-def _draw(rng, x1: np.ndarray, x2: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Fill x1 and x2 with complex standard normals and draw the spur phases.
 
-    For each channel all real parts are drawn, then all imaginary parts,
-    through the contiguous float32 scratch block into place; the generator's
-    stream runs on across calls, so the values equal one full-length draw.
-    Returns the two phases, drawn last.
+@dataclass
+class TraceStream:
+    """A trace whose codes arrive block by block instead of in one array.
+
+    The metadata of TwoChannelTrace, and n_samples per channel.  blocks
+    yields (codes_1, codes_2) pairs of equal length in record order, once;
+    a pair may reuse the previous pair's memory, so the caller is done
+    with it before it takes the next.  clipped_1/2 are complete once the
+    last block is taken (a stream read from a file counts none).
     """
-    for part in (x1.real, x1.imag, x2.real, x2.imag):
-        for lo in range(0, len(part), len(scratch)):
-            block = scratch[:len(part) - lo]
-            rng.standard_normal(dtype=np.float32, out=block)
-            part[lo:lo + len(block)] = block
-    return rng.uniform(0.0, 2.0 * math.pi, 2)
+
+    chain: DetectionChain
+    duration: float
+    seed: int
+    dc_1: float
+    dc_2: float
+    n_samples: int
+    blocks: Iterator[tuple[np.ndarray, np.ndarray]] | None = None
+    clipped_1: int = 0
+    clipped_2: int = 0
 
 
-def _mix(x1: np.ndarray, x2: np.ndarray, matrix, dc_pair, chain: DetectionChain, n: int) -> None:
-    """Turn the draws z1, z2 in x1, x2 into the filtered half spectra.
+def _normals(rng, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill out (float32) with standard normals by the Box-Muller transform.
 
-    x1 = a11 z1 and x2 = a21 z1 + a22 z2, with a11, a21 and a22 the Cholesky
-    factors of the PSD matrix scaled to the n-point grid and rounded to
-    single precision, as PSD estimates live at the percent level; then the
-    DC bin is zeroed, the Nyquist bin of an even n set to sqrt(2) times its
-    real part, and both are multiplied by the chain response.  It is done
-    in place in one pass over blocks of bins.  Where the spec-grid points
-    that np.interp reads for a block (its brackets, and the ends where it
-    clamps) hold equal values, np.interp returns that value exactly at
-    every bin, so the block is factored once, at its first bin, and the
-    factors broadcast.  Raises at the first bin where the matrix is not
+    Uniforms u and v from rng, in [0, 1), give r = sqrt(-2 ln(1 - u)), the
+    first half of out r cos(2 pi v) and the second r sin(2 pi v).  In single
+    precision throughout, through scratch (2, >= len(out) / 2), this takes
+    about 0.45 times as long as NumPy's float32 ziggurat (2-vCPU x86).
+    NumPy picks its vectorized log, cos and sin by CPU feature, so the last
+    bit of a draw, and a code here and there, may differ between CPU
+    families; on one machine and NumPy build a seed gives the same codes.
+    """
+    half = (len(out) + 1) // 2
+    rest = len(out) - half
+    radius, angle = scratch[:, :half]
+    rng.random(dtype=np.float32, out=radius)
+    rng.random(dtype=np.float32, out=angle)
+    np.subtract(np.float32(1.0), radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= np.float32(-2.0)
+    np.sqrt(radius, out=radius)
+    angle *= np.float32(2.0 * math.pi)
+    np.cos(angle, out=out[:half])
+    out[:half] *= radius
+    np.sin(angle[:rest], out=out[half:])
+    out[half:] *= radius[:rest]
+
+
+def _first_draw(seed: int, noise: np.ndarray, spectra: np.ndarray, scratch: np.ndarray):
+    """A trace's generator and spur phases; its first draw of noise into
+    noise, and the rfft of each block's frame of it into spectra."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    phases = rng.uniform(0.0, 2.0 * math.pi, 2)
+    for row in noise:
+        _normals(rng, row, scratch)
+    _transform(noise, spectra)
+    return rng, phases
+
+
+def _next_draw(rng, noise: np.ndarray, spectra: np.ndarray, scratch: np.ndarray) -> None:
+    """Draw the noise that follows noise's into noise, and its frames' rfft into spectra.
+
+    Each channel carries its last _TAPS - 1 samples to the front, then
+    draws _DRAW_BLOCKS * _HOP new ones.
+    """
+    noise[:, :_TAPS - 1] = noise[:, -(_TAPS - 1):]
+    for row in noise[:, _TAPS - 1:]:
+        _normals(rng, row, scratch)
+    _transform(noise, spectra)
+
+
+def _transform(noise: np.ndarray, spectra: np.ndarray) -> None:
+    """The rfft of block j's frame, noise[:, j _HOP:j _HOP + _FFT], into spectra[j]."""
+    for j, block in enumerate(spectra):
+        # row by row: NumPy's batched rfft along the last axis took longer here
+        for z, x in zip(noise[:, j * _HOP:j * _HOP + _FFT], block):
+            np.fft.rfft(z, out=x)
+
+
+def _kernels(job, chain: DetectionChain):
+    """The _FFT-point transforms of job's kernels k11, k21 and k22.
+
+    Each kernel is the irfft of its Cholesky factor times the chain
+    response on the _TAPS-point grid, scaled so that unit white noise
+    filtered by it has that factor's PSD (one-sided: 2 |K|^2 / fs), and
+    centred.  The factors are rounded to single precision, as PSD
+    estimates live at the percent level.  k21 is None where it vanishes.
+    Each kernel is divided by its channel's ADC step, so the filtered noise
+    comes out in code units (a silent channel, whose step is 0, in zeros).
+    Raises at the first of the spectra's points where the matrix is not
     positive semidefinite.
     """
-    spec_freqs, s11, s22, c12 = matrix
-    dc1, dc2 = dc_pair
+    (spec_freqs, s11, s22, c12), (dc1, dc2), _ = job
+    fs = chain.sample_rate
     psd_e = chain.electronic_noise_psd
     g12 = math.sqrt(dc1 * dc2) / 2.0
-    scale = math.sqrt(n * chain.sample_rate / 4.0)
-    h = _synthesis_response(chain, n)
-    for bins, freqs in _grid_blocks(n, chain.sample_rate):
-        lo, hi = np.searchsorted(spec_freqs, freqs[[0, -1]], side="right")
-        brackets = slice(max(lo - 1, 0), hi + 1)
-        if all(np.all(s[brackets] == s[brackets][0]) for s in (s11, s22, c12)):
-            freqs = freqs[:1]
-        p11 = dc1 * np.interp(freqs, spec_freqs, s11) + psd_e
-        p22 = dc2 * np.interp(freqs, spec_freqs, s22) + psd_e
-        p12 = g12 * np.interp(freqs, spec_freqs, c12)
 
-        bad = (p11 < 0) | (p22 < 0)
-        det = p11 * p22 - p12 * p12
-        bad |= det < -1e-12 * np.maximum(p11 * p22, 1e-300)
-        if np.any(bad):
-            f_bad = float(freqs[np.argmax(bad)])
-            raise ValueError(
-                "spectral matrix is not positive semidefinite at %.6g Hz" % f_bad
-            )
+    def psd_matrix(freqs):
+        return (dc1 * np.interp(freqs, spec_freqs, s11) + psd_e,
+                dc2 * np.interp(freqs, spec_freqs, s22) + psd_e,
+                g12 * np.interp(freqs, spec_freqs, c12))
 
-        l11 = np.sqrt(p11)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            l21 = np.where(l11 > 0, p12 / np.where(l11 > 0, l11, 1.0), 0.0)
-        l22 = np.sqrt(np.maximum(p22 - l21 * l21, 0.0))
+    # np.interp joins the spectra's points by straight lines and clamps
+    # beyond the ends, and positive semidefinite matrices form a convex set,
+    # so the matrix is PSD at every frequency up to Nyquist if it is at these
+    check = np.r_[0.0, spec_freqs[(spec_freqs > 0) & (spec_freqs < fs / 2.0)], fs / 2.0]
+    p11, p22, p12 = psd_matrix(check)
+    bad = (p11 < 0) | (p22 < 0)
+    bad |= p11 * p22 - p12 * p12 < -1e-12 * np.maximum(p11 * p22, 1e-300)
+    if np.any(bad):
+        raise ValueError("spectral matrix is not positive semidefinite at %.6g Hz"
+                         % check[np.argmax(bad)])
 
-        a11, a21, a22 = ((scale * l).astype(np.float32) for l in (l11, l21, l22))
-        z1, z2 = x1[bins], x2[bins]
-        t = a21 * z1
-        z2 *= a22
-        z2 += t
-        z1 *= a11
-        for z in (z1, z2):
-            if bins.start == 0:
-                z[0] = 0.0
-            if n % 2 == 0 and bins.stop == len(h):
-                z[-1] = math.sqrt(2.0) * z[-1].real
-            z *= h[bins]
+    freqs = np.fft.rfftfreq(_TAPS, 1.0 / fs)
+    p11, p22, p12 = psd_matrix(freqs)
+    l11 = np.sqrt(p11)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l21 = np.where(l11 > 0, p12 / np.where(l11 > 0, l11, 1.0), 0.0)
+    l22 = np.sqrt(np.maximum(p22 - l21 * l21, 0.0))
+    h = math.sqrt(fs / 2.0) * chain.response(freqs)
+    # zero-phase factors times the causal chain: taps on both sides of 0
+    taps = np.roll(np.fft.irfft(np.array([l11, l21, l22]) * h, n=_TAPS), _TAPS // 2, axis=1)
+    taps *= _code_scale(chain, (dc1, dc2, dc2))[:, None]
+    k11, k21, k22 = np.fft.rfft(taps, n=_FFT).astype(np.complex64)
+    return k11, (k21 if np.any(l21) else None), k22
 
 
 def _check(job) -> None:
@@ -354,64 +399,177 @@ def _check(job) -> None:
         raise ValueError("dc currents must be >= 0")
 
 
+def _code_dtype(chain: DetectionChain):
+    return np.int16 if chain.adc_bits <= 16 else np.int32
+
+
+def _code_scale(chain: DetectionChain, dcs) -> np.ndarray:
+    """Codes per current unit at each DC current: 1/lsb, or 0 for a silent channel."""
+    lsb = np.array([chain.lsb(dc) for dc in dcs])
+    return np.divide(1.0, lsb, out=np.zeros_like(lsb), where=lsb > 0)
+
+
+def _quantize(y: np.ndarray, chain: DetectionChain, codes: np.ndarray):
+    """Round the signal y, in code units, into codes; the clip count of each row.
+
+    y is rounded in place.  Clipped samples are counted only when the codes
+    leave the range, so an unclipped signal makes no boolean temporaries.
+    """
+    top = 2 ** (chain.adc_bits - 1)
+    np.rint(y, out=y)
+    clipped = [0] * len(y)
+    if y.min() < -top or y.max() > top - 1:
+        clipped = [int(np.count_nonzero(row < -top) + np.count_nonzero(row > top - 1)) for row in y]
+        np.clip(y, -top, top - 1, out=y)
+    np.copyto(codes, y, casting="unsafe")
+    return clipped
+
+
 class _Run:
-    """The spectrum buffers and the draw-ahead worker of one synthesis run.
+    """The block buffers and the draw-ahead worker of one synthesis run.
 
     A job is (matrix, dc_pair, seed): matrix = (spec_freqs, s11, s22, c12)
     holds normalized spectra on spec_freqs; each is interpolated onto the
-    synthesis grid (clamped beyond the ends) and then scaled to
-    P11 = dc1 s11, P22 = dc2 s22 and P12 = sqrt(dc1 dc2) c12 / 2.  seeds
-    lists the seeds of the run's traces in order: once a trace is
-    quantized, the worker draws the next seed's deviates into the buffers
-    while the caller reduces the trace.  A trace off that schedule is drawn
-    again on the calling thread, so the schedule changes the speed, never
-    the codes.  Leaving the run joins the worker.
+    kernel grid (clamped beyond the ends) and then scaled to
+    P11 = dc1 s11, P22 = dc2 s22 and P12 = sqrt(dc1 dc2) c12 / 2.  A run
+    made with seeds, those of its traces in order, draws on one worker
+    thread: while the caller filters blocks, the worker draws and
+    transforms the noise of the next _DRAW_BLOCKS, and after a trace's
+    last blocks the first of the next seed.  A trace off that schedule is
+    drawn again on the calling thread, so the schedule changes the speed,
+    never the codes.  A run without seeds draws on the calling thread and
+    starts no thread.  Leaving the run joins the worker.
     """
 
-    def __init__(self, chain: DetectionChain, duration: float, seeds=()):
+    def __init__(self, chain: DetectionChain, duration: float, seeds=None):
         if duration < 10e-3:
             raise ValueError("duration must be >= 10 ms")
         self.chain, self.duration = chain, duration
         self.n = int(round(duration * chain.sample_rate))
-        nfreq = self.n // 2 + 1
         # allocated here, on the calling thread: the worker's own allocations
-        # would come from its own malloc arena and add to the peak
-        self.spectra = (np.empty(nfreq, dtype=np.complex64), np.empty(nfreq, dtype=np.complex64))
-        self._scratch = np.empty(min(_BIN_BLOCK, nfreq), dtype=np.float32)
-        self._upcoming = [int(s) for s in seeds][1:]
-        # the executor starts its one thread at the first submit, so a run
-        # of one trace has none
-        self._worker = ThreadPoolExecutor(max_workers=1)
-        self._ahead = None  # (seed, future) of the draw under way
+        # would come from its own malloc arena and add to the peak.  One
+        # draw of noise, which only the draws touch, and two draws' spectra,
+        # transformed and filtered in turn
+        self._noise = np.empty((2, _TAPS - 1 + _DRAW_BLOCKS * _HOP), dtype=np.float32)
+        self._scratch = np.empty((2, self._noise.shape[1] // 2 + 1), dtype=np.float32)
+        self._spectra = np.empty((2, _DRAW_BLOCKS, 2, _FFT // 2 + 1), dtype=np.complex64)
+        self._signal = np.empty((2, _FFT), dtype=np.float32)
+        self._codes = np.empty((2, _HOP), dtype=_code_dtype(chain))
+        # the spur's cosine and sine over one block from phase 0, which each
+        # block turns to its phase
+        self._omega = 2.0 * math.pi * chain.spur_freq / chain.sample_rate
+        self._spur = np.array([f(self._omega * np.arange(_HOP)) for f in (np.cos, np.sin)],
+                              dtype=np.float32)
+        self._turn = 0  # draws so far
+        self._upcoming = [] if seeds is None else [int(s) for s in seeds][1:]
+        # the executor starts its one thread at the first submit
+        self._worker = None if seeds is None else ThreadPoolExecutor(max_workers=1)
+        self._ahead = None  # (seed, future) of the next trace's first draw
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
         ahead, self._ahead = self._ahead, None
-        self._worker.shutdown(wait=True)
+        if self._worker is not None:
+            self._worker.shutdown(wait=True)
         if ahead:
             ahead[1].result()  # a draw that failed raises here
         return False
 
-    def _draw(self, seed: int):
-        return _draw(np.random.default_rng(np.random.SeedSequence(seed)), *self.spectra, self._scratch)
+    def _draw(self, fn, *args) -> Future:
+        """fn(*args) on the worker or, in a run without one, here and now."""
+        if self._worker is not None:
+            return self._worker.submit(fn, *args)
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+    def stream(self, job, codes: np.ndarray | None = None) -> TraceStream:
+        """The trace of one job, its blocks quantized into codes (2, n) if given.
+
+        The job is checked and its kernels made here, so a bad job raises
+        before anything is drawn for it.  Take a stream's blocks to the end,
+        or close them, before the run's next stream.
+        """
+        _check(job)
+        kernels = _kernels(job, self.chain)
+        _, (dc1, dc2), seed = job
+        stream = TraceStream(self.chain, self.duration, int(seed), float(dc1), float(dc2), self.n)
+        stream.blocks = self._blocks(stream, kernels, codes)
+        return stream
 
     def trace(self, job) -> TwoChannelTrace:
-        """The trace of one job; it shares no memory with the buffers."""
-        _check(job)
-        seed = int(job[2])
+        """The trace of one job; it shares no memory with the run's buffers."""
+        codes = np.empty((2, self.n), dtype=_code_dtype(self.chain))
+        stream = self.stream(job, codes)
+        for _ in stream.blocks:
+            pass
+        return TwoChannelTrace(codes[0], codes[1], self.chain, self.duration, stream.seed,
+                               stream.dc_1, stream.dc_2, stream.clipped_1, stream.clipped_2)
+
+    def _blocks(self, stream: TraceStream, kernels, codes):
         ahead, self._ahead = self._ahead, None
-        phases = ahead[1].result() if ahead else None  # the worker is done with the buffers
-        if not ahead or ahead[0] != seed:
-            phases = self._draw(seed)
-        trace = _realize(job, self.spectra, phases, self.chain, self.duration, self.n)
-        if self._upcoming:
-            # the buffers are free again: draw the next trace's deviates
-            # while the caller reduces this one
-            nxt = self._upcoming.pop(0)
-            self._ahead = (nxt, self._worker.submit(self._draw, nxt))
-        return trace
+        if ahead and ahead[0] == stream.seed:
+            rng, phases = ahead[1].result()
+        else:
+            if ahead:
+                ahead[1].result()  # the worker is done with the draw
+            rng, phases = _first_draw(stream.seed, self._noise, self._spectra[self._turn % 2],
+                                      self._scratch)
+        dcs = (stream.dc_1, stream.dc_2)
+        # each channel's spur amplitude in code units, with its phase
+        amplitudes = _code_scale(self.chain, dcs) * [self.chain.spur_current_amplitude(dc) for dc in dcs]
+        spur = list(zip(amplitudes, phases))
+        n_blocks = -(-self.n // _HOP)
+        pending = None
+        try:
+            for first in range(0, n_blocks, _DRAW_BLOCKS):
+                spectra = self._spectra[self._turn % 2]
+                self._turn += 1
+                following = self._noise, self._spectra[self._turn % 2], self._scratch
+                if first + _DRAW_BLOCKS < n_blocks:
+                    pending = self._draw(_next_draw, rng, *following)
+                elif self._upcoming:
+                    seed = self._upcoming.pop(0)
+                    self._ahead = (seed, self._draw(_first_draw, seed, *following))
+                for b in range(first, min(first + _DRAW_BLOCKS, n_blocks)):
+                    lo = b * _HOP
+                    out = (self._codes if codes is None else codes[:, lo:])[:, :min(_HOP, self.n - lo)]
+                    clipped_1, clipped_2 = self._filter(spectra[b - first], kernels, lo, spur, out)
+                    stream.clipped_1 += clipped_1
+                    stream.clipped_2 += clipped_2
+                    yield out[0], out[1]
+                if pending:
+                    pending.result()  # the next draw is ready
+        finally:
+            if pending:
+                pending.result()  # before anything else writes the noise
+
+    def _filter(self, spectra, kernels, lo: int, spur, out):
+        """The codes of the block from sample lo on, from its frame's
+        spectra (filtered in place), into out (2, m); the clip counts.
+
+        spur holds each channel's spur amplitude, in code units, and phase.
+        """
+        k11, k21, k22 = kernels
+        x1, x2 = spectra
+        x2 *= k22
+        if k21 is not None:
+            x2 += k21 * x1
+        x1 *= k11
+        for x, y in zip(spectra, self._signal):
+            np.fft.irfft(x, n=_FFT, out=y)
+        m = out.shape[1]
+        y = self._signal[:, _TAPS - 1:_TAPS - 1 + m]  # the outputs that did not wrap around
+        cos, sin = self._spur[:, :m]
+        for row, (amplitude, phase) in zip(y, spur):
+            if amplitude > 0:
+                # a cos(omega (lo + j) + phase), from theta = omega lo + phase
+                theta = self._omega * lo + phase
+                row += np.float32(amplitude * math.cos(theta)) * cos
+                row -= np.float32(amplitude * math.sin(theta)) * sin
+        return _quantize(y, self.chain, out)
 
 
 def _trace(job, chain: DetectionChain, duration: float, run: _Run | None) -> TwoChannelTrace:
@@ -424,82 +582,22 @@ def _trace(job, chain: DetectionChain, duration: float, run: _Run | None) -> Two
     return run.trace(job)
 
 
-def _realize(job, spectra, phases, chain: DetectionChain, duration: float, n: int) -> TwoChannelTrace:
-    """The trace of one job from the draws in the two spectrum buffers.
-
-    Mixes and filters the draws in place, adds the spur, and quantizes
-    channel 1 through the memory of the trace's codes and channel 2 through
-    channel 1's spectrum buffer; both buffers are free again on return.
-    """
-    matrix, dc_pair, seed = job
-    dc1, dc2 = (float(dc) for dc in dc_pair)
-    x1, x2 = spectra
-    _mix(x1, x2, matrix, (dc1, dc2), chain, n)
-
-    # spur rides in after the filters, at the nearest representable bin
-    if chain.spur_amplitude > 0:
-        k0 = int(round(chain.spur_freq * n / chain.sample_rate))
-        if 0 < k0 < len(x1) - 1:
-            for x, dc, ph in ((x1, dc1, phases[0]), (x2, dc2, phases[1])):
-                x[k0] += chain.spur_current_amplitude(dc) * (n / 2.0) * np.exp(1j * ph)
-
-    # the trace's one grid-sized allocation: both channels' codes, with room
-    # for channel 1's float32 signal.  A long-lived allocation made between
-    # traces (SciPy's import at the first estimate) then cannot split the
-    # space that the next trace needs
-    codes = np.empty((2, n), dtype=_code_dtype(chain))
-    codes_1, clipped_1 = _quantize(x1, n, chain, dc1, out=codes.reshape(-1).view(np.float32)[:n],
-                                   codes=codes[0])
-    codes_2, clipped_2 = _quantize(x2, n, chain, dc2, out=x1.view(np.float32)[:n], codes=codes[1])
-    return TwoChannelTrace(
-        samples_1=codes_1,
-        samples_2=codes_2,
-        chain=chain,
-        duration=duration,
-        seed=int(seed),
-        dc_1=dc1,
-        dc_2=dc2,
-        clipped_1=clipped_1,
-        clipped_2=clipped_2,
-    )
+def _synthesis_job(spec: QuadSpectra, chain: DetectionChain, seed: int):
+    return ((spec.frequencies, spec.s_x1, spec.s_x2, spec.c_x),
+            (chain.dc_current_1, chain.dc_current_2), seed)
 
 
-def _code_dtype(chain: DetectionChain):
-    return np.int16 if chain.adc_bits <= 16 else np.int32
+def _arm_job(spec: QuadSpectra, chain: DetectionChain, seed: int):
+    vp, vm = witness_pair(spec)
+    s_arm = (vp + vm) / 4.0
+    dc_arm = 0.5 * (chain.dc_current_1 + chain.dc_current_2)
+    return (spec.frequencies, s_arm, s_arm, (vp - vm) / 2.0), (dc_arm, dc_arm), seed
 
 
-def _quantize(x: np.ndarray, n: int, chain: DetectionChain, dc: float, out=None, codes=None):
-    """ADC codes of the n-sample signal with half spectrum x, and the clip count.
-
-    Codes are int16 for ADCs of up to 16 bits and int32 above; they go into
-    codes (n of them) or, by default, a fresh array.  The signal is
-    transformed into out (n float32, not overlapping x) or, by default, into
-    a fresh array; out may start where codes does.  Clipped samples are
-    counted only when the codes leave the range, so an unclipped signal
-    makes no boolean temporaries.
-    """
-    if codes is None:
-        codes = np.empty(n, dtype=_code_dtype(chain))
-    lsb = chain.lsb(dc)
-    if lsb == 0.0:
-        # silent channel: no signal, no noise, nothing to resolve
-        codes[...] = 0
-        return codes, 0
-    y = np.fft.irfft(x, n=n, out=out)
-    top = 2 ** (chain.adc_bits - 1)
-    y /= np.float32(lsb)
-    np.rint(y, out=y)
-    clipped = 0
-    if y.min() < -top or y.max() > top - 1:
-        clipped = np.count_nonzero(y < -top) + np.count_nonzero(y > top - 1)
-        np.clip(y, -top, top - 1, out=y)
-    # front to back, one block at a time: a code is no wider than a float32,
-    # so block i of codes ends where block i + 1 of y starts at the latest
-    # (NumPy buffers a block that overlaps its own source)
-    for first in range(0, n, _BIN_BLOCK):
-        block = slice(first, first + _BIN_BLOCK)
-        np.copyto(codes[block], y[block], casting="unsafe")
-    return codes, int(clipped)
+def _pair_job(dc_1: float, dc_2: float, chain: DetectionChain, seed: int):
+    # flat unit auto-spectra and no cross term; interpolating constants is exact
+    flat = (np.array([0.0, chain.sample_rate / 2.0]), np.ones(2), np.ones(2), np.zeros(2))
+    return flat, (dc_1, dc_2), seed
 
 
 def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int,
@@ -507,12 +605,11 @@ def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: 
     """Direct-detection trace pair realizing the amplitude-sector spectra.
 
     duration >= 10 ms; the spectra grid must cover noise.ANALYSIS_BAND (values
-    are interpolated onto the synthesis grid and clamped beyond the ends).
+    are interpolated onto the kernel grid and clamped beyond the ends).
     _run, here and below, is the run of witness_traces whose buffers the
     trace goes through; by default the call makes and ends a run of its own.
     """
-    matrix = (spec.frequencies, spec.s_x1, spec.s_x2, spec.c_x)
-    return _trace((matrix, (chain.dc_current_1, chain.dc_current_2), seed), chain, duration, _run)
+    return _trace(_synthesis_job(spec, chain, seed), chain, duration, _run)
 
 
 def witness_arm_traces(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int,
@@ -524,11 +621,7 @@ def witness_arm_traces(spec: QuadSpectra, chain: DetectionChain, duration: float
     2 S_Y - C_Y, which fixes the arm auto- and cross-spectra to
     (vp + vm)/4 and (vp - vm)/2 in normalized units.
     """
-    vp, vm = witness_pair(spec)
-    s_arm = (vp + vm) / 4.0
-    dc_arm = 0.5 * (chain.dc_current_1 + chain.dc_current_2)
-    matrix = (spec.frequencies, s_arm, s_arm, (vp - vm) / 2.0)
-    return _trace((matrix, (dc_arm, dc_arm), seed), chain, duration, _run)
+    return _trace(_arm_job(spec, chain, seed), chain, duration, _run)
 
 
 def shot_noise_pair(dc_1: float, dc_2: float, chain: DetectionChain, duration: float, seed: int,
@@ -539,9 +632,7 @@ def shot_noise_pair(dc_1: float, dc_2: float, chain: DetectionChain, duration: f
     channel at zero current records electronic noise only; dc_1 = dc_2 = 0
     yields a dark trace.
     """
-    # flat unit auto-spectra and no cross term; interpolating constants is exact
-    matrix = (np.array([0.0, chain.sample_rate / 2.0]), np.ones(2), np.ones(2), np.zeros(2))
-    return _trace((matrix, (dc_1, dc_2), seed), chain, duration, _run)
+    return _trace(_pair_job(dc_1, dc_2, chain, seed), chain, duration, _run)
 
 
 def dark_trace(chain: DetectionChain, duration: float, seed: int,
@@ -556,13 +647,38 @@ def witness_traces(spec: QuadSpectra, chain: DetectionChain, duration: float, se
     The witness arms (witness_arm_traces), the shot-noise reference at the
     chain's DC currents (shot_noise_pair) and the dark trace (dark_trace),
     with seeds[0], seeds[1] and seeds[2]: each equals that call on its own.
-    The run holds no trace once the caller asks for the next, so a caller
-    that drops each trace holds one at a time while the next one's
-    deviates are drawn.  Close the generator (or run it to the end) to join
-    the run's worker.
+    The run holds no trace once the caller asks for the next.  Close the
+    generator (or run it to the end) to join the run's worker.
     """
     s_arm, s_ref, s_dark = (int(s) for s in seeds)
     with _Run(chain, duration, (s_arm, s_ref, s_dark)) as run:
         yield witness_arm_traces(spec, chain, duration, s_arm, _run=run)
         yield shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, duration, s_ref, _run=run)
         yield dark_trace(chain, duration, s_dark, _run=run)
+
+
+def witness_streams(spec: QuadSpectra, chain: DetectionChain, duration: float, seeds):
+    """Yield witness_traces' three traces as TraceStreams, from one run.
+
+    Their blocks hold the codes of the traces witness_traces yields.  Take
+    each stream's blocks to the end before asking for the next stream;
+    close the generator (or run it to the end) to join the run's worker.
+    """
+    s_arm, s_ref, s_dark = (int(s) for s in seeds)
+    jobs = (_arm_job(spec, chain, s_arm),
+            _pair_job(chain.dc_current_1, chain.dc_current_2, chain, s_ref),
+            _pair_job(0.0, 0.0, chain, s_dark))
+    with _Run(chain, duration, (s_arm, s_ref, s_dark)) as run:
+        for job in jobs:
+            yield run.stream(job)
+
+
+@contextlib.contextmanager
+def synthesis_stream(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: int):
+    """synthesize's trace as a TraceStream, with a worker that draws ahead.
+
+    Its blocks hold the codes of synthesize's trace; leaving the context
+    joins the worker.
+    """
+    with _Run(chain, duration, (int(seed),)) as run:
+        yield run.stream(_synthesis_job(spec, chain, seed))

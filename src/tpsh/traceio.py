@@ -15,11 +15,14 @@ Layout (little-endian):
     64      ...   samples, ch1[0] ch2[0] ch1[1] ch2[1] ... (signed 16-bit)
 
 Writes go to a temporary file in the destination directory and are renamed
-into place, so readers never observe a partial file.
+into place, so readers never observe a partial file.  Samples are written,
+and read by stream_trace, _BLOCK_FRAMES frames at a time through one
+buffer, so neither needs memory in proportion to the file.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -27,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from .synth import DetectionChain, TwoChannelTrace
+from .synth import DetectionChain, TraceStream, TwoChannelTrace
 
 TRACE_MAGIC = b"TPSH"
 TRACE_VERSION = 1
@@ -37,14 +40,18 @@ _HEADER = struct.Struct("<4sHdBBdQdd")
 _SAMPLE_DTYPE = np.dtype("<i2")
 _SAMPLE_BITS = 8 * _SAMPLE_DTYPE.itemsize
 _FRAME_BYTES = 2 * _SAMPLE_DTYPE.itemsize
+# frames per block written or streamed: 256 KiB
+_BLOCK_FRAMES = 1 << 16
 
 
-def atomic_write(path: str, *chunks) -> None:
-    """Write byte chunks to path through a temporary file in its directory.
+def atomic_write(path: str, chunks) -> None:
+    """Write an iterable of byte chunks to path through a temporary file.
 
-    The temporary file is renamed into place, so readers never observe a
-    partial file; it is created like a plain open() would create it (mode
-    0o666 less the umask).
+    Each chunk is written before the next is taken, so a chunk may reuse
+    the previous one's memory.  The temporary file, in path's directory,
+    is renamed into place,
+    so readers never observe a partial file; it is created like a plain
+    open() would create it (mode 0o666 less the umask).
     """
     tmp = "%s.%s.tmp" % (os.path.abspath(path), os.urandom(6).hex())
     fh = open(tmp, "xb")
@@ -66,8 +73,23 @@ def check_adc_bits(adc_bits: int) -> None:
                          % (_SAMPLE_BITS, adc_bits))
 
 
-def write_trace(trace: TwoChannelTrace, path: str) -> None:
-    """Write a trace; adc_bits must fit the 16-bit sample slots."""
+def _frames(trace):
+    """trace's codes as interleaved frames, in blocks of one reused buffer."""
+    buf = np.empty((_BLOCK_FRAMES, 2), dtype=_SAMPLE_DTYPE)
+    for codes_1, codes_2 in trace.blocks:
+        for first in range(0, len(codes_1), _BLOCK_FRAMES):
+            part = slice(first, first + _BLOCK_FRAMES)
+            block = buf[: len(codes_1[part])]
+            block[:, 0] = codes_1[part]
+            block[:, 1] = codes_2[part]
+            yield block
+
+
+def write_trace(trace: TwoChannelTrace | TraceStream, path: str) -> None:
+    """Write a trace, or a stream's blocks as they come.
+
+    adc_bits must fit the 16-bit sample slots.
+    """
     check_adc_bits(trace.chain.adc_bits)
     if not 0 <= trace.seed < 2 ** 64:
         raise ValueError("seed must fit an unsigned 64-bit field")
@@ -83,29 +105,23 @@ def write_trace(trace: TwoChannelTrace, path: str) -> None:
         float(trace.dc_2),
     )
     header += b"\x00" * (HEADER_SIZE - len(header))
-
-    frames = np.empty((trace.n_samples, 2), dtype=_SAMPLE_DTYPE)
-    frames[:, 0] = trace.samples_1
-    frames[:, 1] = trace.samples_2
-
-    atomic_write(path, header, frames)
+    atomic_write(path, itertools.chain((header,), _frames(trace)))
 
 
-def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrace:
-    """Read a trace file back into memory.
+def _read_header(fh, chain: DetectionChain | None):
+    """(chain, duration, seed, dc_1, dc_2, frames) of an open trace file.
 
-    The channels are read-only int16 views of the file's bytes, which are
-    read once and not copied again.  The file stores acquisition metadata
-    only; analysis parameters (filter corners, noise levels) come from the
-    chain argument when provided, otherwise from chain defaults.  A provided
-    chain must agree with the header's sample rate and bit depth.
+    Checks the header and the payload's size; frames is the payload's frame
+    count.  The file stores acquisition metadata only; analysis parameters
+    (filter corners, noise levels) come from chain when provided, otherwise
+    from chain defaults.  A provided chain must agree with the header's
+    sample rate and bit depth.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < HEADER_SIZE:
+    head = fh.read(HEADER_SIZE)
+    if len(head) < HEADER_SIZE:
         raise ValueError("file too small to hold a trace header")
     magic, version, sample_rate, channels, adc_bits, duration, seed, dc_1, dc_2 = (
-        _HEADER.unpack(raw[: _HEADER.size])
+        _HEADER.unpack(head[: _HEADER.size])
     )
     if magic != TRACE_MAGIC:
         raise ValueError("not a trace file (bad magic)")
@@ -141,30 +157,69 @@ def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrac
                 % (chain.adc_bits, adc_bits)
             )
 
-    payload = memoryview(raw)[HEADER_SIZE:]
+    payload = os.fstat(fh.fileno()).st_size - HEADER_SIZE
     expected = int(round(duration * sample_rate))
-    found, leftover = divmod(len(payload), _FRAME_BYTES)
-    if len(payload) == 0 and expected > 0:
+    found, leftover = divmod(payload, _FRAME_BYTES)
+    if payload == 0 and expected > 0:
         warnings.warn("header-only trace file: expected %d samples, found none" % expected)
-        empty = np.empty(0, dtype=_SAMPLE_DTYPE)
-        return TwoChannelTrace(
-            samples_1=empty, samples_2=empty.copy(), chain=chain,
-            duration=duration, seed=seed, dc_1=dc_1, dc_2=dc_2,
-        )
-    if leftover or found != expected:
+    elif leftover or found != expected:
         raise ValueError(
             "trace payload is truncated or padded: expected %d samples per "
-            "channel, found %s" % (expected, len(payload) / _FRAME_BYTES)
+            "channel, found %s" % (expected, payload / _FRAME_BYTES)
         )
+    return chain, duration, seed, dc_1, dc_2, found
 
-    # read-only int16 views of the file's bytes: no copy of the payload
-    frames = np.frombuffer(payload, dtype=_SAMPLE_DTYPE).reshape(-1, 2)
+
+def _truncated(frames: int, got: int) -> ValueError:
+    # the file shrank after its header was checked
+    return ValueError("trace payload is truncated: expected %d samples per channel, found %s"
+                      % (frames, got / _FRAME_BYTES))
+
+
+def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrace:
+    """Read a trace file back into memory.
+
+    The channels are read-only int16 views of the file's payload, which is
+    read once and not copied again.  The header is checked as _read_header
+    describes.
+    """
+    with open(path, "rb") as fh:
+        chain, duration, seed, dc_1, dc_2, frames = _read_header(fh, chain)
+        payload = fh.read(frames * _FRAME_BYTES)
+    if len(payload) != frames * _FRAME_BYTES:
+        raise _truncated(frames, len(payload))
+    # read-only int16 views of the payload's bytes: no copy
+    samples = np.frombuffer(payload, dtype=_SAMPLE_DTYPE).reshape(-1, 2)
     return TwoChannelTrace(
-        samples_1=frames[:, 0],
-        samples_2=frames[:, 1],
+        samples_1=samples[:, 0],
+        samples_2=samples[:, 1],
         chain=chain,
         duration=duration,
         seed=seed,
         dc_1=dc_1,
         dc_2=dc_2,
     )
+
+
+def _read_blocks(path: str, frames: int):
+    """The payload's channels, _BLOCK_FRAMES frames at a time, through one buffer."""
+    buf = np.empty((_BLOCK_FRAMES, 2), dtype=_SAMPLE_DTYPE)
+    with open(path, "rb") as fh:
+        fh.seek(HEADER_SIZE)
+        for first in range(0, frames, _BLOCK_FRAMES):
+            block = buf[: min(_BLOCK_FRAMES, frames - first)]
+            got = fh.readinto(block)
+            if got != block.nbytes:
+                raise _truncated(frames, first * _FRAME_BYTES + got)
+            yield block[:, 0], block[:, 1]
+
+
+def stream_trace(path: str, chain: DetectionChain | None = None) -> TraceStream:
+    """A trace file as a TraceStream, read as its blocks are taken.
+
+    The header is checked now, as _read_header describes.  Each block is a
+    pair of int16 views of one reused buffer.
+    """
+    with open(path, "rb") as fh:
+        chain, duration, seed, dc_1, dc_2, frames = _read_header(fh, chain)
+    return TraceStream(chain, duration, seed, dc_1, dc_2, frames, _read_blocks(path, frames))

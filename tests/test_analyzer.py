@@ -18,7 +18,9 @@ from tpsh.noise import (
     witness_pair,
     witness_report,
 )
-from tpsh.synth import DetectionChain, TwoChannelTrace, dark_trace, shot_noise_pair, synthesize, witness_arm_traces
+from tpsh.synth import (DetectionChain, TraceStream, TwoChannelTrace, dark_trace, shot_noise_pair,
+                        synthesize, witness_arm_traces)
+from tpsh.traceio import read_trace, write_trace
 from tpsh import analyzer as an
 
 
@@ -313,6 +315,28 @@ class TestBlockEstimator:
             assert np.array_equal(m.p11, p11)
             assert np.array_equal(m.p22, p22)
             assert np.array_equal(m.p12, p12)
+
+    @pytest.mark.parametrize("source", ["file", "synthesis"])
+    def test_matrix_ignores_how_the_record_is_cut(self, tmp_path, source):
+        # a record that arrives in pieces of any size, single samples too,
+        # gives the matrix of the whole: a block is transformed once it is
+        # complete from the record's start.  A file's channels are strided
+        # int16 views, a synthesized trace's contiguous codes
+        chain = DetectionChain(sample_rate=50e6)
+        trace = shot_noise_pair(1.0, 0.8, chain, 0.010, seed=21)
+        if source == "file":
+            write_trace(trace, str(tmp_path / "trace.bin"))
+            trace = read_trace(str(tmp_path / "trace.bin"), chain)
+            assert trace.samples_1.strides == (4,)
+        whole = an.cross_spectral_matrix(trace, 100e3)
+        n = trace.n_samples
+        for size in (1, 999, 1000, 65_537, 257_001, n):
+            pieces = ((trace.samples_1[i:i + size], trace.samples_2[i:i + size]) for i in range(0, n, size))
+            m = an.cross_spectral_matrix(TraceStream(chain, trace.duration, trace.seed, trace.dc_1,
+                                                     trace.dc_2, n, pieces), 100e3)
+            assert np.array_equal(m.p11, whole.p11)
+            assert np.array_equal(m.p22, whole.p22)
+            assert np.array_equal(m.p12, whole.p12)
 
     def test_matrix_starts_no_thread(self, thread_starts):
         an.cross_spectral_matrix(code_trace(300_000, seed=1), 100e3)

@@ -237,7 +237,7 @@ class TestDeterminism:
 
 
 class TestOneTraceAtATime:
-    """Each trace is reduced to its matrix before the next one exists."""
+    """Each record is reduced to its matrix before the next one exists."""
 
     @staticmethod
     def record_traces(monkeypatch, module, names):
@@ -256,13 +256,32 @@ class TestOneTraceAtATime:
         return alive
 
     def test_witness(self, capsys, fast_conf, monkeypatch):
-        # witness's three traces come from synth.witness_traces, which makes
-        # each in synth._realize (dark_trace nests shot_noise_pair, so hooking
-        # the public functions would count the dark trace twice)
-        alive = self.record_traces(monkeypatch, synth, ("_realize",))
+        # witness's three records come from synth.witness_streams, each made
+        # in synth._Run.stream: its blocks go to the estimator as they are
+        # synthesized, the last of them before the next stream exists, and
+        # no trace is ever assembled
+        streams, traces = [], []
+        stream = synth._Run.stream
+
+        def recording(run, job, codes=None):
+            assert all(done for done in streams)
+            record = stream(run, job, codes)
+            streams.append(False)
+            blocks, index = record.blocks, len(streams) - 1
+
+            def watched():
+                yield from blocks
+                streams[index] = True
+
+            record.blocks = watched()
+            return record
+
+        monkeypatch.setattr(synth._Run, "stream", recording)
+        monkeypatch.setattr(synth.TwoChannelTrace, "__post_init__", lambda trace: traces.append(trace))
         rc, _, _ = run_cli(capsys, "witness", "--config", fast_conf)
         assert rc == 0
-        assert len(alive) == 3
+        assert streams == [True, True, True]
+        assert traces == []
 
     def test_witness_joins_its_one_worker(self, capsys, fast_conf, thread_starts):
         before = threading.active_count()
@@ -272,6 +291,8 @@ class TestOneTraceAtATime:
         assert threading.active_count() == before
 
     def test_analyze(self, capsys, fast_conf, tmp_path, monkeypatch):
+        # each file is read block by block into the estimator, to its end,
+        # before the next one is opened; none is read whole
         rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
         trace_path = json.loads(out)["written"]
         chain = DetectionChain(sample_rate=50e6)
@@ -279,11 +300,28 @@ class TestOneTraceAtATime:
         write_trace(shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, 0.010, seed=6),
                     ref_path)
         write_trace(dark_trace(chain, 0.010, seed=7), dark_path)
-        alive = self.record_traces(monkeypatch, cli, ("read_trace",))
+        streams = []
+        stream_trace = cli.stream_trace
+
+        def recording(path, chain=None):
+            assert all(done for done in streams)
+            record = stream_trace(path, chain=chain)
+            streams.append(False)
+            blocks, index = record.blocks, len(streams) - 1
+
+            def watched():
+                yield from blocks
+                streams[index] = True
+
+            record.blocks = watched()
+            return record
+
+        monkeypatch.setattr(cli, "stream_trace", recording)
+        monkeypatch.setattr(cli, "read_trace", None, raising=False)
         rc, _, _ = run_cli(capsys, "analyze", trace_path, "--config", fast_conf,
                            "--reference", ref_path, "--dark", dark_path)
         assert rc == 0
-        assert len(alive) == 3
+        assert streams == [True, True, True]
 
     def test_analyze_starts_no_thread(self, capsys, fast_conf, tmp_path, thread_starts):
         rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
@@ -293,6 +331,7 @@ class TestOneTraceAtATime:
         write_trace(shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, 0.010, seed=6),
                     ref_path)
         write_trace(dark_trace(chain, 0.010, seed=7), dark_path)
+        thread_starts.clear()  # synth's draw-ahead worker
         rc, _, _ = run_cli(capsys, "analyze", trace_path, "--config", fast_conf,
                            "--reference", ref_path, "--dark", dark_path)
         assert rc == 0
@@ -390,9 +429,9 @@ class TestAllocatorPolicy:
         }
 
     def test_repeated_witness_faults_no_pages_in_again(self, fast_conf):
-        # glibc's default unmaps every freed grid-sized array, so each 50 MS/s,
-        # 10 ms witness faults about 8,000 pages in again; kept blocks fault
-        # fewer than ten
+        # a repeat reuses the heap's blocks and faults 15-40 pages in; with
+        # glibc's default a 50 MS/s, 10 ms witness faults 800-1,100 (the
+        # circulant synthesis about 8,000), and at 200 MS/s 3,000-4,300
         faults = _python(
             "import json, resource\n"
             "from tpsh import cli\n"
@@ -404,6 +443,38 @@ class TestAllocatorPolicy:
             "print(json.dumps(faults))\n" % fast_conf
         )
         assert faults[1] < 1000 and faults[2] < 1000, faults
+
+
+class TestFreshProcessMemory:
+    # a child reports at least its parent's peak RSS as ru_maxrss (fork and
+    # vfork both carry it through exec), so each witness is started by a
+    # small launcher interpreter, not by this large test process
+    LAUNCHER = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+
+    def test_witness_peak_does_not_grow_with_the_trace(self, fast_conf, tmp_path):
+        # no array spans the record: a fresh witness peaks within 3 MiB at
+        # 10 and 40 ms (the circulant synthesis rose 33 MiB between them)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env.pop("TPSH_DEFAULTS", None)
+        peaks = []
+        for duration in ("10", "40"):
+            out = subprocess.run(
+                [sys.executable, "-c", self.LAUNCHER, sys.executable, "-c",
+                 "import sys; from tpsh.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "witness", "--config", fast_conf, "--duration-ms", duration,
+                 "--out", str(tmp_path / duration)],
+                env=env, capture_output=True, text=True, check=True)
+            status, maxrss = (int(v) for v in out.stdout.split())
+            assert status == 0
+            peaks.append(maxrss / 1024.0)  # KiB on Linux
+        assert abs(peaks[1] - peaks[0]) <= 3.0, peaks
 
 
 class TestErrors:
@@ -440,7 +511,7 @@ class TestErrors:
         with open(fast_conf, "a") as fh:
             fh.write("chain.adc_bits = 20\n")
         calls = []
-        monkeypatch.setattr(cli, "synthesize", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "synthesis_stream", lambda *args: calls.append(args))
         rc, out, err = run_cli(capsys, "synth", "--config", fast_conf)
         assert rc == 1
         assert out == ""

@@ -242,8 +242,9 @@ class TestResponseMatchesSciPy:
             assert np.array_equal(synth._polyval(coef, zm1), h)
 
     def test_bilinear_transforms_do_not_grow_with_the_block_count(self, monkeypatch):
-        # the response is evaluated block by block; its two bilinear
-        # transforms depend only on the chain and are derived once for it
+        # a trace's kernels come from one response on the kernel grid, and
+        # its two bilinear transforms depend only on the chain: derived once
+        # for it, however many blocks the trace spans
         calls = []
         whole = synth._bilinear
 
@@ -254,16 +255,13 @@ class TestResponseMatchesSciPy:
         monkeypatch.setattr(synth, "_bilinear", counting)
         counts = []
         try:
-            for block in (1 << 16, 4099, 1021):
-                monkeypatch.setattr(synth, "_BIN_BLOCK", block)
+            for duration in (0.010, 0.020, 0.040):
                 synth._digital_filters.cache_clear()
-                synth._synthesis_response.cache_clear()
                 calls.clear()
-                synth._synthesis_response(DetectionChain(sample_rate=50e6), 500_000)
+                synthesize(coherent_spectra(), DetectionChain(sample_rate=50e6), duration, seed=1)
                 counts.append(len(calls))
         finally:
             synth._digital_filters.cache_clear()
-            synth._synthesis_response.cache_clear()
         assert counts == [2, 2, 2]
 
 
@@ -273,98 +271,79 @@ def operating_point_spectra():
     return apply_detection_loss(spec, params.total_detection_efficiency)
 
 
-def per_bin_synthesis(matrix, dc_pair, chain, duration, seed):
-    """Reference synthesis that treats every bin of the grid on its own.
+def per_bin_synthesis(job, chain, duration):
+    """Reference synthesis: every block filtered on its own from the whole noise record.
 
-    Whole-grid interpolation, PSD check and Cholesky factors, then the DC
-    and Nyquist fix-up and a full-length multiply by the chain response,
-    each as its own pass.  Returns (codes_1, codes_2, clipped_1, clipped_2).
+    The kernels come from synth._kernels, whose factors are taken bin by bin
+    on the whole kernel grid, and the normals from synth._normals.  Each
+    channel's noise is drawn in full first, in a run's order (the first
+    frame, then _HOP new samples per channel and block); each block's frame
+    is cut from it and filtered into fresh arrays, with no buffer reused and
+    no worker.  Returns (codes_1, codes_2, clipped_1, clipped_2).
     """
-    spec_freqs, s11, s22, c12 = matrix
-    dc1, dc2 = dc_pair
-    fs = chain.sample_rate
-    n = int(round(duration * fs))
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    _, dc_pair, seed = job
+    n = int(round(duration * chain.sample_rate))
+    taps, size, hop = synth._TAPS, synth._FFT, synth._HOP
+    n_blocks = -(-n // hop)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z = []
-    for _ in range(2):
-        x = np.empty(len(freqs), dtype=np.complex64)
-        x.real = rng.standard_normal(len(freqs), dtype=np.float32)
-        x.imag = rng.standard_normal(len(freqs), dtype=np.float32)
-        z.append(x)
     phases = rng.uniform(0.0, 2.0 * np.pi, 2)
+    draw = synth._DRAW_BLOCKS * hop
+    scratch = np.empty((2, (taps - 1 + draw) // 2 + 1), dtype=np.float32)
+    n_draws = -(-n_blocks // synth._DRAW_BLOCKS)
+    noise = np.empty((2, taps - 1 + n_draws * draw), dtype=np.float32)
+    for row in noise[:, :taps - 1 + draw]:
+        synth._normals(rng, row, scratch)
+    for lo in range(taps - 1 + draw, noise.shape[1], draw):
+        for row in noise[:, lo:lo + draw]:
+            synth._normals(rng, row, scratch)
 
-    psd_e = chain.electronic_noise_psd
-    p11 = dc1 * np.interp(freqs, spec_freqs, s11) + psd_e
-    p22 = dc2 * np.interp(freqs, spec_freqs, s22) + psd_e
-    p12 = np.sqrt(dc1 * dc2) / 2.0 * np.interp(freqs, spec_freqs, c12)
-    bad = (p11 < 0) | (p22 < 0)
-    bad |= p11 * p22 - p12 * p12 < -1e-12 * np.maximum(p11 * p22, 1e-300)
-    if np.any(bad):
-        raise ValueError("spectral matrix is not positive semidefinite at %.6g Hz"
-                         % freqs[np.argmax(bad)])
-    l11 = np.sqrt(p11)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        l21 = np.where(l11 > 0, p12 / np.where(l11 > 0, l11, 1.0), 0.0)
-    l22 = np.sqrt(np.maximum(p22 - l21 * l21, 0.0))
-    scale = np.sqrt(n * fs / 4.0)
-    a11, a21, a22 = ((scale * l).astype(np.float32) for l in (l11, l21, l22))
-    x1, x2 = a11 * z[0], a22 * z[1] + a21 * z[0]
-
-    h = chain.response(freqs).astype(np.complex64)
-    for x in (x1, x2):
-        x[0] = 0.0
-        if n % 2 == 0:
-            x[-1] = np.sqrt(2.0) * x[-1].real
-        x *= h
-    k0 = int(round(chain.spur_freq * n / fs))
-    if chain.spur_amplitude > 0 and 0 < k0 < len(freqs) - 1:
-        for x, dc, ph in ((x1, dc1, phases[0]), (x2, dc2, phases[1])):
-            x[k0] += chain.spur_current_amplitude(dc) * (n / 2.0) * np.exp(1j * ph)
-    (c1, k1), (c2, k2) = (synth._quantize(x, n, chain, dc) for x, dc in ((x1, dc1), (x2, dc2)))
-    return c1, c2, k1, k2
+    k11, k21, k22 = synth._kernels(job, chain)
+    omega = 2.0 * np.pi * chain.spur_freq / chain.sample_rate
+    amplitudes = [1.0 / chain.lsb(dc) * chain.spur_current_amplitude(dc) if chain.lsb(dc) > 0 else 0.0
+                  for dc in dc_pair]
+    top = 2 ** (chain.adc_bits - 1)
+    codes = np.empty((2, n), dtype=np.int16 if chain.adc_bits <= 16 else np.int32)
+    clipped = [0, 0]
+    for lo in range(0, n, hop):
+        m = min(hop, n - lo)
+        z1, z2 = (np.fft.rfft(noise[c, lo:lo + size]) for c in range(2))
+        x2 = z2 * k22
+        if k21 is not None:
+            x2 += k21 * z1
+        y = np.array([np.fft.irfft(x, n=size)[taps - 1:taps - 1 + m] for x in (z1 * k11, x2)])
+        for c in range(2):
+            if amplitudes[c] > 0:
+                theta = omega * lo + phases[c]
+                t = omega * np.arange(m)
+                y[c] += np.float32(amplitudes[c] * math.cos(theta)) * np.cos(t).astype(np.float32)
+                y[c] -= np.float32(amplitudes[c] * math.sin(theta)) * np.sin(t).astype(np.float32)
+        y = np.rint(y)
+        for c in range(2):
+            clipped[c] += int(np.count_nonzero((y[c] < -top) | (y[c] > top - 1)))
+        codes[:, lo:lo + m] = np.clip(y, -top, top - 1)
+    return codes[0], codes[1], clipped[0], clipped[1]
 
 
 class TestBlockwiseSynthesis:
-    """The synthesis grid is walked in blocks of _BIN_BLOCK bins; the block
-    size bounds memory and must not change a single code."""
+    """A trace is filtered in blocks of _HOP samples through reused buffers
+    while the next block is drawn; the blocks must join without a seam."""
 
     @staticmethod
-    def all_kinds(chain):
+    def all_jobs(chain):
         spec, loud = operating_point_spectra(), loud_spectra()
         return [
-            synthesize(spec, chain, 0.010, seed=5),
-            synthesize(loud, chain, 0.010, seed=6),  # clips
-            witness_arm_traces(spec, chain, 0.010, seed=7),
-            shot_noise_pair(1.0, 0.5, chain, 0.010, seed=8),
-            dark_trace(chain, 0.010, seed=9),
+            synth._synthesis_job(spec, chain, 5),
+            synth._synthesis_job(loud, chain, 6),  # clips
+            synth._arm_job(spec, chain, 7),
+            synth._pair_job(1.0, 0.5, chain, 8),
+            synth._pair_job(0.0, 0.0, chain, 9),
         ]
-
-    def test_block_size_does_not_change_codes(self, monkeypatch):
-        chain = DetectionChain(sample_rate=50e6)
-        nfreq = int(round(0.010 * chain.sample_rate)) // 2 + 1
-        want = self.all_kinds(chain)
-        assert want[1].clipped_1 > 0 and want[1].clipped_2 > 0
-        assert nfreq % 4099 != 0
-        monkeypatch.setattr(synth, "_BIN_BLOCK", 4099)
-        synth._synthesis_response.cache_clear()
-        try:
-            got = self.all_kinds(chain)
-        finally:
-            synth._synthesis_response.cache_clear()
-        for a, b in zip(want, got):
-            assert np.array_equal(a.samples_1, b.samples_1)
-            assert np.array_equal(a.samples_2, b.samples_2)
-            assert (a.clipped_1, a.clipped_2) == (b.clipped_1, b.clipped_2)
 
     @staticmethod
     def plateau_spectra():
         # a 100 kHz linear grid; the auto-spectra are constant over 4.1-8.1 MHz
-        # and the cross spectrum over 2.1-6.1 MHz, so each is flat on blocks
-        # where the other is not.  With 4099-bin blocks of 100 Hz bins, one
-        # block starts at 4.099 MHz, between the grid points below and at the
-        # start of the common plateau, and another ends at 6.1484 MHz,
-        # between its last point and the next
+        # and the cross spectrum over 2.1-6.1 MHz, so each is flat where the
+        # other is not
         spec = operating_point_spectra()
         f = np.linspace(0.5e6, 20e6, 196)
         s_x, c_x = (np.where((f > lo) & (f < hi), level, np.interp(f, spec.frequencies, curve))
@@ -374,77 +353,60 @@ class TestBlockwiseSynthesis:
         return QuadSpectra(frequencies=f, s_x1=s_x, s_x2=s_x.copy(), c_x=c_x,
                            s_y1=ones, s_y2=ones, c_y=0 * ones)
 
-    def test_codes_equal_the_per_bin_reference(self, monkeypatch):
-        """Flat blocks factored once and the response applied in the block
-        pass give the codes of per-bin factors and separate passes."""
+    def test_codes_equal_the_per_bin_reference(self):
+        """The run's block buffers, carried frame tails and draw-ahead give
+        the codes of blocks cut from the whole record and filtered apart."""
         chain = DetectionChain(sample_rate=50e6)
-        calls = []
-        whole = synth._realize
-
-        def recording(job, spectra, phases, chain, duration, n):
-            matrix, dc_pair, seed = job
-            calls.append((matrix, dc_pair, chain, duration, seed))
-            return whole(job, spectra, phases, chain, duration, n)
-
-        monkeypatch.setattr(synth, "_realize", recording)
-        # 61 blocks: the clamped top 5 MHz and the plateau are flat, the rest not
-        monkeypatch.setattr(synth, "_BIN_BLOCK", 4099)
-        synth._synthesis_response.cache_clear()
-        try:
-            got = self.all_kinds(chain) + [
-                synthesize(self.plateau_spectra(), chain, 0.010, seed=10),
-                synthesize(operating_point_spectra(), chain, 0.010 + 1 / chain.sample_rate, seed=11),
-            ]
-        finally:
-            synth._synthesis_response.cache_clear()
-        assert got[-1].n_samples % 2 == 1 and len(calls) == len(got) == 7
+        jobs = [(job, 0.010) for job in self.all_jobs(chain)] + [
+            (synth._synthesis_job(self.plateau_spectra(), chain, 10), 0.010),
+            (synth._synthesis_job(operating_point_spectra(), chain, 11), 0.010 + 1 / chain.sample_rate),
+        ]
+        seeds = [job[2] for job, _ in jobs[:5]]
+        with synth._Run(chain, 0.010, seeds) as run:
+            got = [run.trace(job) for job, _ in jobs[:5]]
+        got += [synth._trace(job, chain, duration, None) for job, duration in jobs[5:]]
+        assert got[-1].n_samples % 2 == 1 and got[-1].n_samples % synth._HOP != 0
         assert got[1].clipped_1 > 0 and got[1].clipped_2 > 0
-        for args, tr in zip(calls, got):
-            c1, c2, k1, k2 = per_bin_synthesis(*args)
+        for (job, duration), tr in zip(jobs, got):
+            c1, c2, k1, k2 = per_bin_synthesis(job, chain, duration)
             assert np.array_equal(tr.samples_1, c1)
             assert np.array_equal(tr.samples_2, c2)
             assert (tr.clipped_1, tr.clipped_2) == (k1, k2)
 
-    def test_non_psd_on_a_flat_stretch_names_the_whole_grid_frequency(self, monkeypatch):
-        # good up to the last bin of block 29, then non-PSD and constant from
-        # the first bin of block 30 (12.297 MHz) on: a flat block is the
-        # first to fail, and it must name its first bin
-        monkeypatch.setattr(synth, "_BIN_BLOCK", 4099)
+    def test_a_shorter_trace_is_the_start_of_a_longer_one(self):
+        # the noise is drawn in the same blocks from the same stream, however
+        # long the trace: its codes depend on the seed, not on where it ends
+        chain = DetectionChain(sample_rate=50e6)
+        short, long = (synthesize(loud_spectra(), chain, duration, seed=4) for duration in (0.010, 0.025))
+        n = short.n_samples
+        assert np.array_equal(long.samples_1[:n], short.samples_1)
+        assert np.array_equal(long.samples_2[:n], short.samples_2)
+
+    def test_non_psd_on_a_flat_stretch_names_the_whole_grid_frequency(self):
+        # non-PSD and constant from a point of the spectra's grid on.  The
+        # check runs on that whole grid, where np.interp's straight lines
+        # start and end, and names the first bad point; a dense check finds
+        # the first bad frequency in the interval just below it
         chain = quiet_chain()
-        f_b = 30 * 4099 * 100.0
-        f = np.sort(np.r_[default_frequency_grid(), f_b - 70.0, f_b - 30.0])
+        f = default_frequency_grid()
         ones = np.ones_like(f)
-        c_x = np.where(f > f_b - 50.0, 2.5, 0.0)
+        c_x = np.where(np.arange(len(f)) >= 150, 2.5, 0.0)
         spec = QuadSpectra(frequencies=f, s_x1=ones, s_x2=ones, c_x=c_x,
                            s_y1=ones, s_y2=ones, c_y=0 * ones)
-        dc = (chain.dc_current_1, chain.dc_current_2)
-        with pytest.raises(ValueError) as whole_grid:
-            per_bin_synthesis((f, ones, ones, c_x), dc, chain, 0.010, seed=1)
-        assert ("at %.6g Hz" % f_b) in str(whole_grid.value)
-        with pytest.raises(ValueError, match=re.escape(str(whole_grid.value))):
+        with pytest.raises(ValueError, match=re.escape("at %.6g Hz" % f[150])):
             synthesize(spec, chain, 0.010, seed=1)
-
-    @pytest.mark.parametrize("sample_rate, n", [(50e6, 500_000), (50e6, 500_001), (200e6, 2_000_000)])
-    def test_response_equals_whole_grid_evaluation(self, sample_rate, n):
-        chain = DetectionChain(sample_rate=sample_rate)
-        synth._synthesis_response.cache_clear()
-        whole = chain.response(np.fft.rfftfreq(n, 1.0 / sample_rate)).astype(np.complex64)
-        assert np.array_equal(synth._synthesis_response(chain, n), whole)
+        dense = np.linspace(f[149], f[150], 10001)
+        p12 = 1e-3 / 2.0 * np.interp(dense, f, c_x)
+        bad = 1e-3 * 1e-3 - p12 * p12 < -1e-12 * 1e-6
+        assert f[149] < dense[np.argmax(bad)] < f[150]
 
     def test_non_psd_in_a_later_block_names_the_first_bad_frequency(self):
+        # bad only from 12 MHz up, past the first of the spectra's points
         chain = quiet_chain()
         spec = coherent_spectra()
         spec.c_x[spec.frequencies >= 12e6] = 2.5
-        n = int(round(0.010 * chain.sample_rate))
-        # the whole-grid check the block-wise one replaces
-        freqs = np.fft.rfftfreq(n, 1.0 / chain.sample_rate)
-        p11 = 1e-3 * np.interp(freqs, spec.frequencies, spec.s_x1)
-        p22 = 1e-3 * np.interp(freqs, spec.frequencies, spec.s_x2)
-        p12 = 1e-3 / 2.0 * np.interp(freqs, spec.frequencies, spec.c_x)
-        bad = p11 * p22 - p12 * p12 < -1e-12 * np.maximum(p11 * p22, 1e-300)
-        first = int(np.argmax(bad))
-        assert bad[first] and first >= synth._BIN_BLOCK
-        with pytest.raises(ValueError, match=re.escape("at %.6g Hz" % freqs[first])):
+        first = spec.frequencies[spec.frequencies >= 12e6][0]
+        with pytest.raises(ValueError, match=re.escape("at %.6g Hz" % first)):
             synthesize(spec, chain, 0.010, seed=1)
 
 
@@ -456,75 +418,41 @@ def loud_spectra():
                                c_x=np.zeros_like(f))
 
 
-class TestFixUps:
-    """The DC and Nyquist fix-ups, seen through a unit chain response (the
-    real one is 0 at DC and about 1e-32 at Nyquist, which hides them)."""
-
-    @pytest.mark.parametrize("n", [500_000, 500_001])
-    def test_dc_bin_zeroed_and_even_nyquist_bin_real(self, monkeypatch, n):
-        chain = DetectionChain(sample_rate=50e6)
-        nfreq = n // 2 + 1
-        monkeypatch.setattr(synth, "_synthesis_response",
-                            lambda chain, n: np.ones(n // 2 + 1, dtype=np.complex64))
-        rng = np.random.default_rng(5)
-        z1, z2 = ((rng.standard_normal(nfreq) + 1j * rng.standard_normal(nfreq)).astype(np.complex64)
-                  for _ in range(2))
-        x1, x2 = z1.copy(), z2.copy()
-        flat = (np.array([0.0, chain.sample_rate / 2.0]), np.ones(2), np.ones(2), np.zeros(2))
-        synth._mix(x1, x2, flat, (1.0, 1.0), chain, n)
-        # equal unit auto-spectra and no cross term: both channels are a z
-        a = np.float32(math.sqrt(n * chain.sample_rate / 4.0) * math.sqrt(1.0 + chain.electronic_noise_psd))
-        for x, z in ((x1, z1), (x2, z2)):
-            want = a * z
-            assert np.array_equal(x[1:-1], want[1:-1])
-            assert x[0] == 0
-            if n % 2 == 0:
-                assert x[-1].imag == 0
-                assert x[-1].real == pytest.approx(math.sqrt(2.0) * want[-1].real, rel=1e-6)
-            else:
-                assert x[-1] == want[-1]
-
-
 class TestQuantize:
     @staticmethod
-    def mixed_channel(spec, chain, n, seed):
-        """Channel 1's filtered half spectrum, before the spur."""
-        nfreq = n // 2 + 1
-        x1, x2 = (np.empty(nfreq, dtype=np.complex64) for _ in range(2))
-        synth._draw(np.random.default_rng(seed), x1, x2, np.empty(4099, dtype=np.float32))
-        matrix = (spec.frequencies, spec.s_x1, spec.s_x2, spec.c_x)
-        synth._mix(x1, x2, matrix, (chain.dc_current_1, chain.dc_current_2), chain, n)
-        return x1
+    def signal(loud, seed):
+        """One block of both channels' filtered noise in code units, unrounded."""
+        chain = DetectionChain(sample_rate=50e6)
+        spec = loud_spectra() if loud else operating_point_spectra()
+        k11, _, k22 = synth._kernels(synth._synthesis_job(spec, chain, seed), chain)
+        with synth._Run(chain, 0.010) as run:
+            synth._first_draw(seed, run._noise, run._spectra[0], run._scratch)
+            y = np.array([np.fft.irfft(x * k, n=synth._FFT) for x, k in zip(run._spectra[0, 0], (k11, k22))])
+        return chain, y[:, synth._TAPS - 1:]
 
     @pytest.mark.parametrize("loud", [False, True])
     def test_clip_count_equals_the_boolean_expression(self, loud):
-        chain = DetectionChain(sample_rate=50e6)
-        n = 500_000
-        spec = loud_spectra() if loud else operating_point_spectra()
-        x = self.mixed_channel(spec, chain, n, seed=12)
+        chain, y = self.signal(loud, seed=12)
         top = 2 ** (chain.adc_bits - 1)
-        y = np.fft.irfft(x, n=n) / np.float32(chain.lsb(chain.dc_current_1))
         rounded = np.rint(y)
-        want = int(np.count_nonzero((rounded < -top) | (rounded > top - 1)))
-        codes, clipped = synth._quantize(x, n, chain, chain.dc_current_1)
-        assert clipped == want
-        assert (want > 0) == loud
+        want = [int(np.count_nonzero((row < -top) | (row > top - 1))) for row in rounded]
+        codes = np.empty(y.shape, dtype=np.int16)
+        assert synth._quantize(y.copy(), chain, codes) == want
+        assert (min(want) > 0) == loud
         assert np.array_equal(codes, np.clip(rounded, -top, top - 1).astype(np.int16))
 
     @pytest.mark.parametrize("adc_bits", [14, 24])
-    def test_codes_over_their_own_signal_equal_fresh_codes(self, adc_bits):
-        # the signal starts where the codes do, as in a trace's one
-        # allocation; several blocks and a partial one
+    def test_trace_codes_equal_the_stream_blocks(self, adc_bits):
+        # a trace quantizes each block straight into its one allocation, a
+        # stream into one reused block buffer; several blocks and a partial one
         chain = DetectionChain(sample_rate=50e6, adc_bits=adc_bits)
-        n = 3 * synth._BIN_BLOCK + 1001
-        x = self.mixed_channel(loud_spectra(), chain, n, seed=13)
-        want, want_clipped = synth._quantize(x, n, chain, chain.dc_current_1)
-        codes = np.empty((2, n), dtype=want.dtype)
-        got, clipped = synth._quantize(x, n, chain, chain.dc_current_1,
-                                       out=codes.reshape(-1).view(np.float32)[:n], codes=codes[0])
-        assert got.base is codes
-        assert clipped == want_clipped
-        assert np.array_equal(got, want)
+        want = synthesize(loud_spectra(), chain, 0.010, seed=13)
+        assert want.n_samples % synth._HOP != 0
+        with synth.synthesis_stream(loud_spectra(), chain, 0.010, 13) as stream:
+            got = np.concatenate([np.array(block) for block in stream.blocks], axis=1)
+        assert got.dtype == want.samples_1.dtype
+        assert np.array_equal(got, [want.samples_1, want.samples_2])
+        assert (stream.clipped_1, stream.clipped_2) == (want.clipped_1, want.clipped_2) != (0, 0)
 
     def test_a_trace_is_one_allocation(self):
         chain = DetectionChain(sample_rate=50e6)
@@ -535,12 +463,12 @@ class TestQuantize:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_clipping_on_one_side_only_is_counted(self, sign):
         chain = DetectionChain(sample_rate=50e6)
-        n, top, lsb = 1000, 2 ** (chain.adc_bits - 1), chain.lsb(1.0)
-        signal = np.zeros(n)
-        signal[[3, 7]] = sign * 3 * top * lsb
-        codes, clipped = synth._quantize(np.fft.rfft(signal).astype(np.complex64), n, chain, 1.0)
-        assert clipped == 2
-        assert codes[3] == codes[7] == (top - 1 if sign > 0 else -top)
+        top = 2 ** (chain.adc_bits - 1)
+        y = np.zeros((2, 1000), dtype=np.float32)
+        y[0, [3, 7]] = sign * 3 * top
+        codes = np.empty(y.shape, dtype=np.int16)
+        assert synth._quantize(y, chain, codes) == [2, 0]
+        assert codes[0, 3] == codes[0, 7] == (top - 1 if sign > 0 else -top)
 
 
 class TestSynthesisRun:
@@ -555,12 +483,10 @@ class TestSynthesisRun:
             assert (a.clipped_1, a.clipped_2) == (b.clipped_1, b.clipped_2)
             assert (a.dc_1, a.dc_2, a.seed) == (b.dc_1, b.dc_2, b.seed)
 
-    def test_three_traces_equal_separate_calls(self, monkeypatch):
+    def test_three_traces_equal_separate_calls(self):
         chain = DetectionChain(sample_rate=50e6)
         duration = 0.010 + 1 / chain.sample_rate  # odd n
         spec, loud = operating_point_spectra(), loud_spectra()
-        monkeypatch.setattr(synth, "_BIN_BLOCK", 4099)
-        synth._synthesis_response.cache_clear()
         interval = sys.getswitchinterval()
         # hand the GIL over often, so the main thread and the drawing worker interleave finely
         sys.setswitchinterval(1e-6)
@@ -571,12 +497,9 @@ class TestSynthesisRun:
                        shot_noise_pair(1.0, 0.5, chain, duration, 8, _run=run)]
         finally:
             sys.setswitchinterval(interval)
-        try:
-            want = [witness_arm_traces(spec, chain, duration, seed=7),
-                    synthesize(loud, chain, duration, seed=6),
-                    shot_noise_pair(1.0, 0.5, chain, duration, seed=8)]
-        finally:
-            synth._synthesis_response.cache_clear()
+        want = [witness_arm_traces(spec, chain, duration, seed=7),
+                synthesize(loud, chain, duration, seed=6),
+                shot_noise_pair(1.0, 0.5, chain, duration, seed=8)]
         assert got[0].n_samples % 2 == 1
         assert want[1].clipped_1 > 0 and want[1].clipped_2 > 0
         self.assert_same(want, got)
@@ -662,20 +585,117 @@ class TestSynthesisRun:
                     dark_trace(other_chain, other_duration, 1, _run=run)
 
 
+def target_matrix(job, chain, freqs):
+    """P11, P22 and P12 that job's kernels aim at, chain response included."""
+    (spec_freqs, s11, s22, c12), (dc1, dc2), _ = job
+    h2 = np.abs(chain.response(freqs)) ** 2
+    psd_e = chain.electronic_noise_psd
+    return (h2 * (dc1 * np.interp(freqs, spec_freqs, s11) + psd_e),
+            h2 * (dc2 * np.interp(freqs, spec_freqs, s22) + psd_e),
+            h2 * np.sqrt(dc1 * dc2) / 2.0 * np.interp(freqs, spec_freqs, c12))
+
+
+def expected_welch(p, sample_rate, nperseg):
+    """The analyzer's expected estimate of a real one-sided density p on
+    the grid linspace(0, fs/2, len(p)): p smoothed by its root-Hann window."""
+    n = 2 * (len(p) - 1)
+    autocovariance = sample_rate / 2.0 * np.fft.irfft(p, n=n)[:nperseg]
+    window = np.sin(np.pi * np.arange(nperseg) / nperseg)
+    lagged = np.correlate(window, window, "full")[nperseg - 1:] * autocovariance
+    return 2.0 / (sample_rate * np.sum(window ** 2)) * (2.0 * np.fft.rfft(lagged).real - lagged[0])
+
+
+class TestSynthesisFidelity:
+    """What the traces realize, against the matrix they are made from."""
+
+    @pytest.mark.parametrize("kind", ["arm", "reference", "dark"])
+    def test_kernels_match_their_targets(self, kind):
+        """|K|^2 of each kernel against (fs/2) l^2 |H|^2 over 0.5-20 MHz.
+
+        l are the Cholesky factors of the interpolated matrix at each
+        frequency, on a grid 64 times finer than the kernels'.  k11 and k22
+        stay within 1e-5 of their own targets.  k21, the small cross factor
+        of the arms, stays within 1e-5 of channel 2's whole target,
+        l21^2 + l22^2: against its own it reaches 3.6e-4 at 20 MHz, where
+        the clamped spectra's slope jumps.
+        """
+        chain = DetectionChain(sample_rate=50e6)
+        job = {"arm": synth._arm_job(operating_point_spectra(), chain, 1),
+               "reference": synth._pair_job(chain.dc_current_1, chain.dc_current_2, chain, 1),
+               "dark": synth._pair_job(0.0, 0.0, chain, 1)}[kind]
+        fine = 64 * synth._TAPS
+        f = np.fft.rfftfreq(fine, 1.0 / chain.sample_rate)
+        band = (f >= 0.5e6) & (f <= 20e6)
+        p11, p22, p12 = (p[band] for p in target_matrix(job, chain, f))
+        l11 = np.sqrt(p11)
+        l21 = p12 / l11
+        l22 = np.sqrt(p22 - l21 ** 2)
+        kernels = synth._kernels(job, chain)
+        lsb = [chain.lsb(dc) for dc in job[1]]
+        got = [None if k is None else
+               np.abs(np.fft.rfft(np.fft.irfft(k.astype(complex), n=synth._FFT), n=fine)[band]) ** 2
+               * lsb[min(i, 1)] ** 2 for i, k in enumerate(kernels)]
+        scale = chain.sample_rate / 2.0
+        assert np.max(np.abs(got[0] / (scale * l11 ** 2) - 1)) < 1e-5
+        assert np.max(np.abs(got[2] / (scale * l22 ** 2) - 1)) < 1e-5
+        if kind == "arm":
+            assert np.max(np.abs(got[1] - scale * l21 ** 2) / (scale * (l21 ** 2 + l22 ** 2))) < 1e-5
+        else:
+            assert got[1] is None
+
+    def test_realized_spectra_pull_with_unit_width(self):
+        """Per-bin pulls of P11, P22 and Re P12 over a seed ensemble.
+
+        Witness arms at 50 MS/s, 10 ms, 100 kHz RBW.  The expectation is
+        the target matrix smoothed by the analyzer's window; the variance
+        of a bin is E11^2 (or E22^2, or (E11 E22 + E12^2) / 2 for Re P12)
+        times (K + 2 (K - 1) rho) / K^2 for K half-overlapping segments that
+        correlate in power by rho.  Every other bin over 0.5-20 MHz, where
+        neighbours do not correlate, is pooled.
+        """
+        chain = DetectionChain(sample_rate=50e6, adc_bits=16, spur_amplitude=0.0)
+        spec = operating_point_spectra()
+        nperseg = 500
+        grid = np.linspace(0.0, chain.sample_rate / 2.0, (1 << 15) + 1)
+        expected = [expected_welch(p, chain.sample_rate, nperseg)
+                    for p in target_matrix(synth._arm_job(spec, chain, 0), chain, grid)]
+        window = np.sin(np.pi * np.arange(nperseg) / nperseg)
+        rho = (np.sum(window[:nperseg // 2] * window[nperseg // 2:]) / np.sum(window ** 2)) ** 2
+        pulls = []
+        e11, e22, e12 = expected
+        for seed in range(40):
+            trace = witness_arm_traces(spec, chain, 0.010, seed=seed)
+            m = an.cross_spectral_matrix(trace, 100e3)
+            k = (trace.n_samples - nperseg) // (nperseg // 2) + 1
+            factor = (k + 2 * (k - 1) * rho) / k ** 2
+            sel = ((m.frequencies >= 0.5e6) & (m.frequencies <= 20e6)
+                   & (np.arange(len(m.frequencies)) % 2 == 0))
+            for got, want, var in ((m.p11, e11, e11 ** 2), (m.p22, e22, e22 ** 2),
+                                   (m.p12.real, e12, (e11 * e22 + e12 ** 2) / 2.0)):
+                pulls.append((got[sel] - want[sel]) / np.sqrt(var[sel] * factor))
+        pulls = np.concatenate(pulls)
+        assert len(pulls) > 10000
+        assert abs(np.mean(pulls)) < 0.05
+        assert abs(np.std(pulls) - 1.0) < 0.04
+
+
 class TestMemoryAndCodeDtype:
     def test_witness_synthesis_memory_is_bounded(self):
-        # 50 MS/s, 10 ms: 250 001 bins, 2 MB per complex64 spectrum; whole-grid
-        # float64 scratch arrays and int32 codes took 32.7 MiB here
+        # 50 MS/s, 10 ms: the trace's codes are 1.9 MiB and the run's buffers,
+        # a draw of eight blocks' noise and two draws' spectra, 5.0 MiB
+        # whatever the duration; the circulant form's grid-sized spectra and
+        # response took 13.2 MiB in all.  The ADC scaling is derived once per chain
+        # beforehand (its 65537-point response alone takes 4 MiB)
         spec = operating_point_spectra()
         chain = DetectionChain(sample_rate=50e6)
-        synth._synthesis_response.cache_clear()
+        chain.lsb(0.5 * (chain.dc_current_1 + chain.dc_current_2))
         tracemalloc.start()
         try:
-            witness_arm_traces(spec, chain, 0.010, seed=3)
+            trace = witness_arm_traces(spec, chain, 0.010, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2 ** 20
+        assert peak <= trace.samples_1.base.nbytes + 6 * 2 ** 20
 
     def test_code_dtype_follows_adc_bits(self):
         for bits, dtype in ((14, np.int16), (16, np.int16), (20, np.int32)):

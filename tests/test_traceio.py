@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpsh.synth import DetectionChain, shot_noise_pair
-from tpsh.traceio import HEADER_SIZE, read_trace, write_trace
+from tpsh.noise import QuadSpectra, default_frequency_grid
+from tpsh.synth import DetectionChain, shot_noise_pair, synthesis_stream, synthesize
+from tpsh.traceio import HEADER_SIZE, read_trace, stream_trace, write_trace
 
 
 def small_trace(**chain_kw):
@@ -60,6 +61,47 @@ class TestRoundTrip:
             assert not samples.flags.owndata
         # both channels are strided views of the one buffer the file was read into
         assert back.samples_1.base is back.samples_2.base
+
+
+class TestStreams:
+    def test_stream_blocks_equal_the_read_trace(self, tmp_path):
+        path = str(tmp_path / "trace.bin")
+        write_trace(small_trace(), path)
+        whole = read_trace(path)
+        stream = stream_trace(path)
+        blocks = [(c1.copy(), c2.copy()) for c1, c2 in stream.blocks]
+        assert len(blocks) > 1 and all(c1.dtype == np.int16 for c1, _ in blocks)
+        assert np.array_equal(np.concatenate([c1 for c1, _ in blocks]), whole.samples_1)
+        assert np.array_equal(np.concatenate([c2 for _, c2 in blocks]), whole.samples_2)
+        assert (stream.n_samples, stream.duration, stream.seed, stream.dc_1, stream.dc_2, stream.chain) == (
+            whole.n_samples, whole.duration, whole.seed, whole.dc_1, whole.dc_2, whole.chain)
+
+    def test_a_stream_is_written_as_its_trace(self, tmp_path):
+        f = default_frequency_grid()
+        ones = np.ones_like(f)
+        spec = QuadSpectra(frequencies=f, s_x1=ones, s_x2=ones, c_x=0 * ones,
+                           s_y1=ones, s_y2=ones, c_y=0 * ones)
+        chain = DetectionChain(sample_rate=50e6)
+        write_trace(synthesize(spec, chain, 0.010, seed=5), str(tmp_path / "a.bin"))
+        with synthesis_stream(spec, chain, 0.010, 5) as stream:
+            write_trace(stream, str(tmp_path / "b.bin"))
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_a_file_that_shrinks_under_its_stream_is_refused(self, tmp_path):
+        path = str(tmp_path / "trace.bin")
+        write_trace(small_trace(), path)
+        stream = stream_trace(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(HEADER_SIZE + 4 * 1000)
+        with pytest.raises(ValueError, match="truncated"):
+            for _ in stream.blocks:
+                pass
+
+    def test_stream_checks_the_header_as_read_trace_does(self, tmp_path):
+        path = str(tmp_path / "trace.bin")
+        write_trace(small_trace(), path)
+        with pytest.raises(ValueError, match="adc_bits"):
+            stream_trace(path, chain=DetectionChain(sample_rate=50e6, adc_bits=12))
 
 
 class TestValidation:

@@ -45,6 +45,19 @@ ARTIFACTS = {
 ENTRY = "import sys; from tpsh.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def _file_sha256(path: str):
+    """The sha256 of a file, read 1 MiB at a time.
+
+    A child that vfork and exec start reports at least this process's peak
+    RSS as its ru_maxrss, so this process never holds a whole trace file.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest
+
+
 def run(checkout: str, argv, cwd: str) -> dict:
     """One fresh-interpreter run of tpsh argv from checkout's src/."""
     env = dict(os.environ)
@@ -102,11 +115,10 @@ def main() -> int:
                     out = os.path.join(root, "%s-%d-%s" % (command, pair, side))
                     argv = [command] + ([trace] if command == "analyze" else [])
                     result = run(checkout, argv + flags + ["--out", out], root)
-                    data = result.pop("stdout")
+                    digest = hashlib.sha256(result.pop("stdout"))
                     artifact = ARTIFACTS[command]
                     if artifact is not None:
-                        with open(os.path.join(out, artifact), "rb") as fh:
-                            data = fh.read()
+                        digest = _file_sha256(os.path.join(out, artifact))
                     print(json.dumps({
                         "command": command,
                         "duration_ms": args.duration_ms,
@@ -114,7 +126,7 @@ def main() -> int:
                         "side": side,
                         **result,
                         "artifact": artifact or "stdout",
-                        "sha256": hashlib.sha256(data).hexdigest()[:16],
+                        "sha256": digest.hexdigest()[:16],
                     }), flush=True)
     return 0
 
