@@ -605,6 +605,31 @@ def expected_welch(p, sample_rate, nperseg):
     return 2.0 / (sample_rate * np.sum(window ** 2)) * (2.0 * np.fft.rfft(lagged).real - lagged[0])
 
 
+def circulant_synthesis(job, chain, n, seed):
+    """Reference synthesis by circulant embedding (Davies & Harte 1987).
+
+    Complex normal draws on the n-sample record's own rfft grid, scaled by
+    the Cholesky factors of the interpolated matrix and the chain response
+    at each bin, and one irfft per channel: the target realized at every
+    bin of the record.  Returns both channels' currents, unquantized and
+    without the spur.
+    """
+    (spec_freqs, s11, s22, c12), (dc1, dc2), _ = job
+    fs = chain.sample_rate
+    f = np.fft.rfftfreq(n, 1.0 / fs)
+    psd_e = chain.electronic_noise_psd
+    p11 = dc1 * np.interp(f, spec_freqs, s11) + psd_e
+    p22 = dc2 * np.interp(f, spec_freqs, s22) + psd_e
+    l11 = np.sqrt(p11)
+    l21 = np.sqrt(dc1 * dc2) / 2.0 * np.interp(f, spec_freqs, c12) / l11
+    l22 = np.sqrt(p22 - l21 ** 2)
+    rng = np.random.default_rng(seed)
+    z1, z2 = rng.standard_normal((2, len(f))) + 1j * rng.standard_normal((2, len(f)))
+    # complex draws of variance 2 per bin: one-sided density P for scale^2 |L|^2 = n fs P / 4
+    h = np.sqrt(n * fs / 4.0) * chain.response(f)
+    return np.fft.irfft(h * l11 * z1, n=n), np.fft.irfft(h * (l21 * z1 + l22 * z2), n=n)
+
+
 class TestSynthesisFidelity:
     """What the traces realize, against the matrix they are made from."""
 
@@ -643,7 +668,8 @@ class TestSynthesisFidelity:
         else:
             assert got[1] is None
 
-    def test_realized_spectra_pull_with_unit_width(self):
+    @pytest.mark.parametrize("synthesis", ["overlap-save", "circulant reference"])
+    def test_realized_spectra_pull_with_unit_width(self, synthesis):
         """Per-bin pulls of P11, P22 and Re P12 over a seed ensemble.
 
         Witness arms at 50 MS/s, 10 ms, 100 kHz RBW.  The expectation is
@@ -651,27 +677,33 @@ class TestSynthesisFidelity:
         of a bin is E11^2 (or E22^2, or (E11 E22 + E12^2) / 2 for Re P12)
         times (K + 2 (K - 1) rho) / K^2 for K half-overlapping segments that
         correlate in power by rho.  Every other bin over 0.5-20 MHz, where
-        neighbours do not correlate, is pooled.
+        neighbours do not correlate, is pooled.  The circulant reference,
+        which realizes the target at every bin of the record, pulls with
+        unit width too: that checks the model the synthesis is judged by.
         """
         chain = DetectionChain(sample_rate=50e6, adc_bits=16, spur_amplitude=0.0)
         spec = operating_point_spectra()
-        nperseg = 500
+        job = synth._arm_job(spec, chain, 0)
+        nperseg, n = 500, 500_000
         grid = np.linspace(0.0, chain.sample_rate / 2.0, (1 << 15) + 1)
-        expected = [expected_welch(p, chain.sample_rate, nperseg)
-                    for p in target_matrix(synth._arm_job(spec, chain, 0), chain, grid)]
+        e11, e22, e12 = (expected_welch(p, chain.sample_rate, nperseg)
+                         for p in target_matrix(job, chain, grid))
         window = np.sin(np.pi * np.arange(nperseg) / nperseg)
         rho = (np.sum(window[:nperseg // 2] * window[nperseg // 2:]) / np.sum(window ** 2)) ** 2
+        k = (n - nperseg) // (nperseg // 2) + 1
+        factor = (k + 2 * (k - 1) * rho) / k ** 2
         pulls = []
-        e11, e22, e12 = expected
         for seed in range(40):
-            trace = witness_arm_traces(spec, chain, 0.010, seed=seed)
-            m = an.cross_spectral_matrix(trace, 100e3)
-            k = (trace.n_samples - nperseg) // (nperseg // 2) + 1
-            factor = (k + 2 * (k - 1) * rho) / k ** 2
-            sel = ((m.frequencies >= 0.5e6) & (m.frequencies <= 20e6)
-                   & (np.arange(len(m.frequencies)) % 2 == 0))
-            for got, want, var in ((m.p11, e11, e11 ** 2), (m.p22, e22, e22 ** 2),
-                                   (m.p12.real, e12, (e11 * e22 + e12 ** 2) / 2.0)):
+            if synthesis == "overlap-save":
+                m = an.cross_spectral_matrix(witness_arm_traces(spec, chain, 0.010, seed=seed), 100e3)
+                freqs, p11, p22, p12 = m.frequencies, m.p11, m.p22, m.p12
+            else:
+                freqs, (p11, p22, p12), _, _ = an._averaged_periodograms(
+                    [circulant_synthesis(job, chain, n, seed)], (1.0, 1.0), chain.sample_rate, 100e3,
+                    np.float32)
+            sel = (freqs >= 0.5e6) & (freqs <= 20e6) & (np.arange(len(freqs)) % 2 == 0)
+            for got, want, var in ((p11, e11, e11 ** 2), (p22, e22, e22 ** 2),
+                                   (p12.real, e12, (e11 * e22 + e12 ** 2) / 2.0)):
                 pulls.append((got[sel] - want[sel]) / np.sqrt(var[sel] * factor))
         pulls = np.concatenate(pulls)
         assert len(pulls) > 10000
