@@ -13,12 +13,13 @@ DC pair and a seed, realized by a synthesis run (_Run).
 Traces are white noise filtered by overlap-save FIR convolution (Oppenheim
 & Schafer).  The per-bin Cholesky factors of the 2x2 PSD matrix (electronic
 noise included, as it is white before the chain), times the chain response
-(AC-coupling bandpass and detector pole), are sampled on a _TAPS-point grid;
-the irfft of each is a _TAPS-tap kernel.  Two streams of white float32
-noise, drawn from the trace's own SeedSequence, are filtered in blocks of
-_HOP samples through _FFT-point transforms: channel 1 = k11 * w1 and
-channel 2 = k21 * w1 + k22 * w2.  Each block then gets the spur, a cosine
-at exactly spur_freq, and is quantized.  The sample stream is the
+(AC-coupling bandpass and detector pole), are sampled on a kernel grid of
+fixed spacing, _KERNEL_SPACING, so the kernels' taps grow with the sample
+rate; the irfft of each factor is a kernel.  Two streams of white float32
+noise, drawn by the Box-Muller transform from the trace's own
+SeedSequence, are filtered in blocks through transforms of at least eight
+kernel lengths: channel 1 = k11 * w1 and channel 2 = k21 * w1 + k22 * w2.  Each block then gets the spur, a
+cosine at exactly spur_freq, and is quantized.  The sample stream is the
 AC-coupled fluctuation; mean currents ride along as metadata because the
 bandpass would remove any embedded DC anyway.  Codes are int16 for ADCs of
 up to 16 bits (int32 above).
@@ -29,13 +30,12 @@ block by block, so a caller that reduces them as they come (the CLI's
 witness and synth) never holds the trace; synthesize, witness_arm_traces,
 shot_noise_pair and dark_trace assemble the same blocks into one (2, n)
 array of codes, their only record-sized allocation, and draw on the
-calling thread.  witness_traces and witness_streams make the witness's
-three traces in one run, and synthesis_stream one trace: while the caller
-filters blocks, one worker thread draws the noise of the next
-_DRAW_BLOCKS blocks and their forward transforms, and after a trace's last
-blocks the next trace's first (NumPy releases the GIL for both).
-Each trace draws from its own SeedSequence stream in fixed blocks, so its
-codes equal those of a call on its own.
+calling thread.  witness_streams makes the witness's three traces in one
+run, and synthesis_stream one trace: while the caller filters blocks, one
+worker thread draws the noise of the next blocks and their forward
+transforms, and after a trace's last blocks the next trace's first (NumPy
+releases the GIL for both).  Each trace draws from its own SeedSequence
+stream in fixed blocks, so its codes equal those of a call on its own.
 """
 
 from __future__ import annotations
@@ -62,19 +62,22 @@ _RMS_GRID = 65537
 # Full scale = this many analytic RMS; clipping beyond it is counted.
 _FULL_SCALE_SIGMAS = 6.0
 
-# Kernel length: at 50 MS/s, 1024 taps keep |K|^2 of the auto factors
-# within 1e-5 of their targets over 0.5-20 MHz.  Each block of _HOP samples
-# per channel goes through _FFT-point transforms, whose first _TAPS - 1
-# outputs wrap around.
-_TAPS = 1024
-_FFT = 1 << 14
-_HOP = _FFT - _TAPS + 1
-# blocks per draw: noise is drawn and transformed this many blocks at a
-# time, so that the worker makes few, long calls and the two threads hand
-# the interpreter lock over less often (a warm 200 MS/s, 10 ms witness
-# switched context about 3,500 times with one block per draw and 1,100
-# with eight, and took 0.49 s against 0.41 s, on a 2-vCPU x86 host)
-_DRAW_BLOCKS = 8
+# Kernel grid spacing: 1024 taps at 50 MS/s.  |K|^2 of the auto factors
+# then stays within 1e-5 of its target over 0.5-20 MHz at any sample rate;
+# the error peaks at 20 MHz, where the clamped spectra's slope jumps, and
+# shrinks with the spacing.
+_KERNEL_SPACING = 50e6 / 1024
+# Each block's transforms span at least this many kernel lengths, so that
+# at most an eighth of each transform's outputs, those that wrap around,
+# are discarded
+_FFT_PER_TAP = 8
+# noise samples per channel and draw: noise is drawn and transformed this
+# many samples' blocks at a time, so that the worker makes few, long calls
+# and the two threads hand the interpreter lock over less often (a warm
+# 200 MS/s, 10 ms witness switched context about 3,500 times with one
+# 15 361-sample block per draw and 1,100 with eight, and took 0.49 s
+# against 0.41 s, on a 2-vCPU x86 host)
+_DRAW_SAMPLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -283,16 +286,30 @@ class TraceStream:
     clipped_2: int = 0
 
 
+def _block_sizes(sample_rate: float):
+    """(taps, fft, hop, blocks per draw) of synthesis at sample_rate.
+
+    Kernels have an even number of taps, _KERNEL_SPACING apart or closer in
+    frequency.  Each block of hop samples per channel goes through
+    fft-point transforms (a power of two), whose first taps - 1 outputs
+    wrap around and are discarded.
+    """
+    taps = 2 * math.ceil(sample_rate / (2.0 * _KERNEL_SPACING))
+    fft = 1 << (_FFT_PER_TAP * taps - 1).bit_length()
+    hop = fft - taps + 1
+    return taps, fft, hop, max(1, _DRAW_SAMPLES // hop)
+
+
 def _normals(rng, out: np.ndarray, scratch: np.ndarray) -> None:
     """Fill out (float32) with standard normals by the Box-Muller transform.
 
     Uniforms u and v from rng, in [0, 1), give r = sqrt(-2 ln(1 - u)), the
     first half of out r cos(2 pi v) and the second r sin(2 pi v).  In single
     precision throughout, through scratch (2, >= len(out) / 2), this takes
-    about 0.45 times as long as NumPy's float32 ziggurat (2-vCPU x86).
-    NumPy picks its vectorized log, cos and sin by CPU feature, so the last
-    bit of a draw, and a code here and there, may differ between CPU
-    families; on one machine and NumPy build a seed gives the same codes.
+    about 6 ns per sample against 12 for NumPy's float32 ziggurat (2-vCPU
+    x86).  NumPy picks its vectorized log, cos and sin by CPU feature, so
+    the last bit of a draw, and a code here and there, may differ between
+    CPU families; on one machine and NumPy build a seed gives the same codes.
     """
     half = (len(out) + 1) // 2
     rest = len(out) - half
@@ -310,42 +327,44 @@ def _normals(rng, out: np.ndarray, scratch: np.ndarray) -> None:
     out[half:] *= radius[:rest]
 
 
-def _first_draw(seed: int, noise: np.ndarray, spectra: np.ndarray, scratch: np.ndarray):
+def _first_draw(seed: int, noise: np.ndarray, spectra: np.ndarray, hop: int, scratch: np.ndarray):
     """A trace's generator and spur phases; its first draw of noise into
     noise, and the rfft of each block's frame of it into spectra."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     phases = rng.uniform(0.0, 2.0 * math.pi, 2)
     for row in noise:
         _normals(rng, row, scratch)
-    _transform(noise, spectra)
+    _transform(noise, spectra, hop)
     return rng, phases
 
 
-def _next_draw(rng, noise: np.ndarray, spectra: np.ndarray, scratch: np.ndarray) -> None:
+def _next_draw(rng, noise: np.ndarray, spectra: np.ndarray, hop: int, scratch: np.ndarray) -> None:
     """Draw the noise that follows noise's into noise, and its frames' rfft into spectra.
 
-    Each channel carries its last _TAPS - 1 samples to the front, then
-    draws _DRAW_BLOCKS * _HOP new ones.
+    Each channel carries its last taps - 1 samples to the front, then
+    draws hop new ones per block.
     """
-    noise[:, :_TAPS - 1] = noise[:, -(_TAPS - 1):]
-    for row in noise[:, _TAPS - 1:]:
+    carry = noise.shape[1] - len(spectra) * hop
+    noise[:, :carry] = noise[:, -carry:]
+    for row in noise[:, carry:]:
         _normals(rng, row, scratch)
-    _transform(noise, spectra)
+    _transform(noise, spectra, hop)
 
 
-def _transform(noise: np.ndarray, spectra: np.ndarray) -> None:
-    """The rfft of block j's frame, noise[:, j _HOP:j _HOP + _FFT], into spectra[j]."""
+def _transform(noise: np.ndarray, spectra: np.ndarray, hop: int) -> None:
+    """The rfft of block j's frame, noise[:, j hop:j hop + fft], into spectra[j]."""
+    fft = 2 * (spectra.shape[-1] - 1)
     for j, block in enumerate(spectra):
         # row by row: NumPy's batched rfft along the last axis took longer here
-        for z, x in zip(noise[:, j * _HOP:j * _HOP + _FFT], block):
+        for z, x in zip(noise[:, j * hop:j * hop + fft], block):
             np.fft.rfft(z, out=x)
 
 
 def _kernels(job, chain: DetectionChain):
-    """The _FFT-point transforms of job's kernels k11, k21 and k22.
+    """The transforms of job's kernels k11, k21 and k22, at _block_sizes' fft points.
 
     Each kernel is the irfft of its Cholesky factor times the chain
-    response on the _TAPS-point grid, scaled so that unit white noise
+    response on the kernel grid (_block_sizes' taps points), scaled so that unit white noise
     filtered by it has that factor's PSD (one-sided: 2 |K|^2 / fs), and
     centred.  The factors are rounded to single precision, as PSD
     estimates live at the percent level.  k21 is None where it vanishes.
@@ -375,7 +394,8 @@ def _kernels(job, chain: DetectionChain):
         raise ValueError("spectral matrix is not positive semidefinite at %.6g Hz"
                          % check[np.argmax(bad)])
 
-    freqs = np.fft.rfftfreq(_TAPS, 1.0 / fs)
+    taps, fft, _, _ = _block_sizes(fs)
+    freqs = np.fft.rfftfreq(taps, 1.0 / fs)
     p11, p22, p12 = psd_matrix(freqs)
     l11 = np.sqrt(p11)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -383,9 +403,9 @@ def _kernels(job, chain: DetectionChain):
     l22 = np.sqrt(np.maximum(p22 - l21 * l21, 0.0))
     h = math.sqrt(fs / 2.0) * chain.response(freqs)
     # zero-phase factors times the causal chain: taps on both sides of 0
-    taps = np.roll(np.fft.irfft(np.array([l11, l21, l22]) * h, n=_TAPS), _TAPS // 2, axis=1)
-    taps *= _code_scale(chain, (dc1, dc2, dc2))[:, None]
-    k11, k21, k22 = np.fft.rfft(taps, n=_FFT).astype(np.complex64)
+    kernels = np.roll(np.fft.irfft(np.array([l11, l21, l22]) * h, n=taps), taps // 2, axis=1)
+    kernels *= _code_scale(chain, (dc1, dc2, dc2))[:, None]
+    k11, k21, k22 = np.fft.rfft(kernels, n=fft).astype(np.complex64)
     return k11, (k21 if np.any(l21) else None), k22
 
 
@@ -434,7 +454,7 @@ class _Run:
     P11 = dc1 s11, P22 = dc2 s22 and P12 = sqrt(dc1 dc2) c12 / 2.  A run
     made with seeds, those of its traces in order, draws on one worker
     thread: while the caller filters blocks, the worker draws and
-    transforms the noise of the next _DRAW_BLOCKS, and after a trace's
+    transforms the noise of the next draw's blocks, and after a trace's
     last blocks the first of the next seed.  A trace off that schedule is
     drawn again on the calling thread, so the schedule changes the speed,
     never the codes.  A run without seeds draws on the calling thread and
@@ -446,19 +466,20 @@ class _Run:
             raise ValueError("duration must be >= 10 ms")
         self.chain, self.duration = chain, duration
         self.n = int(round(duration * chain.sample_rate))
+        self.taps, fft, self.hop, per_draw = _block_sizes(chain.sample_rate)
         # allocated here, on the calling thread: the worker's own allocations
         # would come from its own malloc arena and add to the peak.  One
         # draw of noise, which only the draws touch, and two draws' spectra,
         # transformed and filtered in turn
-        self._noise = np.empty((2, _TAPS - 1 + _DRAW_BLOCKS * _HOP), dtype=np.float32)
+        self._noise = np.empty((2, self.taps - 1 + per_draw * self.hop), dtype=np.float32)
         self._scratch = np.empty((2, self._noise.shape[1] // 2 + 1), dtype=np.float32)
-        self._spectra = np.empty((2, _DRAW_BLOCKS, 2, _FFT // 2 + 1), dtype=np.complex64)
-        self._signal = np.empty((2, _FFT), dtype=np.float32)
-        self._codes = np.empty((2, _HOP), dtype=_code_dtype(chain))
+        self._spectra = np.empty((2, per_draw, 2, fft // 2 + 1), dtype=np.complex64)
+        self._signal = np.empty((2, fft), dtype=np.float32)
+        self._codes = np.empty((2, self.hop), dtype=_code_dtype(chain))
         # the spur's cosine and sine over one block from phase 0, which each
         # block turns to its phase
         self._omega = 2.0 * math.pi * chain.spur_freq / chain.sample_rate
-        self._spur = np.array([f(self._omega * np.arange(_HOP)) for f in (np.cos, np.sin)],
+        self._spur = np.array([f(self._omega * np.arange(self.hop)) for f in (np.cos, np.sin)],
                               dtype=np.float32)
         self._turn = 0  # draws so far
         self._upcoming = [] if seeds is None else [int(s) for s in seeds][1:]
@@ -499,43 +520,36 @@ class _Run:
         stream.blocks = self._blocks(stream, kernels, codes)
         return stream
 
-    def trace(self, job) -> TwoChannelTrace:
-        """The trace of one job; it shares no memory with the run's buffers."""
-        codes = np.empty((2, self.n), dtype=_code_dtype(self.chain))
-        stream = self.stream(job, codes)
-        for _ in stream.blocks:
-            pass
-        return TwoChannelTrace(codes[0], codes[1], self.chain, self.duration, stream.seed,
-                               stream.dc_1, stream.dc_2, stream.clipped_1, stream.clipped_2)
-
     def _blocks(self, stream: TraceStream, kernels, codes):
+        hop = self.hop
         ahead, self._ahead = self._ahead, None
         if ahead and ahead[0] == stream.seed:
             rng, phases = ahead[1].result()
         else:
             if ahead:
                 ahead[1].result()  # the worker is done with the draw
-            rng, phases = _first_draw(stream.seed, self._noise, self._spectra[self._turn % 2],
+            rng, phases = _first_draw(stream.seed, self._noise, self._spectra[self._turn % 2], hop,
                                       self._scratch)
         dcs = (stream.dc_1, stream.dc_2)
         # each channel's spur amplitude in code units, with its phase
         amplitudes = _code_scale(self.chain, dcs) * [self.chain.spur_current_amplitude(dc) for dc in dcs]
         spur = list(zip(amplitudes, phases))
-        n_blocks = -(-self.n // _HOP)
+        n_blocks = -(-self.n // hop)
+        per_draw = self._spectra.shape[1]
         pending = None
         try:
-            for first in range(0, n_blocks, _DRAW_BLOCKS):
+            for first in range(0, n_blocks, per_draw):
                 spectra = self._spectra[self._turn % 2]
                 self._turn += 1
-                following = self._noise, self._spectra[self._turn % 2], self._scratch
-                if first + _DRAW_BLOCKS < n_blocks:
+                following = self._noise, self._spectra[self._turn % 2], hop, self._scratch
+                if first + per_draw < n_blocks:
                     pending = self._draw(_next_draw, rng, *following)
                 elif self._upcoming:
                     seed = self._upcoming.pop(0)
                     self._ahead = (seed, self._draw(_first_draw, seed, *following))
-                for b in range(first, min(first + _DRAW_BLOCKS, n_blocks)):
-                    lo = b * _HOP
-                    out = (self._codes if codes is None else codes[:, lo:])[:, :min(_HOP, self.n - lo)]
+                for b in range(first, min(first + per_draw, n_blocks)):
+                    lo = b * hop
+                    out = (self._codes if codes is None else codes[:, lo:])[:, :min(hop, self.n - lo)]
                     clipped_1, clipped_2 = self._filter(spectra[b - first], kernels, lo, spur, out)
                     stream.clipped_1 += clipped_1
                     stream.clipped_2 += clipped_2
@@ -559,9 +573,9 @@ class _Run:
             x2 += k21 * x1
         x1 *= k11
         for x, y in zip(spectra, self._signal):
-            np.fft.irfft(x, n=_FFT, out=y)
+            np.fft.irfft(x, n=len(y), out=y)
         m = out.shape[1]
-        y = self._signal[:, _TAPS - 1:_TAPS - 1 + m]  # the outputs that did not wrap around
+        y = self._signal[:, self.taps - 1:self.taps - 1 + m]  # the outputs that did not wrap around
         cos, sin = self._spur[:, :m]
         for row, (amplitude, phase) in zip(y, spur):
             if amplitude > 0:
@@ -572,14 +586,19 @@ class _Run:
         return _quantize(y, self.chain, out)
 
 
-def _trace(job, chain: DetectionChain, duration: float, run: _Run | None) -> TwoChannelTrace:
-    """The trace of job, through run's buffers or, by default, a run of its own."""
-    if run is None:
-        with _Run(chain, duration) as own:
-            return own.trace(job)
-    if (run.chain, run.duration) != (chain, duration):
-        raise ValueError("a trace must have its run's chain and duration")
-    return run.trace(job)
+def _trace(job, chain: DetectionChain, duration: float, run: _Run | None):
+    """The trace of job, from a run of its own, or as a TraceStream through run."""
+    if run is not None:
+        if (run.chain, run.duration) != (chain, duration):
+            raise ValueError("a trace must have its run's chain and duration")
+        return run.stream(job)
+    with _Run(chain, duration) as own:
+        codes = np.empty((2, own.n), dtype=_code_dtype(chain))
+        stream = own.stream(job, codes)
+        for _ in stream.blocks:
+            pass
+    return TwoChannelTrace(codes[0], codes[1], chain, duration, stream.seed,
+                           stream.dc_1, stream.dc_2, stream.clipped_1, stream.clipped_2)
 
 
 def _synthesis_job(spec: QuadSpectra, chain: DetectionChain, seed: int):
@@ -606,8 +625,10 @@ def synthesize(spec: QuadSpectra, chain: DetectionChain, duration: float, seed: 
 
     duration >= 10 ms; the spectra grid must cover noise.ANALYSIS_BAND (values
     are interpolated onto the kernel grid and clamped beyond the ends).
-    _run, here and below, is the run of witness_traces whose buffers the
-    trace goes through; by default the call makes and ends a run of its own.
+    _run, here and below, is the run of witness_streams or synthesis_stream:
+    given one, the call returns its trace as a TraceStream through that
+    run's buffers, so that a wrapper of these functions (perfbench's tracer)
+    sees the streaming paths too.
     """
     return _trace(_synthesis_job(spec, chain, seed), chain, duration, _run)
 
@@ -641,36 +662,21 @@ def dark_trace(chain: DetectionChain, duration: float, seed: int,
     return shot_noise_pair(0.0, 0.0, chain, duration, seed, _run=_run)
 
 
-def witness_traces(spec: QuadSpectra, chain: DetectionChain, duration: float, seeds):
-    """Yield the three traces of the witness, in turn, from one run.
+def witness_streams(spec: QuadSpectra, chain: DetectionChain, duration: float, seeds):
+    """Yield the three traces of the witness as TraceStreams, from one run.
 
     The witness arms (witness_arm_traces), the shot-noise reference at the
     chain's DC currents (shot_noise_pair) and the dark trace (dark_trace),
-    with seeds[0], seeds[1] and seeds[2]: each equals that call on its own.
-    The run holds no trace once the caller asks for the next.  Close the
-    generator (or run it to the end) to join the run's worker.
+    with seeds[0], seeds[1] and seeds[2]: each stream's blocks hold the
+    codes of that call on its own.  Take each stream's blocks to the end
+    before asking for the next stream; close the generator (or run it to
+    the end) to join the run's worker.
     """
     s_arm, s_ref, s_dark = (int(s) for s in seeds)
     with _Run(chain, duration, (s_arm, s_ref, s_dark)) as run:
         yield witness_arm_traces(spec, chain, duration, s_arm, _run=run)
         yield shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, duration, s_ref, _run=run)
         yield dark_trace(chain, duration, s_dark, _run=run)
-
-
-def witness_streams(spec: QuadSpectra, chain: DetectionChain, duration: float, seeds):
-    """Yield witness_traces' three traces as TraceStreams, from one run.
-
-    Their blocks hold the codes of the traces witness_traces yields.  Take
-    each stream's blocks to the end before asking for the next stream;
-    close the generator (or run it to the end) to join the run's worker.
-    """
-    s_arm, s_ref, s_dark = (int(s) for s in seeds)
-    jobs = (_arm_job(spec, chain, s_arm),
-            _pair_job(chain.dc_current_1, chain.dc_current_2, chain, s_ref),
-            _pair_job(0.0, 0.0, chain, s_dark))
-    with _Run(chain, duration, (s_arm, s_ref, s_dark)) as run:
-        for job in jobs:
-            yield run.stream(job)
 
 
 @contextlib.contextmanager
@@ -681,4 +687,4 @@ def synthesis_stream(spec: QuadSpectra, chain: DetectionChain, duration: float, 
     joins the worker.
     """
     with _Run(chain, duration, (int(seed),)) as run:
-        yield run.stream(_synthesis_job(spec, chain, seed))
+        yield synthesize(spec, chain, duration, seed, _run=run)

@@ -176,16 +176,27 @@ def _truncated(frames: int, got: int) -> ValueError:
                       % (frames, got / _FRAME_BYTES))
 
 
-def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrace:
+def read_trace(path: str, chain: DetectionChain | None = None,
+               *, _stream: bool = False) -> TwoChannelTrace:
     """Read a trace file back into memory.
 
     The channels are read-only int16 views of the file's payload, which is
     read once and not copied again.  The header is checked as _read_header
-    describes.
+    describes.  _stream makes this stream_trace, so that a wrapper of
+    read_trace (perfbench's tracer) sees the streaming reads too.
     """
-    with open(path, "rb") as fh:
+    fh = open(path, "rb")
+    try:
         chain, duration, seed, dc_1, dc_2, frames = _read_header(fh, chain)
-        payload = fh.read(frames * _FRAME_BYTES)
+        if _stream:
+            blocks = _read_blocks(fh, frames)
+            next(blocks)  # now inside its with, which closes the file however the stream ends
+            return TraceStream(chain, duration, seed, dc_1, dc_2, frames, blocks)
+        with fh:
+            payload = fh.read(frames * _FRAME_BYTES)
+    except BaseException:
+        fh.close()
+        raise
     if len(payload) != frames * _FRAME_BYTES:
         raise _truncated(frames, len(payload))
     # read-only int16 views of the payload's bytes: no copy
@@ -201,11 +212,16 @@ def read_trace(path: str, chain: DetectionChain | None = None) -> TwoChannelTrac
     )
 
 
-def _read_blocks(path: str, frames: int):
-    """The payload's channels, _BLOCK_FRAMES frames at a time, through one buffer."""
-    buf = np.empty((_BLOCK_FRAMES, 2), dtype=_SAMPLE_DTYPE)
-    with open(path, "rb") as fh:
-        fh.seek(HEADER_SIZE)
+def _read_blocks(fh, frames: int):
+    """The payload of the open file fh, whose header has been read, as its
+    channels, _BLOCK_FRAMES frames at a time through one buffer.
+
+    Yields once first, before the payload, so that a caller can start it;
+    closes fh when it ends or is closed.
+    """
+    with fh:
+        yield
+        buf = np.empty((_BLOCK_FRAMES, 2), dtype=_SAMPLE_DTYPE)
         for first in range(0, frames, _BLOCK_FRAMES):
             block = buf[: min(_BLOCK_FRAMES, frames - first)]
             got = fh.readinto(block)
@@ -217,9 +233,9 @@ def _read_blocks(path: str, frames: int):
 def stream_trace(path: str, chain: DetectionChain | None = None) -> TraceStream:
     """A trace file as a TraceStream, read as its blocks are taken.
 
-    The header is checked now, as _read_header describes.  Each block is a
-    pair of int16 views of one reused buffer.
+    The header is checked now, as _read_header describes, and the payload
+    is read from the same open file.  Each block is a pair of int16 views
+    of one reused buffer.  Take the blocks to the end, or close them, to
+    close the file.
     """
-    with open(path, "rb") as fh:
-        chain, duration, seed, dc_1, dc_2, frames = _read_header(fh, chain)
-    return TraceStream(chain, duration, seed, dc_1, dc_2, frames, _read_blocks(path, frames))
+    return read_trace(path, chain, _stream=True)

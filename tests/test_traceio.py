@@ -1,5 +1,7 @@
 """Binary trace format: round trips and damage handling."""
 
+import dataclasses
+import gc
 import glob
 import struct
 from pathlib import Path
@@ -96,6 +98,26 @@ class TestStreams:
         with pytest.raises(ValueError, match="truncated"):
             for _ in stream.blocks:
                 pass
+
+    def test_a_stream_reads_the_file_whose_header_it_checked(self, tmp_path):
+        # the payload comes from the file opened for the header, even after
+        # another file is renamed into place under the same path
+        path = str(tmp_path / "trace.bin")
+        first = small_trace()
+        write_trace(first, path)
+        stream = stream_trace(path)
+        write_trace(dataclasses.replace(first, samples_1=first.samples_1[::-1].copy(), seed=first.seed + 1), path)
+        codes = np.concatenate([c1.copy() for c1, _ in stream.blocks])
+        assert np.array_equal(codes, first.samples_1)
+
+    def test_a_stream_left_unread_closes_its_file(self, tmp_path):
+        # ResourceWarning is an error here: a file left open would fail this
+        path = str(tmp_path / "trace.bin")
+        write_trace(small_trace(), path)
+        stream_trace(path).blocks.close()
+        stream = stream_trace(path)
+        del stream
+        gc.collect()
 
     def test_stream_checks_the_header_as_read_trace_does(self, tmp_path):
         path = str(tmp_path / "trace.bin")
