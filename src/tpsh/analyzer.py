@@ -42,11 +42,11 @@ PSD of an uncorrelated reference pair is used directly as the pair quantum
 noise limit.  A gain below 1 therefore lowers the QNL and can only shrink,
 never inflate, any nonclassical effect.
 
-SciPy is loaded here and nowhere else in the package, at the first
-estimate: the model, the synthesis, the sweep and the Monte-Carlo oracle
-never import it.  The estimate keeps SciPy's batched single-precision
-rfft: on a float32 block of 256 segments of 2000 samples NumPy's rfft took
-4.0 ms against SciPy's 1.3 ms (2-vCPU x86).
+The segment FFT is NumPy's rfft with norm="forward": its float32 scale
+factor keeps pocketfft in the single-precision loop, where the default
+norm's int 1 runs a float32 block in double (1.0 against 5.9 ms for 256
+segments of 2000 samples, 2-vCPU x86).  The density scale divides the
+square of that factor back out.
 """
 
 from __future__ import annotations
@@ -178,12 +178,8 @@ def _block_sums(channels, weights, nperseg: int, step: int, buf):
     not depend on the rows batched with it, so the sums are those of one
     whole-block transform per channel.
     """
-    # imported at the first estimate, not with the package: scipy.fft brings
-    # in scipy.special and a NumPy array-API clone, about 0.2 s and 26 MiB of
-    # a fresh process (2-vCPU x86) that no command without an estimate needs
-    from scipy.fft import rfft
-
-    x1 = rfft(_segments(channels[0], nperseg, step, weights[0], buf), axis=1)
+    x1 = np.fft.rfft(_segments(channels[0], nperseg, step, weights[0], buf), axis=1,
+                      norm="forward")
     power = np.abs(x1, out=_power_in(buf, x1.shape))
     power *= power
     sums = [power.sum(axis=0, dtype=np.float64)]
@@ -193,7 +189,7 @@ def _block_sums(channels, weights, nperseg: int, step: int, buf):
         # the segments still to be transformed
         for first in range(0, len(seg), _CROSS_ROWS):
             rows = slice(first, first + _CROSS_ROWS)
-            x2 = rfft(seg[rows], axis=1)
+            x2 = np.fft.rfft(seg[rows], axis=1, norm="forward")
             np.abs(x2, out=power[rows])
             np.conjugate(x1[rows], out=x1[rows])
             x1[rows] *= x2
@@ -269,9 +265,10 @@ def _averaged_periodograms(blocks, scales, sample_rate: float, rbw: float, dtype
     if n_segments % _BLOCK_SEGMENTS:
         add((n_segments % _BLOCK_SEGMENTS - 1) * step + nperseg)
 
-    # density scaling; every bin but DC (and Nyquist for even nperseg) is
-    # doubled to fold in the negative frequencies
-    scale = np.full(bins, 2.0 / (sample_rate * float(np.sum(window * window)) * n_segments))
+    # density scaling, less the rfft's squared scale factor; every bin but DC
+    # (and Nyquist for even nperseg) is doubled to fold in the negative frequencies
+    norm = float(np.reciprocal(nperseg, dtype=dtype)) ** 2
+    scale = np.full(bins, 2.0 / (sample_rate * float(np.sum(window * window)) * n_segments * norm))
     scale[0] /= 2.0
     if nperseg % 2 == 0:
         scale[-1] /= 2.0

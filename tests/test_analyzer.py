@@ -7,7 +7,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft
 
 from tpsh.cavity import CavityParams, steady_state
 from tpsh.noise import (
@@ -226,14 +225,16 @@ def serial_periodograms(channels, scales, sample_rate, rbw, dtype):
             seg = sliding_window_view(np.asarray(x[span], dtype=dtype), nperseg)[::step]
             seg = seg - seg.mean(axis=1, keepdims=True)
             seg *= weight
-            spectra.append(fft.rfft(seg, axis=1))
+            spectra.append(np.fft.rfft(seg, axis=1, norm="forward"))
         for total, spectrum in zip(sums, spectra):
             power = np.abs(spectrum)
             power *= power
             total += power.sum(axis=0, dtype=np.float64)
         if len(spectra) == 2:
             sums[2] += (spectra[0].conj() * spectra[1]).sum(axis=0, dtype=complex)
-    scale = np.full(bins, 2.0 / (sample_rate * float(np.sum(window * window)) * n_segments))
+    # the transforms scale by NumPy's reciprocal of nperseg in dtype
+    norm = float(np.reciprocal(nperseg, dtype=dtype)) ** 2
+    scale = np.full(bins, 2.0 / (sample_rate * float(np.sum(window * window)) * n_segments * norm))
     scale[0] /= 2.0
     if nperseg % 2 == 0:
         scale[-1] /= 2.0

@@ -1,23 +1,30 @@
-"""Import cost: SciPy loads at the first spectral estimate and nowhere else.
+"""Import cost: no command, estimate or oracle loads SciPy.
 
-The analyzer's segment FFT is the package's only use of SciPy, and it
-imports scipy.fft when an estimate first runs.  scipy.fft brings in
-scipy.special and a NumPy array-API clone: about 0.2 s and 26 MiB of a
-fresh process.  So the package import, the Monte-Carlo oracle and every
-command that makes no estimate (steady-state, spectra, sweep, synth) must
-leave every scipy module unloaded; scipy.signal, which the tests keep as
-their reference, costs another second.  The checks use a fresh interpreter
-because other tests import SciPy into this one.
+NumPy is the package's only runtime dependency.  The segment FFTs of the
+estimate and of the synthesis are NumPy's rfft with norm="forward": with
+the default norm NumPy 2 runs a float32 transform in double, about six
+times slower, which once kept scipy.fft in the estimate at about 0.35 s
+and 25 MiB of a fresh process.  So the package import, the Monte-Carlo
+oracle, every command and a direct estimate must leave every scipy module
+unloaded; scipy.signal stays a reference for the tests only.  The checks
+use a fresh interpreter because other tests import SciPy into this one.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tpsh
+from tpsh import cli
+from tpsh.analyzer import cross_spectral_matrix
+from tpsh.noise import default_frequency_grid, quadrature_spectra
+from tpsh.synth import DetectionChain, synthesize
 
 
 def _scipy_modules_after(code: str):
@@ -34,6 +41,15 @@ def _scipy_modules_after(code: str):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _command_code(argv) -> str:
+    return (
+        "import contextlib, io\n"
+        "from tpsh import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(%r) == 0\n" % argv
+    )
 
 
 def test_import_leaves_scipy_unloaded():
@@ -53,19 +69,48 @@ def test_the_oracle_leaves_scipy_unloaded():
 @pytest.mark.parametrize("command", ["steady-state", "spectra", "sweep", "synth"])
 def test_commands_without_an_estimate_leave_scipy_unloaded(tmp_path, command):
     argv = [command, "--duration-ms", "10", "--out", str(tmp_path)]
-    code = (
-        "import contextlib, io\n"
-        "from tpsh import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(%r) == 0\n" % argv
-    )
-    assert _scipy_modules_after(code) == []
+    assert _scipy_modules_after(_command_code(argv)) == []
 
 
-def test_the_first_estimate_loads_scipy_fft():
-    # the probe above can see a loaded module
+@pytest.mark.parametrize("command", ["witness", "analyze"])
+def test_commands_with_an_estimate_leave_scipy_unloaded(tmp_path, command):
+    argv = [command, "--duration-ms", "10", "--out", str(tmp_path / "out")]
+    if command == "analyze":
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["synth", "--duration-ms", "10", "--out", str(tmp_path)]) == 0
+        argv.insert(1, str(tmp_path / "trace.bin"))
+    assert _scipy_modules_after(_command_code(argv)) == []
+
+
+def test_an_estimate_leaves_scipy_unloaded():
     code = (
         "import numpy as np, tpsh\n"
         "tpsh.welch_psd(np.ones(4096, dtype=np.float32), 1e6, 1e4)\n"
     )
-    assert "scipy.fft" in _scipy_modules_after(code)
+    assert _scipy_modules_after(code) == []
+    # the probe can see a loaded module
+    assert "scipy.fft" in _scipy_modules_after("import scipy.fft")
+
+
+def test_single_precision_transforms_use_the_forward_norm(monkeypatch):
+    """Every float32 rfft of an estimate and a synthesis passes norm="forward".
+
+    With the default norm NumPy 2 casts a float32 transform to double and
+    back; the recorded calls would show it.
+    """
+    calls = []
+    rfft = np.fft.rfft
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.asarray(a).dtype, kwargs.get("norm")))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording)
+    chain = DetectionChain(sample_rate=50e6)
+    spec = quadrature_spectra(tpsh.steady_state(tpsh.CavityParams()), default_frequency_grid())
+    trace = synthesize(spec, chain, 0.010, seed=1)
+    synthesis, calls[:] = calls[:], []
+    cross_spectral_matrix(trace, 100e3)
+    for recorded in (synthesis, calls):
+        norms = [norm for dtype, norm in recorded if dtype == np.float32]
+        assert norms and set(norms) == {"forward"}

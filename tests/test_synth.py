@@ -275,7 +275,8 @@ def per_bin_synthesis(job, chain, duration):
     """Reference synthesis: every block filtered on its own from the whole noise record.
 
     The kernels come from synth._kernels, whose factors are taken bin by bin
-    on the whole kernel grid, and the normals from synth._normals.  Each
+    on the whole kernel grid and carry the factor size, and the normals from
+    synth._normals; each frame's rfft is scaled by 1/size.  Each
     channel's noise is drawn in full first,
     in a run's order (the first frame, then hop new samples per channel and
     block); each block's frame is cut from it and filtered into fresh
@@ -307,7 +308,7 @@ def per_bin_synthesis(job, chain, duration):
     clipped = [0, 0]
     for lo in range(0, n, hop):
         m = min(hop, n - lo)
-        z1, z2 = (np.fft.rfft(noise[c, lo:lo + size]) for c in range(2))
+        z1, z2 = (np.fft.rfft(noise[c, lo:lo + size], norm="forward") for c in range(2))
         x2 = z2 * k22
         if k21 is not None:
             x2 += k21 * z1
@@ -688,8 +689,9 @@ class TestSynthesisFidelity:
         l22 = np.sqrt(p22 - l21 ** 2)
         kernels = synth._kernels(job, chain)
         lsb = [chain.lsb(dc) for dc in job[1]]
+        # each kernel's transform carries the factor size
         got = [None if k is None else
-               np.abs(np.fft.rfft(np.fft.irfft(k.astype(complex), n=size), n=fine)[band]) ** 2
+               np.abs(np.fft.rfft(np.fft.irfft(k.astype(complex) / size, n=size), n=fine)[band]) ** 2
                * lsb[min(i, 1)] ** 2 for i, k in enumerate(kernels)]
         scale = chain.sample_rate / 2.0
         assert np.max(np.abs(got[0] / (scale * l11 ** 2) - 1)) < 1e-5
