@@ -3,7 +3,7 @@
 NumPy is the package's only runtime dependency.  The segment FFTs of the
 estimate and of the synthesis are NumPy's rfft with norm="forward": with
 the default norm NumPy 2 runs a float32 transform in double, about six
-times slower, which once kept scipy.fft in the estimate at about 0.35 s
+times slower, which once kept scipy.fft in the estimate at about 0.2 s
 and 25 MiB of a fresh process.  So the package import, the Monte-Carlo
 oracle, every command and a direct estimate must leave every scipy module
 unloaded; scipy.signal stays a reference for the tests only.  The checks
