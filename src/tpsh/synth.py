@@ -18,8 +18,13 @@ fixed spacing, _KERNEL_SPACING, so the kernels' taps grow with the sample
 rate; the irfft of each factor is a kernel.  Two streams of white float32
 noise, drawn by the Box-Muller transform from the trace's own
 SeedSequence, are filtered in blocks through transforms of at least eight
-kernel lengths: channel 1 = k11 * w1 and channel 2 = k21 * w1 + k22 * w2.  Each block then gets the spur, a
-cosine at exactly spur_freq, and is quantized.  The sample stream is the
+kernel lengths: channel 1 = k11 * w1 and channel 2 = k21 * w1 + k22 * w2.
+The noise is drawn a draw of blocks at a time (_DRAW_SAMPLES per channel,
+four blocks at 200 MS/s); one rfft call transforms all of a draw's frames
+and one irfft call each _BLOCKS_PER_CALL of its blocks, both channels,
+since NumPy transforms four or more rows of one call together, at about
+half the time per row.  Each block then gets the spur, a cosine at
+exactly spur_freq, and is quantized.  The sample stream is the
 AC-coupled fluctuation; mean currents ride along as metadata because the
 bandpass would remove any embedded DC anyway.  Codes are int16 for ADCs of
 up to 16 bits (int32 above).
@@ -36,8 +41,8 @@ worker thread draws the noise of the next blocks and their forward
 transforms, and after a trace's last blocks the next trace's first (NumPy
 releases the GIL for both).  Each trace draws from its own SeedSequence
 stream in fixed blocks, so its codes equal those of a call on its own.
-The worker buys wall time for little CPU: a warm 200 MS/s, 10 ms witness
-took 0.36 s with it and 0.52 s inline, for 0.54 and 0.52 s of CPU
+The worker buys wall time for some CPU: a warm 200 MS/s, 10 ms witness
+took 0.26 s with it and 0.31 s inline, for 0.35 and 0.31 s of CPU
 (medians over ten processes, 2-vCPU x86).
 """
 
@@ -80,6 +85,11 @@ _FFT_PER_TAP = 8
 # 200 MS/s, 10 ms witness switched context about 3,500 times with one
 # 15 361-sample block per draw and 1,100 with eight, on a 2-vCPU x86 host)
 _DRAW_SAMPLES = 1 << 17
+# blocks per inverse call, at most: NumPy transforms four or more rows of a
+# call together (32 768-point float32 rows took 0.10-0.14 ms each so, and
+# 0.20-0.23 ms one or two at a time, on a 2-vCPU x86 host), and four keep
+# the signal buffer and the filter's temporaries small at any sample rate
+_BLOCKS_PER_CALL = 4
 
 
 @dataclass(frozen=True)
@@ -327,40 +337,52 @@ def _normals(rng, out: np.ndarray, scratch: np.ndarray) -> None:
     out[half:] *= radius[:rest]
 
 
-def _first_draw(seed: int, noise: np.ndarray, spectra: np.ndarray, hop: int, scratch: np.ndarray):
+def _first_draw(seed: int, noise: np.ndarray, spectra: np.ndarray, hop: int):
     """A trace's generator and spur phases; its first draw of noise into
     noise, and the rfft of each block's frame of it into spectra."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     phases = rng.uniform(0.0, 2.0 * math.pi, 2)
     for row in noise:
-        _normals(rng, row, scratch)
+        _normals(rng, row, _scratch(spectra))
     _transform(noise, spectra, hop)
     return rng, phases
 
 
-def _next_draw(rng, noise: np.ndarray, spectra: np.ndarray, hop: int, scratch: np.ndarray) -> None:
+def _next_draw(rng, noise: np.ndarray, spectra: np.ndarray, hop: int) -> None:
     """Draw the noise that follows noise's into noise, and its frames' rfft into spectra.
 
     Each channel carries its last taps - 1 samples to the front, then
     draws hop new ones per block.
     """
-    carry = noise.shape[1] - len(spectra) * hop
+    carry = noise.shape[1] - spectra.shape[1] * hop
     noise[:, :carry] = noise[:, -carry:]
     for row in noise[:, carry:]:
-        _normals(rng, row, scratch)
+        _normals(rng, row, _scratch(spectra))
     _transform(noise, spectra, hop)
 
 
-def _transform(noise: np.ndarray, spectra: np.ndarray, hop: int) -> None:
-    """The rfft over fft of block j's frame, noise[:, j hop:j hop + fft], into spectra[j].
+def _scratch(spectra: np.ndarray) -> np.ndarray:
+    """A draw's spectra as the Box-Muller scratch of its noise, until the transform.
 
+    Each of the two rows holds fft + 2 floats per block; the scratch needs
+    half a channel's draw, at most fft / 2 per block.
+    """
+    return spectra.view(np.float32).reshape(2, -1)
+
+
+def _transform(noise: np.ndarray, spectra: np.ndarray, hop: int) -> None:
+    """The rfft over fft of block j's frame, noise[:, j hop:j hop + fft], into spectra[:, j].
+
+    One call over a read-only strided view of the frames, whose rows reach
+    NumPy as each channel's blocks in a run: NumPy transforms four or more
+    rows of a run together, and a 200 MS/s draw of four blocks took 1.2 ms
+    against 2.7 ms in one (2, fft) call per block (2-vCPU x86).
     norm="forward" keeps NumPy's float32 loop (the default norm runs it in
-    double); the kernels carry the factor fft.  One (2, fft) call per block:
-    2.1 ms per 200 MS/s draw against 2.3 ms row by row (2-vCPU x86).
+    double); the kernels carry the factor fft.
     """
     fft = 2 * (spectra.shape[-1] - 1)
-    for j, block in enumerate(spectra):
-        np.fft.rfft(noise[:, j * hop:j * hop + fft], axis=1, norm="forward", out=block)
+    frames = np.lib.stride_tricks.sliding_window_view(noise, fft, axis=1)[:, ::hop]
+    np.fft.rfft(frames, axis=-1, norm="forward", out=spectra)
 
 
 def _kernels(job, chain: DetectionChain):
@@ -472,12 +494,12 @@ class _Run:
         self.taps, fft, self.hop, per_draw = _block_sizes(chain.sample_rate)
         # allocated here, on the calling thread: the worker's own allocations
         # would come from its own malloc arena and add to the peak.  One
-        # draw of noise, which only the draws touch, and two draws' spectra,
-        # transformed and filtered in turn
+        # draw of noise, which only the draws touch; two draws' spectra,
+        # transformed and filtered in turn, each channel's blocks in a row;
+        # and the filtered signal of one inverse call's blocks
         self._noise = np.empty((2, self.taps - 1 + per_draw * self.hop), dtype=np.float32)
-        self._scratch = np.empty((2, self._noise.shape[1] // 2 + 1), dtype=np.float32)
-        self._spectra = np.empty((2, per_draw, 2, fft // 2 + 1), dtype=np.complex64)
-        self._signal = np.empty((2, fft), dtype=np.float32)
+        self._spectra = np.empty((2, 2, per_draw, fft // 2 + 1), dtype=np.complex64)
+        self._signal = np.empty((2, min(per_draw, _BLOCKS_PER_CALL), fft), dtype=np.float32)
         self._codes = np.empty((2, self.hop), dtype=_code_dtype(chain))
         # the spur's cosine and sine over one block from phase 0, which each
         # block turns to its phase
@@ -531,43 +553,49 @@ class _Run:
         else:
             if ahead:
                 ahead[1].result()  # the worker is done with the draw
-            rng, phases = _first_draw(stream.seed, self._noise, self._spectra[self._turn % 2], hop,
-                                      self._scratch)
+            rng, phases = _first_draw(stream.seed, self._noise, self._spectra[self._turn % 2], hop)
         dcs = (stream.dc_1, stream.dc_2)
         # each channel's spur amplitude in code units, with its phase
         amplitudes = _code_scale(self.chain, dcs) * [self.chain.spur_current_amplitude(dc) for dc in dcs]
         spur = list(zip(amplitudes, phases))
         n_blocks = -(-self.n // hop)
-        per_draw = self._spectra.shape[1]
+        per_draw, per_call = self._spectra.shape[2], self._signal.shape[1]
         pending = None
         try:
             for first in range(0, n_blocks, per_draw):
                 spectra = self._spectra[self._turn % 2]
                 self._turn += 1
-                following = self._noise, self._spectra[self._turn % 2], hop, self._scratch
+                following = self._noise, self._spectra[self._turn % 2], hop
                 if first + per_draw < n_blocks:
                     pending = self._draw(_next_draw, rng, *following)
                 elif self._upcoming:
                     seed = self._upcoming.pop(0)
                     self._ahead = (seed, self._draw(_first_draw, seed, *following))
-                for b in range(first, min(first + per_draw, n_blocks)):
-                    lo = b * hop
-                    out = (self._codes if codes is None else codes[:, lo:])[:, :min(hop, self.n - lo)]
-                    clipped_1, clipped_2 = self._filter(spectra[b - first], kernels, lo, spur, out)
-                    stream.clipped_1 += clipped_1
-                    stream.clipped_2 += clipped_2
-                    yield out[0], out[1]
+                count = min(per_draw, n_blocks - first)
+                for start in range(0, count, per_call):
+                    stop = min(start + per_call, count)
+                    signal = self._filter(spectra[:, start:stop], kernels)
+                    for b in range(stop - start):
+                        lo = (first + start + b) * hop
+                        out = (self._codes if codes is None else codes[:, lo:])[:, :min(hop, self.n - lo)]
+                        clipped_1, clipped_2 = self._finish(signal[:, b], lo, spur, out)
+                        stream.clipped_1 += clipped_1
+                        stream.clipped_2 += clipped_2
+                        yield out[0], out[1]
                 if pending:
                     pending.result()  # the next draw is ready
         finally:
             if pending:
                 pending.result()  # before anything else writes the noise
 
-    def _filter(self, spectra, kernels, lo: int, spur, out):
-        """The codes of the block from sample lo on, from its frame's
-        spectra (filtered in place), into out (2, m); the clip counts.
+    def _filter(self, spectra, kernels):
+        """The filtered noise of some blocks, in code units, from their
+        frames' spectra (2, blocks, fft // 2 + 1), filtered in place: a view
+        of the signal buffer, (2, blocks, fft).
 
-        spur holds each channel's spur amplitude, in code units, and phase.
+        One inverse call for all the blocks: each channel's spectra are a
+        run of rows, which NumPy transforms together if there are four or
+        more.
         """
         k11, k21, k22 = kernels
         x1, x2 = spectra
@@ -575,10 +603,18 @@ class _Run:
         if k21 is not None:
             x2 += k21 * x1
         x1 *= k11
-        for x, y in zip(spectra, self._signal):
-            np.fft.irfft(x, n=len(y), out=y)
+        signal = self._signal[:, :spectra.shape[1]]
+        np.fft.irfft(spectra, n=signal.shape[-1], out=signal)
+        return signal
+
+    def _finish(self, signal, lo: int, spur, out):
+        """The codes of the block from sample lo on, from its filtered
+        signal (2, fft), into out (2, m); the clip counts.
+
+        spur holds each channel's spur amplitude, in code units, and phase.
+        """
         m = out.shape[1]
-        y = self._signal[:, self.taps - 1:self.taps - 1 + m]  # the outputs that did not wrap around
+        y = signal[:, self.taps - 1:self.taps - 1 + m]  # the outputs that did not wrap around
         cos, sin = self._spur[:, :m]
         for row, (amplitude, phase) in zip(y, spur):
             if amplitude > 0:

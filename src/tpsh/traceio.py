@@ -115,7 +115,9 @@ def _read_header(fh, chain: DetectionChain | None):
     count.  The file stores acquisition metadata only; analysis parameters
     (filter corners, noise levels) come from chain when provided, otherwise
     from chain defaults.  A provided chain must agree with the header's
-    sample rate and bit depth.
+    sample rate and bit depth.  A dark trace's header (dc 0 and 0) needs
+    one: the default chain at those currents has no electronic floor and
+    an ADC step of zero, which would scale every code to nothing.
     """
     head = fh.read(HEADER_SIZE)
     if len(head) < HEADER_SIZE:
@@ -139,6 +141,9 @@ def _read_header(fh, chain: DetectionChain | None):
             raise ValueError("trace header %s must be >= 0, found %r" % (name, value))
 
     if chain is None:
+        if dc_1 == 0 and dc_2 == 0:
+            raise ValueError("a dark trace (dc 0 and 0) has no ADC step of its own: "
+                             "pass the chain the trace was recorded with")
         chain = DetectionChain(
             sample_rate=sample_rate,
             adc_bits=adc_bits,

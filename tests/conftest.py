@@ -35,3 +35,19 @@ def thread_starts(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", recording)
     return started
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """(name, dtype, shape, norm) of every np.fft.rfft and irfft call while the test runs."""
+    import numpy as np
+
+    calls = []
+    for name in ("rfft", "irfft"):
+        def recording(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            a = np.asarray(a)
+            calls.append((_name, a.dtype, a.shape, kwargs.get("norm")))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recording)
+    return calls

@@ -365,20 +365,24 @@ class TestBlockwiseSynthesis:
     def test_codes_equal_the_per_bin_reference(self):
         """The run's block buffers, carried frame tails and draw-ahead give
         the codes of blocks cut from the whole record and filtered apart,
-        at 50 MS/s and, with four times the taps, at 200 MS/s."""
+        at 50 MS/s; with four times the taps, at 200 MS/s; and at 400 MS/s,
+        whose draws hold two blocks, fewer than an inverse call takes."""
         chain, fast = DetectionChain(sample_rate=50e6), DetectionChain()
+        fastest = DetectionChain(sample_rate=400e6)
         jobs = [(job, chain, 0.010) for job in self.all_jobs(chain)] + [
             (synth._synthesis_job(self.plateau_spectra(), chain, 10), chain, 0.010),
             (synth._synthesis_job(operating_point_spectra(), chain, 11), chain,
              0.010 + 1 / chain.sample_rate),
             (synth._arm_job(operating_point_spectra(), fast, 12), fast, 0.010),
+            (synth._synthesis_job(operating_point_spectra(), fastest, 13), fastest, 0.010),
         ]
         seeds = [job[2] for job, _, _ in jobs[:5]]
         with synth._Run(chain, 0.010, seeds) as run:
             got = [assembled(run.stream(job)) for job, _, _ in jobs[:5]]
         got += [synth._trace(job, c, d, None) for job, c, d in jobs[5:]]
         hop = synth._block_sizes(chain.sample_rate)[2]
-        assert got[-2].n_samples % 2 == 1 and got[-2].n_samples % hop != 0
+        assert got[-3].n_samples % 2 == 1 and got[-3].n_samples % hop != 0
+        assert synth._block_sizes(fastest.sample_rate)[3] == 2 < synth._BLOCKS_PER_CALL
         assert synth._block_sizes(fast.sample_rate)[0] == 4 * synth._block_sizes(chain.sample_rate)[0]
         assert got[1].clipped_1 > 0 and got[1].clipped_2 > 0
         for (job, c, duration), tr in zip(jobs, got):
@@ -386,6 +390,23 @@ class TestBlockwiseSynthesis:
             assert np.array_equal(tr.samples_1, c1)
             assert np.array_equal(tr.samples_2, c2)
             assert (tr.clipped_1, tr.clipped_2) == (k1, k2)
+
+    def test_each_draw_is_transformed_in_one_call_each_way(self, fft_calls):
+        # 200 MS/s, 10 ms: 70 blocks in 18 draws of four (the last draw's
+        # frames are all transformed, but only two of its blocks filtered).
+        # One forward call per draw over both channels' frames and one
+        # inverse call per draw's blocks; one call per block and channel
+        # took 72 forward and 140 inverse calls of one or two rows, which
+        # NumPy transforms row by row
+        chain = DetectionChain()
+        taps, fft, hop, per_draw = synth._block_sizes(chain.sample_rate)
+        assert (-(-int(round(0.010 * chain.sample_rate)) // hop), per_draw) == (70, 4)
+        synthesize(operating_point_spectra(), chain, 0.010, seed=1)
+        shapes = {name: [shape for called, dtype, shape, _ in fft_calls
+                         if called == name and dtype in (np.float32, np.complex64)]
+                  for name in ("rfft", "irfft")}
+        assert shapes["rfft"] == [(2, per_draw, fft)] * 18
+        assert shapes["irfft"] == [(2, per_draw, fft // 2 + 1)] * 17 + [(2, 2, fft // 2 + 1)]
 
     def test_a_shorter_trace_is_the_start_of_a_longer_one(self):
         # the noise is drawn in the same blocks from the same stream, however
@@ -440,9 +461,9 @@ class TestQuantize:
         spec = loud_spectra() if loud else operating_point_spectra()
         k11, _, k22 = synth._kernels(synth._synthesis_job(spec, chain, seed), chain)
         with synth._Run(chain, 0.010) as run:
-            synth._first_draw(seed, run._noise, run._spectra[0], run.hop, run._scratch)
-            y = np.array([np.fft.irfft(x * k, n=run._signal.shape[1])
-                          for x, k in zip(run._spectra[0, 0], (k11, k22))])
+            synth._first_draw(seed, run._noise, run._spectra[0], run.hop)
+            y = np.array([np.fft.irfft(x * k, n=run._signal.shape[-1])
+                          for x, k in zip(run._spectra[0, :, 0], (k11, k22))])
         return chain, y[:, run.taps - 1:]
 
     @pytest.mark.parametrize("loud", [False, True])
@@ -749,8 +770,9 @@ class TestSynthesisFidelity:
 class TestMemoryAndCodeDtype:
     def test_witness_synthesis_memory_is_bounded(self):
         # 50 MS/s, 10 ms: the trace's codes are 1.9 MiB and the run's buffers,
-        # a draw's noise with its Box-Muller scratch and two draws' spectra,
-        # 3.8 MiB whatever the duration (4.2 MiB above the codes in all);
+        # a draw's noise, two draws' spectra (one also the Box-Muller scratch)
+        # and one inverse call's signal, 3.5 MiB whatever the duration
+        # (4.7 MiB above the codes in all, the test run alone);
         # the circulant form's grid-sized spectra and response took 13.2 MiB.  The ADC scaling is derived once per chain
         # beforehand (its 65537-point response alone takes 4 MiB)
         spec = operating_point_spectra()

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from tpsh.noise import QuadSpectra, default_frequency_grid
-from tpsh.synth import DetectionChain, shot_noise_pair, synthesis_stream, synthesize
+from tpsh.analyzer import cross_spectral_matrix
+from tpsh.synth import DetectionChain, dark_trace, shot_noise_pair, synthesis_stream, synthesize
 from tpsh.traceio import HEADER_SIZE, read_trace, stream_trace, write_trace
 
 
@@ -224,6 +225,20 @@ class TestValidation:
         for chain in (None, DetectionChain(sample_rate=50e6, adc_bits=20)):
             with pytest.raises(ValueError, match="trace files hold 16-bit samples"):
                 read_trace(path, chain=chain)
+
+    def test_a_dark_trace_needs_its_chain(self, tmp_path):
+        # a chain built from a dark header's dc 0 and 0 has an ADC step of
+        # zero: its estimate would be all zeros whatever the codes
+        chain = DetectionChain(sample_rate=50e6, adc_bits=14)
+        path = str(tmp_path / "dark.bin")
+        write_trace(dark_trace(chain, 0.010, seed=5), path)
+        for read in (read_trace, stream_trace):
+            with pytest.raises(ValueError, match="pass the chain the trace was recorded with"):
+                read(path)
+        matrix = cross_spectral_matrix(read_trace(path, chain), 100e3)
+        assert matrix.p11.max() > 0 and matrix.p22.max() > 0
+        stream = stream_trace(path, chain)
+        assert sum(len(codes_1) for codes_1, _ in stream.blocks) == stream.n_samples
 
     @pytest.mark.parametrize("field, offset", [("dc_1", 32), ("dc_2", 40)])
     def test_negative_dc_rejected(self, tmp_path, field, offset):
