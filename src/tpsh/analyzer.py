@@ -12,9 +12,12 @@ blocks of a TraceStream: the pieces are gathered into whole blocks of
 segments from the record's start, and the half segment that two blocks
 share is carried over, so the matrix does not depend on how the samples
 arrive.  The CLI's witness and analyze push each block as it is
-synthesized or read and never hold a record.  Memory stays bounded by the
-block size, whatever the record length: one gathered block per channel,
-one segment buffer and one block-sized spectrum per call.
+synthesized or read and never hold a record.  Whole blocks are reduced on
+the calling thread and on one worker thread, and their sums are added in
+block order, so the matrix does not depend on which thread reduced which
+block either.  Memory stays bounded by the block size, whatever the record
+length: two gathered blocks per channel, and per thread one segment buffer
+and one block-sized spectrum, per call.
 
 The quoted n_averages is the non-overlapping segment count and sigma =
 power / sqrt(n_averages).  Per bin that is 1/0.775 of the scatter: the
@@ -53,6 +56,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +74,14 @@ GAIN_WINDOW = (0.5, 2.0)
 # bins dropped on each side of the spur line in band averages
 _SPUR_GUARD = 2
 
-# segments per batched FFT: at 100 kHz RBW a block is 1-4 MB per channel
-# (50-200 MS/s), whatever the record length
-_BLOCK_SEGMENTS = 256
+# segments per batched FFT: at 100 kHz RBW a block's segments are 0.5-2 MB
+# (50-200 MS/s), whatever the record length, and two blocks are in flight
+_BLOCK_SEGMENTS = 128
 # channel 2's segments per FFT within a block, so that its spectra stay small
 _CROSS_ROWS = 32
+# blocks whose sums may wait behind the worker's block before the calling
+# thread waits for it: the sums are added in block order
+_HELD_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -168,18 +176,31 @@ def _power_in(buf, shape):
     return buf.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
 
 
-def _block_sums(channels, weights, nperseg: int, step: int, buf):
+def _buffers(channels: int, nperseg: int, dtype):
+    """One thread's block buffers: the segments, channel 1's spectra and,
+    for two channels, _CROSS_ROWS of channel 2's."""
+    spectra = np.result_type(dtype, np.complex64)
+    bins = nperseg // 2 + 1
+    return (np.empty((_BLOCK_SEGMENTS, nperseg), dtype=dtype),
+            np.empty((_BLOCK_SEGMENTS, bins), dtype=spectra),
+            np.empty((_CROSS_ROWS, bins), dtype=spectra) if channels == 2 else None)
+
+
+def _block_sums(channels, weights, nperseg: int, step: int, buffers):
     """Column sums of one block: |X1|^2, then |X2|^2 and conj(X1) X2.
 
-    Each channel's segments go through buf, and |X| of a transformed batch
-    lands in buf where its segments were.  Channel 2 goes through the FFT
-    _CROSS_ROWS segments at a time, and conj(X1) X2 replaces those rows of
-    X1, so no second block-sized spectrum is ever held.  A row's rfft does
-    not depend on the rows batched with it, so the sums are those of one
-    whole-block transform per channel.
+    buffers are the reducing thread's, and every transform writes into
+    them through out=.  Each channel's segments go through the segment
+    buffer, and |X| of a transformed batch lands there where its segments
+    were.  Channel 2 goes through the FFT _CROSS_ROWS segments at a time,
+    and conj(X1) X2 replaces those rows of X1, so no second block-sized
+    spectrum is ever held.  A row's rfft does not depend on the rows
+    batched with it, so the sums are those of one whole-block transform per
+    channel.
     """
-    x1 = np.fft.rfft(_segments(channels[0], nperseg, step, weights[0], buf), axis=1,
-                      norm="forward")
+    buf, spectra_1, spectra_2 = buffers
+    seg = _segments(channels[0], nperseg, step, weights[0], buf)
+    x1 = np.fft.rfft(seg, axis=1, norm="forward", out=spectra_1[: len(seg)])
     power = np.abs(x1, out=_power_in(buf, x1.shape))
     power *= power
     sums = [power.sum(axis=0, dtype=np.float64)]
@@ -189,13 +210,19 @@ def _block_sums(channels, weights, nperseg: int, step: int, buf):
         # the segments still to be transformed
         for first in range(0, len(seg), _CROSS_ROWS):
             rows = slice(first, first + _CROSS_ROWS)
-            x2 = np.fft.rfft(seg[rows], axis=1, norm="forward")
+            x2 = np.fft.rfft(seg[rows], axis=1, norm="forward",
+                             out=spectra_2[: len(seg[rows])])
             np.abs(x2, out=power[rows])
             np.conjugate(x1[rows], out=x1[rows])
             x1[rows] *= x2
         power *= power
         sums += [power.sum(axis=0, dtype=np.float64), x1.sum(axis=0, dtype=complex)]
     return sums
+
+
+def _idle(future) -> bool:
+    """Whether the worker can take a block: it has had none, or is done with its last."""
+    return future is None or future.done()
 
 
 def _averaged_periodograms(blocks, scales, sample_rate: float, rbw: float, dtype):
@@ -209,11 +236,19 @@ def _averaged_periodograms(blocks, scales, sample_rate: float, rbw: float, dtype
     the snapped rbw and the non-overlapping segment count.
 
     The segments go through the FFT _BLOCK_SEGMENTS at a time from the
-    record's start, through one segment buffer, and the block sums are
-    added in block order.  The pieces are gathered into one block-sized
-    buffer per channel, in its own dtype, until a block is complete; the
-    half segment it shares with the next block stays.  So the estimate
-    depends on the records alone, not on how they are cut into pieces.
+    record's start.  The pieces are gathered into one block-sized buffer
+    per channel, in its own dtype, until a block is complete; the half
+    segment it shares with the next block stays.  Whole blocks are reduced
+    on this thread and on one worker thread: once the next block has its
+    first segment, a complete block goes to the worker if the worker is
+    idle, while this thread gathers the next one into a second staging
+    buffer; otherwise this thread reduces it.  Each thread has its own
+    segment and spectrum buffers, and every buffer is allocated here, so
+    the worker allocates nothing block-sized.  The block sums are added in
+    block order, so the estimate depends on the records alone, not on how
+    they are cut into pieces or which thread reduced which block.  A record
+    within one block starts no thread, and the worker is joined before the
+    call returns or raises.
     """
     nperseg = _segment_length(sample_rate, rbw)
     step = nperseg - nperseg // 2
@@ -225,45 +260,89 @@ def _averaged_periodograms(blocks, scales, sample_rate: float, rbw: float, dtype
         sums.append(np.zeros(bins, dtype=complex))
     span = (_BLOCK_SEGMENTS - 1) * step + nperseg  # samples of a whole block
     shift = _BLOCK_SEGMENTS * step  # from one block's start to the next's
-    # allocated at the first piece, once per call, and reused by every block
-    staged, buf = None, None
+    overlap = span - shift  # samples a block shares with the next one
+    # the staged blocks, the one being gathered and the one that waits for
+    # or is with the worker, and the block buffers of this thread and of
+    # the worker; the second of each is allocated when the worker is
+    # first needed
+    staged, buffers = [], []
 
-    def add(length):
-        for total, block_total in zip(sums, _block_sums([s[:length] for s in staged], weights,
-                                                        nperseg, step, buf)):
-            total += block_total
+    def allocate(piece):
+        staged.append([np.empty(span, dtype=x.dtype) for x in piece])
+        buffers.append(_buffers(len(piece), nperseg, dtype))
 
-    n, filled = 0, 0  # samples seen, and samples of the current block in staged
-    for piece in blocks:
-        if staged is None:
-            staged = [np.empty(span, dtype=x.dtype) for x in piece]
-            buf = np.empty((_BLOCK_SEGMENTS, nperseg), dtype=dtype)
-        length = len(piece[0])
-        if any(len(x) != length for x in piece):
-            raise ValueError("channels must have equal length")
-        n += length
-        done = 0
-        while done < length:
-            take = min(span - filled, length - done)
-            for s, x in zip(staged, piece):
-                s[filled:filled + take] = x[done:done + take]
-            filled += take
-            done += take
-            if filled == span:
-                add(span)
-                for s in staged:
-                    s[: span - shift] = s[shift:]
-                filled = span - shift
+    def block_sums(block, length, own):
+        return _block_sums([s[:length] for s in staged[block]], weights, nperseg, step, own)
 
-    n_averages = n // nperseg
-    if n_averages < 10:
-        raise ValueError(
-            "trace too short for the requested rbw: %d averages < 10" % n_averages
-        )
-    n_segments = (n - nperseg) // step + 1
-    # the last block, with the segments that start in it
-    if n_segments % _BLOCK_SEGMENTS:
-        add((n_segments % _BLOCK_SEGMENTS - 1) * step + nperseg)
+    results = deque()  # every block's sums, as a Future, in block order
+
+    def reduce_here(block, length):
+        results.append(Future())
+        results[-1].set_result(block_sums(block, length, buffers[0]))
+
+    def add(wait=False):
+        """Add the sums at the front of results that are done, or all if wait."""
+        while results and (wait or results[0].done() or len(results) > _HELD_BLOCKS):
+            for total, block_total in zip(sums, results.popleft().result()):
+                total += block_total
+
+    current = 0  # the staged block being gathered
+    ready = None  # a complete block, until the next block has a segment
+    worker, last = None, None  # the executor, once started, and its last block
+    n, filled = 0, 0  # samples seen, and samples of the current block staged
+    try:
+        for piece in blocks:
+            if not staged:
+                allocate(piece)
+            length = len(piece[0])
+            if any(len(x) != length for x in piece):
+                raise ValueError("channels must have equal length")
+            n += length
+            done = 0
+            while done < length:
+                take = min(span - filled, length - done)
+                for s, x in zip(staged[current], piece):
+                    s[filled:filled + take] = x[done:done + take]
+                filled += take
+                done += take
+                if ready is not None and filled >= nperseg:
+                    # a next block exists: the waiting one goes to the worker
+                    if worker is None:
+                        worker = ThreadPoolExecutor(max_workers=1)
+                    last = worker.submit(block_sums, ready, span, buffers[1])
+                    results.append(last)
+                    ready = None
+                if filled == span:
+                    add()
+                    if _idle(last):
+                        # the worker holds no staged block: this one waits
+                        # while the next is gathered in the other
+                        if len(staged) == 1:
+                            allocate(piece)
+                        ready, current = current, 1 - current
+                        for s, t in zip(staged[ready], staged[current]):
+                            t[:overlap] = s[shift:]
+                    else:
+                        reduce_here(current, span)
+                        for s in staged[current]:
+                            s[:overlap] = s[shift:]
+                    filled = overlap
+
+        n_averages = n // nperseg
+        if n_averages < 10:
+            raise ValueError(
+                "trace too short for the requested rbw: %d averages < 10" % n_averages
+            )
+        n_segments = (n - nperseg) // step + 1
+        if ready is not None:  # the record's one whole block
+            reduce_here(ready, span)
+        # the last block, with the segments that start in it
+        if n_segments % _BLOCK_SEGMENTS:
+            reduce_here(current, (n_segments % _BLOCK_SEGMENTS - 1) * step + nperseg)
+        add(wait=True)
+    finally:
+        if worker is not None:
+            worker.shutdown(wait=True)
 
     # density scaling, less the rfft's squared scale factor; every bin but DC
     # (and Nyquist for even nperseg) is doubled to fold in the negative frequencies

@@ -2,7 +2,10 @@
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -249,19 +252,23 @@ def code_trace(n, seed, sample_rate=50e6):
 
 
 class TestBlockEstimator:
-    """One reused segment buffer and batched channel-2 transforms: the
-    bytes of the straightforward block loop."""
+    """Reused slot buffers and batched channel-2 transforms: the bytes of
+    the straightforward block loop."""
 
     # (record length, rbw) at 50 MS/s: even (500) and odd (385) segment
-    # lengths, with segment counts a multiple of the block, not a multiple
-    # and within one block
+    # lengths, with segment counts a multiple of the block, not a multiple,
+    # one whole block and a remainder, exactly one block and within one block
     CASES = [
         (511 * 250 + 500, 100e3, 512),
         (300_000, 100e3, 1199),
         (40_000, 100e3, 159),
+        (127 * 250 + 500, 100e3, 128),
+        (20_000, 100e3, 79),
         (511 * 193 + 385, 130e3, 512),
         (300_000, 130e3, 1553),
         (40_000, 130e3, 206),
+        (127 * 193 + 385, 130e3, 128),
+        (20_000, 130e3, 102),
     ]
 
     @pytest.mark.parametrize("n, rbw, n_segments", CASES)
@@ -339,13 +346,157 @@ class TestBlockEstimator:
             assert np.array_equal(m.p22, whole.p22)
             assert np.array_equal(m.p12, whole.p12)
 
-    def test_matrix_starts_no_thread(self, thread_starts):
-        an.cross_spectral_matrix(code_trace(300_000, seed=1), 100e3)
+
+
+def estimates(n, rbw):
+    """The matrix and the PSD of an n-sample record, each against the serial sums."""
+    tr = code_trace(n, seed=n)
+    scales = (tr.chain.lsb(tr.dc_1), tr.chain.lsb(tr.dc_2))
+    x = np.random.default_rng(n).standard_normal(n)
+    return [
+        (lambda: an.cross_spectral_matrix(tr, rbw),
+         serial_periodograms((tr.samples_1, tr.samples_2), scales, 50e6, rbw, np.float32)[0]),
+        (lambda: an.welch_psd(x, 50e6, rbw),
+         serial_periodograms((x,), (1.0,), 50e6, rbw, np.float64)[0]),
+    ]
+
+
+def assert_equal_sums(result, want):
+    got = [result.power] if isinstance(result, an.NoiseSpectrum) else [result.p11, result.p22,
+                                                                       result.p12]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def long_stream(n, pieces_of=65_536, fail_after=None):
+    """A 200 MS/s TraceStream of n samples whose pieces are views of one
+    fixed pool of codes; it raises OSError after fail_after pieces."""
+    chain = DetectionChain(sample_rate=200e6)
+    pool = np.random.default_rng(8).integers(-3000, 3000, (2, 1 << 20)).astype(np.int16)
+
+    def pieces():
+        for k, start in enumerate(range(0, n, pieces_of)):
+            if k == fail_after:
+                raise OSError("read failed mid-record")
+            first = start % (pool.shape[1] - pieces_of)
+            size = min(pieces_of, n - start)
+            yield pool[0, first:first + size], pool[1, first:first + size]
+
+    return TraceStream(chain, n / 200e6, 1, 1.0, 0.8, n, pieces())
+
+
+class TestEstimateThreads:
+    """A record within one block is reduced on the calling thread; a longer
+    one on the calling thread and one worker, joined before the call ends."""
+
+    @pytest.mark.parametrize("n, rbw, n_segments",
+                             [c for c in TestBlockEstimator.CASES if c[2] <= an._BLOCK_SEGMENTS])
+    def test_record_within_one_block_starts_no_thread(self, thread_starts, n, rbw, n_segments):
+        for estimate, want in estimates(n, rbw):
+            assert_equal_sums(estimate(), want)
         assert thread_starts == []
 
-    def test_welch_psd_starts_no_thread(self, thread_starts):
-        an.welch_psd(np.random.default_rng(2).standard_normal(300_000), 50e6, 100e3)
-        assert thread_starts == []
+    def test_longer_record_joins_its_one_worker(self, thread_starts):
+        # the first whole block of a longer record finds the worker idle
+        for estimate, _ in estimates(300_000, 100e3):
+            thread_starts.clear()
+            estimate()
+            assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+
+    MULTI_BLOCK = [c for c in TestBlockEstimator.CASES if c[2] > an._BLOCK_SEGMENTS]
+
+    @pytest.mark.parametrize("schedule", ["every", "none", "late"])
+    @pytest.mark.parametrize("n, rbw, n_segments", MULTI_BLOCK)
+    def test_any_schedule_gives_the_serial_sums(self, monkeypatch, schedule, n, rbw, n_segments):
+        # the worker takes every block it can be given (the caller waits for
+        # it to finish its last), none, or finishes each one late while the
+        # caller reduces the blocks behind it; the sums are added in block
+        # order whichever thread reduced which block
+        caller = threading.get_ident()
+        reducers = []
+        block_sums = an._block_sums
+
+        def recording(*args):
+            here = threading.get_ident() == caller
+            if not here and schedule == "late":
+                time.sleep(0.02)
+            sums = block_sums(*args)
+            reducers.append(here)  # in the order the reductions end
+            return sums
+
+        def wait_for_it(future):
+            if future is not None:
+                wait([future])
+            return True
+
+        monkeypatch.setattr(an, "_block_sums", recording)
+        if schedule != "late":
+            monkeypatch.setattr(an, "_idle", wait_for_it if schedule == "every" else lambda f: False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for estimate, want in estimates(n, rbw):
+                reducers.clear()
+                assert_equal_sums(estimate(), want)
+                whole = n_segments // an._BLOCK_SEGMENTS
+                by_worker = reducers.count(False)
+                assert len(reducers) == -(-n_segments // an._BLOCK_SEGMENTS)
+                if schedule == "every":
+                    # all but a last whole block with no block after it
+                    assert by_worker == whole - (n_segments % an._BLOCK_SEGMENTS == 0)
+                elif schedule == "none":
+                    assert by_worker == 0
+                else:
+                    # a later block was done here before the worker's first
+                    assert by_worker >= 1 and reducers[0]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_stream_that_raises_mid_record_leaves_no_thread(self, thread_starts):
+        # the error comes after several blocks, with the worker started
+        with pytest.raises(OSError, match="read failed mid-record"):
+            an.cross_spectral_matrix(long_stream(1 << 21, fail_after=20), 100e3)
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+
+    def test_reduction_that_raises_on_the_worker_leaves_no_thread(self, monkeypatch,
+                                                                   thread_starts):
+        caller = threading.get_ident()
+        block_sums = an._block_sums
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("reduction failed on the worker")
+            return block_sums(*args)
+
+        monkeypatch.setattr(an, "_block_sums", failing)
+        for estimate, _ in estimates(300_000, 100e3):
+            thread_starts.clear()
+            with pytest.raises(FloatingPointError, match="reduction failed on the worker"):
+                estimate()
+            assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+
+    def test_memory_does_not_grow_with_the_record(self):
+        # 200 MS/s at 100 kHz: two slots in flight, each a block's staged
+        # int16 codes, its segments and channel 1's spectra, plus
+        # _CROSS_ROWS of channel 2's spectra; the stream's pieces are views
+        # of a pool made beforehand.  At most _HELD_BLOCKS blocks' sums wait
+        # behind the worker's block, 32 KiB each
+        nperseg, step, bins = 2000, 1000, 1001
+        span = (an._BLOCK_SEGMENTS - 1) * step + nperseg
+        slot = (2 * span * 2 + an._BLOCK_SEGMENTS * (nperseg * 4 + bins * 8)
+                + an._CROSS_ROWS * bins * 8)
+        peaks = []
+        for n in (2_000_000, 8_000_000):  # 10 and 40 ms
+            stream = long_stream(n)
+            tracemalloc.start()
+            try:
+                an.cross_spectral_matrix(stream, 100e3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + an._HELD_BLOCKS * 2 ** 15, peaks
+        assert max(peaks) <= 2 * slot + 2 ** 20, (peaks, slot)
 
 
 class TestShotNoiseReference:

@@ -283,11 +283,15 @@ class TestOneTraceAtATime:
         assert streams == [True, True, True]
         assert traces == []
 
-    def test_witness_joins_its_one_worker(self, capsys, fast_conf, thread_starts):
+    def test_witness_joins_every_worker(self, capsys, fast_conf, thread_starts):
+        # the synthesis's draw-ahead worker and one per estimate: each record
+        # has more than one block, and its first whole block finds the
+        # estimate's worker idle
         before = threading.active_count()
         rc, _, _ = run_cli(capsys, "witness", "--config", fast_conf)
         assert rc == 0
-        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+        assert len(thread_starts) == 1 + 3
+        assert not any(t.is_alive() for t in thread_starts)
         assert threading.active_count() == before
 
     def test_analyze(self, capsys, fast_conf, tmp_path, monkeypatch):
@@ -323,7 +327,8 @@ class TestOneTraceAtATime:
         assert rc == 0
         assert streams == [True, True, True]
 
-    def test_analyze_starts_no_thread(self, capsys, fast_conf, tmp_path, thread_starts):
+    def test_analyze_joins_one_worker_per_estimate(self, capsys, fast_conf, tmp_path,
+                                                   thread_starts):
         rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
         trace_path = json.loads(out)["written"]
         chain = DetectionChain(sample_rate=50e6)
@@ -332,10 +337,13 @@ class TestOneTraceAtATime:
                     ref_path)
         write_trace(dark_trace(chain, 0.010, seed=7), dark_path)
         thread_starts.clear()  # synth's draw-ahead worker
+        before = threading.active_count()
         rc, _, _ = run_cli(capsys, "analyze", trace_path, "--config", fast_conf,
                            "--reference", ref_path, "--dark", dark_path)
         assert rc == 0
-        assert thread_starts == []
+        assert len(thread_starts) == 3
+        assert not any(t.is_alive() for t in thread_starts)
+        assert threading.active_count() == before
 
 
 def _python(code):
@@ -456,24 +464,46 @@ class TestFreshProcessMemory:
         "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
     )
 
-    def test_witness_peak_does_not_grow_with_the_trace(self, fast_conf, tmp_path):
-        # no array spans the record: a fresh witness peaks within 3 MiB at
-        # 10 and 40 ms (the circulant synthesis rose 33 MiB between them)
+    def peak_mib(self, *argv):
+        """ru_maxrss in MiB of a fresh `tpsh argv` on this checkout."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         env.pop("TPSH_DEFAULTS", None)
+        out = subprocess.run(
+            [sys.executable, "-c", self.LAUNCHER, sys.executable, "-c",
+             "import sys; from tpsh.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, check=True)
+        status, maxrss = (int(v) for v in out.stdout.split())
+        assert status == 0
+        return maxrss / 1024.0  # KiB on Linux
+
+    def test_witness_peak_does_not_grow_with_the_trace(self, fast_conf, tmp_path):
+        # no array spans the record: a fresh witness peaks within 3 MiB at
+        # 10 and 40 ms (the circulant synthesis rose 33 MiB between them)
+        peaks = [self.peak_mib("witness", "--config", fast_conf, "--duration-ms", duration,
+                               "--out", str(tmp_path / duration))
+                 for duration in ("10", "40")]
+        assert abs(peaks[1] - peaks[0]) <= 3.0, peaks
+
+    def test_analyze_peak_does_not_grow_with_the_trace(self, capsys, fast_conf, tmp_path):
+        # the files are read and estimated block by block, two blocks in
+        # flight: a fresh analyze of 10 and 40 ms files peaks within 3 MiB
+        chain = DetectionChain(sample_rate=50e6)
         peaks = []
         for duration in ("10", "40"):
-            out = subprocess.run(
-                [sys.executable, "-c", self.LAUNCHER, sys.executable, "-c",
-                 "import sys; from tpsh.cli import main; sys.exit(main(sys.argv[1:]))",
-                 "witness", "--config", fast_conf, "--duration-ms", duration,
-                 "--out", str(tmp_path / duration)],
-                env=env, capture_output=True, text=True, check=True)
-            status, maxrss = (int(v) for v in out.stdout.split())
-            assert status == 0
-            peaks.append(maxrss / 1024.0)  # KiB on Linux
+            inputs = tmp_path / ("in" + duration)
+            rc, out, _ = run_cli(capsys, "synth", "--config", fast_conf, "--duration-ms", duration,
+                                 "--out", str(inputs))
+            assert rc == 0
+            seconds = float(duration) * 1e-3
+            write_trace(shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, seconds,
+                                        seed=6), str(inputs / "ref.bin"))
+            write_trace(dark_trace(chain, seconds, seed=7), str(inputs / "dark.bin"))
+            peaks.append(self.peak_mib("analyze", json.loads(out)["written"],
+                                       "--reference", str(inputs / "ref.bin"),
+                                       "--dark", str(inputs / "dark.bin"),
+                                       "--config", fast_conf, "--out", str(tmp_path / duration)))
         assert abs(peaks[1] - peaks[0]) <= 3.0, peaks
 
 

@@ -10,9 +10,12 @@ first on PYTHONPATH and TPSH_DEFAULTS unset, in a new output directory.
 For each command the runs come in pairs, one per checkout, and the
 checkout that runs first alternates: PARENT on even-numbered pairs.  Every
 run is timed with os.wait4 and prints one JSON line: wall, user and system
-time in s, ru_maxrss in MiB, minor page faults, and the first 16 hex digits
-of the sha256 of the command's main artifact (stdout for steady-state), so
-a pair that produced different bytes shows.
+time in s, ru_maxrss in MiB, minor page faults, voluntary context switches
+(ru_nvcsw: a thread that waits for another, or for the interpreter lock,
+switches out voluntarily, so the count shows how often the command's
+worker threads hand work over), and the first 16 hex digits of the sha256
+of the command's main artifact (stdout for steady-state), so a pair that
+produced different bytes shows.
 
 Every command gets --seed 11 --pump-mw 23, and --duration-ms when given
 (without it the config default, 80 ms).  analyze reads a trace.bin made
@@ -84,6 +87,7 @@ def run(checkout: str, argv, cwd: str) -> dict:
         "sys_s": round(usage.ru_stime, 4),
         "maxrss_mib": round(usage.ru_maxrss / 1024.0, 1),  # KiB on Linux
         "minor_faults": usage.ru_minflt,
+        "voluntary_switches": usage.ru_nvcsw,
         "stdout": out,
     }
 
