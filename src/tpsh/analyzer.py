@@ -74,8 +74,9 @@ GAIN_WINDOW = (0.5, 2.0)
 # bins dropped on each side of the spur line in band averages
 _SPUR_GUARD = 2
 
-# segments per batched FFT: at 100 kHz RBW a block's segments are 0.5-2 MB
-# (50-200 MS/s), whatever the record length, and two blocks are in flight
+# segments per batched FFT: at 100 kHz RBW a block's segments and spectra
+# take 0.5-2 MB per thread (50-200 MS/s), whatever the record length, and
+# two blocks are in flight
 _BLOCK_SEGMENTS = 128
 # channel 2's segments per FFT within a block, so that its spectra stay small
 _CROSS_ROWS = 32
@@ -239,16 +240,16 @@ def _averaged_periodograms(blocks, scales, sample_rate: float, rbw: float, dtype
     record's start.  The pieces are gathered into one block-sized buffer
     per channel, in its own dtype, until a block is complete; the half
     segment it shares with the next block stays.  Whole blocks are reduced
-    on this thread and on one worker thread: once the next block has its
-    first segment, a complete block goes to the worker if the worker is
-    idle, while this thread gathers the next one into a second staging
-    buffer; otherwise this thread reduces it.  Each thread has its own
-    segment and spectrum buffers, and every buffer is allocated here, so
-    the worker allocates nothing block-sized.  The block sums are added in
-    block order, so the estimate depends on the records alone, not on how
-    they are cut into pieces or which thread reduced which block.  A record
-    within one block starts no thread, and the worker is joined before the
-    call returns or raises.
+    on this thread and on one worker thread: a complete block that finds
+    the worker idle waits while this thread gathers the next one into a
+    second staging buffer, and goes to the worker once that next block has
+    its first segment; otherwise this thread reduces it.  Each thread has
+    its own segment and spectrum buffers, and every buffer is allocated
+    here, so the worker allocates nothing block-sized.  The block sums are
+    added in block order, so the estimate depends on the records alone, not
+    on how they are cut into pieces or which thread reduced which block.  A
+    record within one block starts no thread, and the worker is joined
+    before the call returns or raises.
     """
     nperseg = _segment_length(sample_rate, rbw)
     step = nperseg - nperseg // 2

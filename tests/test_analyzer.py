@@ -252,8 +252,8 @@ def code_trace(n, seed, sample_rate=50e6):
 
 
 class TestBlockEstimator:
-    """Reused slot buffers and batched channel-2 transforms: the bytes of
-    the straightforward block loop."""
+    """Reused staging and block buffers and batched channel-2 transforms:
+    the bytes of the straightforward block loop."""
 
     # (record length, rbw) at 50 MS/s: even (500) and odd (385) segment
     # lengths, with segment counts a multiple of the block, not a multiple,
@@ -345,7 +345,6 @@ class TestBlockEstimator:
             assert np.array_equal(m.p11, whole.p11)
             assert np.array_equal(m.p22, whole.p22)
             assert np.array_equal(m.p12, whole.p12)
-
 
 
 def estimates(n, rbw):
@@ -477,15 +476,15 @@ class TestEstimateThreads:
             assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
 
     def test_memory_does_not_grow_with_the_record(self):
-        # 200 MS/s at 100 kHz: two slots in flight, each a block's staged
-        # int16 codes, its segments and channel 1's spectra, plus
-        # _CROSS_ROWS of channel 2's spectra; the stream's pieces are views
-        # of a pool made beforehand.  At most _HELD_BLOCKS blocks' sums wait
-        # behind the worker's block, 32 KiB each
+        # 200 MS/s at 100 kHz: two blocks in flight, so two staged blocks of
+        # int16 codes per channel and, for each thread, a block's segments,
+        # channel 1's spectra and _CROSS_ROWS of channel 2's; the stream's
+        # pieces are views of a pool made beforehand.  At most _HELD_BLOCKS
+        # blocks' sums wait behind the worker's block, 32 KiB each
         nperseg, step, bins = 2000, 1000, 1001
         span = (an._BLOCK_SEGMENTS - 1) * step + nperseg
-        slot = (2 * span * 2 + an._BLOCK_SEGMENTS * (nperseg * 4 + bins * 8)
-                + an._CROSS_ROWS * bins * 8)
+        per_block = (2 * span * 2 + an._BLOCK_SEGMENTS * (nperseg * 4 + bins * 8)
+                     + an._CROSS_ROWS * bins * 8)
         peaks = []
         for n in (2_000_000, 8_000_000):  # 10 and 40 ms
             stream = long_stream(n)
@@ -496,7 +495,7 @@ class TestEstimateThreads:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + an._HELD_BLOCKS * 2 ** 15, peaks
-        assert max(peaks) <= 2 * slot + 2 ** 20, (peaks, slot)
+        assert max(peaks) <= 2 * per_block + 2 ** 20, (peaks, per_block)
 
 
 class TestShotNoiseReference:
