@@ -176,6 +176,8 @@ def cmd_witness(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
+    if args.points < 1:
+        raise ValueError("--points must be >= 1, found %d" % args.points)
     pumps = np.linspace(0.0, args.pump_max_w, args.points)
     freq = 0.5 * (cfg.analysis.band_low + cfg.analysis.band_high)
     grid = np.array([freq])

@@ -36,14 +36,15 @@ witness and synth) never holds the trace; synthesize, witness_arm_traces,
 shot_noise_pair and dark_trace assemble the same blocks into one (2, n)
 array of codes, their only record-sized allocation, and draw on the
 calling thread.  witness_streams makes the witness's three traces in one
-run, and synthesis_stream one trace: while the caller filters blocks, one
-worker thread draws the noise of the next blocks and their forward
-transforms, and after a trace's last blocks the next trace's first (NumPy
-releases the GIL for both).  Each trace draws from its own SeedSequence
-stream in fixed blocks, so its codes equal those of a call on its own.
-The worker buys wall time for some CPU: a warm 200 MS/s, 10 ms witness
-took 0.26 s with it and 0.31 s inline, for 0.35 and 0.31 s of CPU
-(medians over ten processes, 2-vCPU x86).
+run, also on the calling thread: the estimate that takes their blocks
+reduces them on a worker thread of its own.  synthesis_stream makes one
+trace for a consumer without a thread of its own, such as a file writer:
+while the caller filters blocks, one worker thread draws the noise of the
+next blocks and their forward transforms (NumPy releases the GIL for
+both).  Each trace draws from its own SeedSequence stream in fixed blocks,
+so its codes equal those of a call on its own, whichever thread drew them.
+The worker cut a fresh 200 MS/s, 320 ms synth from 2.09-2.12 to
+1.12-1.49 s of wall for about the same CPU (2-vCPU x86).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import contextlib
 import functools
 import math
 from collections.abc import Iterator
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +81,11 @@ _KERNEL_SPACING = 50e6 / 1024
 # are discarded
 _FFT_PER_TAP = 8
 # noise samples per channel and draw: noise is drawn and transformed this
-# many samples' blocks at a time, so that the worker makes few, long calls
-# and the two threads hand the interpreter lock over less often (a warm
-# 200 MS/s, 10 ms witness switched context about 3,500 times with one
-# 15 361-sample block per draw and 1,100 with eight, on a 2-vCPU x86 host)
+# many samples' blocks at a time, so that a worker makes few, long calls
+# and the two threads hand the interpreter lock over less often (three
+# warm 200 MS/s, 10 ms traces drawn ahead in one run switched context
+# about 3,500 times with one 15 361-sample block per draw and 1,100 with
+# eight, on a 2-vCPU x86 host)
 _DRAW_SAMPLES = 1 << 17
 # blocks per inverse call, at most: NumPy transforms four or more rows of a
 # call together (32 768-point float32 rows took 0.10-0.14 ms each so, and
@@ -177,6 +179,12 @@ class DetectionChain:
         """ADC code size in current units for a channel at mean current dc."""
         return _FULL_SCALE_SIGMAS * self.analytic_rms(dc) / 2 ** (self.adc_bits - 1)
 
+    def check_codes(self, codes: np.ndarray) -> None:
+        """Raise unless every ADC code in codes fits adc_bits."""
+        top = 2 ** (self.adc_bits - 1)
+        if codes.size and (codes.min() < -top or codes.max() > top - 1):
+            raise ValueError("ADC codes exceed the declared bit depth")
+
 
 def _bilinear(b, a, fs: float):
     """Digital (b, a) of the analog filter b(s)/a(s) by the bilinear transform.
@@ -259,10 +267,8 @@ class TwoChannelTrace:
     def __post_init__(self):
         if len(self.samples_1) != len(self.samples_2):
             raise ValueError("channels must have equal length")
-        top = 2 ** (self.chain.adc_bits - 1)
-        for s in (self.samples_1, self.samples_2):
-            if len(s) and (s.min() < -top or s.max() > top - 1):
-                raise ValueError("ADC codes exceed the declared bit depth")
+        self.chain.check_codes(self.samples_1)
+        self.chain.check_codes(self.samples_2)
 
     @property
     def n_samples(self) -> int:
@@ -337,25 +343,15 @@ def _normals(rng, out: np.ndarray, scratch: np.ndarray) -> None:
     out[half:] *= radius[:rest]
 
 
-def _first_draw(seed: int, noise: np.ndarray, spectra: np.ndarray, hop: int):
-    """A trace's generator and spur phases; its first draw of noise into
-    noise, and the rfft of each block's frame of it into spectra."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    phases = rng.uniform(0.0, 2.0 * math.pi, 2)
-    for row in noise:
-        _normals(rng, row, _scratch(spectra))
-    _transform(noise, spectra, hop)
-    return rng, phases
-
-
-def _next_draw(rng, noise: np.ndarray, spectra: np.ndarray, hop: int) -> None:
+def _next_draw(rng, noise: np.ndarray, spectra: np.ndarray, hop: int, first: bool = False) -> None:
     """Draw the noise that follows noise's into noise, and its frames' rfft into spectra.
 
     Each channel carries its last taps - 1 samples to the front, then
-    draws hop new ones per block.
+    draws hop new ones per block; a trace's first draw carries nothing and
+    draws all of noise.
     """
-    carry = noise.shape[1] - spectra.shape[1] * hop
-    noise[:, :carry] = noise[:, -carry:]
+    carry = 0 if first else noise.shape[1] - spectra.shape[1] * hop
+    noise[:, :carry] = noise[:, noise.shape[1] - carry:]
     for row in noise[:, carry:]:
         _normals(rng, row, _scratch(spectra))
     _transform(noise, spectra, hop)
@@ -471,22 +467,21 @@ def _quantize(y: np.ndarray, chain: DetectionChain, codes: np.ndarray):
 
 
 class _Run:
-    """The block buffers and the draw-ahead worker of one synthesis run.
+    """The block buffers of one synthesis run, and its worker if it draws ahead.
 
     A job is (matrix, dc_pair, seed): matrix = (spec_freqs, s11, s22, c12)
     holds normalized spectra on spec_freqs; each is interpolated onto the
     kernel grid (clamped beyond the ends) and then scaled to
     P11 = dc1 s11, P22 = dc2 s22 and P12 = sqrt(dc1 dc2) c12 / 2.  A run
-    made with seeds, those of its traces in order, draws on one worker
-    thread: while the caller filters blocks, the worker draws and
-    transforms the noise of the next draw's blocks, and after a trace's
-    last blocks the first of the next seed.  A trace off that schedule is
-    drawn again on the calling thread, so the schedule changes the speed,
-    never the codes.  A run without seeds draws on the calling thread and
-    starts no thread.  Leaving the run joins the worker.
+    made with draw_ahead draws on one worker thread: while the caller
+    filters a trace's blocks, the worker draws and transforms the noise of
+    its next draw's blocks.  Either thread draws from the trace's own
+    generator in turn, so the worker changes the speed, never the codes.  A
+    run without draw_ahead draws on the calling thread and starts no thread.
+    Leaving the run joins the worker.
     """
 
-    def __init__(self, chain: DetectionChain, duration: float, seeds=None):
+    def __init__(self, chain: DetectionChain, duration: float, *, draw_ahead: bool = False):
         if duration < 10e-3:
             raise ValueError("duration must be >= 10 ms")
         self.chain, self.duration = chain, duration
@@ -506,30 +501,16 @@ class _Run:
         self._omega = 2.0 * math.pi * chain.spur_freq / chain.sample_rate
         self._spur = np.array([f(self._omega * np.arange(self.hop)) for f in (np.cos, np.sin)],
                               dtype=np.float32)
-        self._turn = 0  # draws so far
-        self._upcoming = [] if seeds is None else [int(s) for s in seeds][1:]
         # the executor starts its one thread at the first submit
-        self._worker = None if seeds is None else ThreadPoolExecutor(max_workers=1)
-        self._ahead = None  # (seed, future) of the next trace's first draw
+        self._worker = ThreadPoolExecutor(max_workers=1) if draw_ahead else None
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        ahead, self._ahead = self._ahead, None
         if self._worker is not None:
             self._worker.shutdown(wait=True)
-        if ahead:
-            ahead[1].result()  # a draw that failed raises here
         return False
-
-    def _draw(self, fn, *args) -> Future:
-        """fn(*args) on the worker or, in a run without one, here and now."""
-        if self._worker is not None:
-            return self._worker.submit(fn, *args)
-        done = Future()
-        done.set_result(fn(*args))
-        return done
 
     def stream(self, job, codes: np.ndarray | None = None) -> TraceStream:
         """The trace of one job, its blocks quantized into codes (2, n) if given.
@@ -547,13 +528,9 @@ class _Run:
 
     def _blocks(self, stream: TraceStream, kernels, codes):
         hop = self.hop
-        ahead, self._ahead = self._ahead, None
-        if ahead and ahead[0] == stream.seed:
-            rng, phases = ahead[1].result()
-        else:
-            if ahead:
-                ahead[1].result()  # the worker is done with the draw
-            rng, phases = _first_draw(stream.seed, self._noise, self._spectra[self._turn % 2], hop)
+        rng = np.random.default_rng(np.random.SeedSequence(stream.seed))
+        phases = rng.uniform(0.0, 2.0 * math.pi, 2)
+        _next_draw(rng, self._noise, self._spectra[0], hop, first=True)
         dcs = (stream.dc_1, stream.dc_2)
         # each channel's spur amplitude in code units, with its phase
         amplitudes = _code_scale(self.chain, dcs) * [self.chain.spur_current_amplitude(dc) for dc in dcs]
@@ -562,15 +539,14 @@ class _Run:
         per_draw, per_call = self._spectra.shape[2], self._signal.shape[1]
         pending = None
         try:
-            for first in range(0, n_blocks, per_draw):
-                spectra = self._spectra[self._turn % 2]
-                self._turn += 1
-                following = self._noise, self._spectra[self._turn % 2], hop
+            for turn, first in enumerate(range(0, n_blocks, per_draw)):
+                spectra = self._spectra[turn % 2]
                 if first + per_draw < n_blocks:
-                    pending = self._draw(_next_draw, rng, *following)
-                elif self._upcoming:
-                    seed = self._upcoming.pop(0)
-                    self._ahead = (seed, self._draw(_first_draw, seed, *following))
+                    following = rng, self._noise, self._spectra[(turn + 1) % 2], hop
+                    if self._worker is None:
+                        _next_draw(*following)
+                    else:
+                        pending = self._worker.submit(_next_draw, *following)
                 count = min(per_draw, n_blocks - first)
                 for start in range(0, count, per_call):
                     stop = min(start + per_call, count)
@@ -708,11 +684,11 @@ def witness_streams(spec: QuadSpectra, chain: DetectionChain, duration: float, s
     chain's DC currents (shot_noise_pair) and the dark trace (dark_trace),
     with seeds[0], seeds[1] and seeds[2]: each stream's blocks hold the
     codes of that call on its own.  Take each stream's blocks to the end
-    before asking for the next stream; close the generator (or run it to
-    the end) to join the run's worker.
+    before asking for the next stream.  The run draws on the calling
+    thread: the consumer's estimate has a worker of its own.
     """
     s_arm, s_ref, s_dark = (int(s) for s in seeds)
-    with _Run(chain, duration, (s_arm, s_ref, s_dark)) as run:
+    with _Run(chain, duration) as run:
         yield witness_arm_traces(spec, chain, duration, s_arm, _run=run)
         yield shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, duration, s_ref, _run=run)
         yield dark_trace(chain, duration, s_dark, _run=run)
@@ -723,7 +699,8 @@ def synthesis_stream(spec: QuadSpectra, chain: DetectionChain, duration: float, 
     """synthesize's trace as a TraceStream, with a worker that draws ahead.
 
     Its blocks hold the codes of synthesize's trace; leaving the context
-    joins the worker.
+    joins the worker.  The worker is for a consumer that has no thread of
+    its own, such as a file writer.
     """
-    with _Run(chain, duration, (int(seed),)) as run:
+    with _Run(chain, duration, draw_ahead=True) as run:
         yield synthesize(spec, chain, duration, seed, _run=run)

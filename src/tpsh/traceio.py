@@ -194,7 +194,7 @@ def read_trace(path: str, chain: DetectionChain | None = None,
     try:
         chain, duration, seed, dc_1, dc_2, frames = _read_header(fh, chain)
         if _stream:
-            blocks = _read_blocks(fh, frames)
+            blocks = _read_blocks(fh, frames, chain)
             next(blocks)  # now inside its with, which closes the file however the stream ends
             return TraceStream(chain, duration, seed, dc_1, dc_2, frames, blocks)
         with fh:
@@ -217,12 +217,13 @@ def read_trace(path: str, chain: DetectionChain | None = None,
     )
 
 
-def _read_blocks(fh, frames: int):
+def _read_blocks(fh, frames: int, chain: DetectionChain):
     """The payload of the open file fh, whose header has been read, as its
     channels, _BLOCK_FRAMES frames at a time through one buffer.
 
-    Yields once first, before the payload, so that a caller can start it;
-    closes fh when it ends or is closed.
+    Each block's codes are checked against chain's bit depth, as
+    read_trace's are.  Yields once first, before the payload, so that a
+    caller can start it; closes fh when it ends or is closed.
     """
     with fh:
         yield
@@ -232,6 +233,7 @@ def _read_blocks(fh, frames: int):
             got = fh.readinto(block)
             if got != block.nbytes:
                 raise _truncated(frames, first * _FRAME_BYTES + got)
+            chain.check_codes(block)
             yield block[:, 0], block[:, 1]
 
 
@@ -239,8 +241,9 @@ def stream_trace(path: str, chain: DetectionChain | None = None) -> TraceStream:
     """A trace file as a TraceStream, read as its blocks are taken.
 
     The header is checked now, as _read_header describes, and the payload
-    is read from the same open file.  Each block is a pair of int16 views
-    of one reused buffer.  Take the blocks to the end, or close them, to
+    is read from the same open file, each block's codes checked against
+    the bit depth.  Each block is a pair of int16 views of one reused
+    buffer.  Take the blocks to the end, or close them, to
     close the file.
     """
     return read_trace(path, chain, _stream=True)

@@ -284,13 +284,13 @@ class TestOneTraceAtATime:
         assert traces == []
 
     def test_witness_joins_every_worker(self, capsys, fast_conf, thread_starts):
-        # the synthesis's draw-ahead worker and one per estimate: each record
-        # has more than one block, and its first whole block finds the
-        # estimate's worker idle
+        # one per estimate, and none for the synthesis, which draws on the
+        # calling thread: each record has more than one block, and its first
+        # whole block finds the estimate's worker idle
         before = threading.active_count()
         rc, _, _ = run_cli(capsys, "witness", "--config", fast_conf)
         assert rc == 0
-        assert len(thread_starts) == 1 + 3
+        assert len(thread_starts) == 3
         assert not any(t.is_alive() for t in thread_starts)
         assert threading.active_count() == before
 
@@ -535,6 +535,35 @@ class TestErrors:
         assert out == ""
         assert err.count("\n") == 1
         assert "vanishes across the band" in json.loads(err)["error"]
+
+    def test_codes_beyond_the_header_bit_depth(self, capsys, fast_conf):
+        # a 16-bit trace whose header says 12 bits: read as 12-bit codes,
+        # it would be scaled by the 12-bit step
+        with open(fast_conf, "a") as fh:
+            fh.write("chain.adc_bits = 16\n")
+        _, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
+        path = json.loads(out)["written"]
+        with open(path, "r+b") as fh:
+            fh.seek(15)  # the header's adc_bits
+            fh.write(struct.pack("<B", 12))
+        with open(fast_conf) as fh:
+            conf = fh.read()
+        with open(fast_conf, "w") as fh:
+            fh.write(conf.replace("chain.adc_bits = 16", "chain.adc_bits = 12"))
+        rc, out, err = run_cli(capsys, "analyze", path, "--config", fast_conf)
+        assert rc == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ADC codes exceed the declared bit depth"}
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_sweep_refuses_fewer_than_one_point(self, capsys, fast_conf, tmp_path, points):
+        rc, out, err = run_cli(capsys, "sweep", "--config", fast_conf, "--points", points)
+        assert rc == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "--points must be >= 1, found %s" % points}
+        assert not (tmp_path / "out").exists()
 
     def test_synth_refuses_wide_adc_before_synthesizing(self, capsys, fast_conf, monkeypatch):
         # a 20-bit chain cannot be written to a trace file, so no trace is made

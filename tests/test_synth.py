@@ -376,8 +376,7 @@ class TestBlockwiseSynthesis:
             (synth._arm_job(operating_point_spectra(), fast, 12), fast, 0.010),
             (synth._synthesis_job(operating_point_spectra(), fastest, 13), fastest, 0.010),
         ]
-        seeds = [job[2] for job, _, _ in jobs[:5]]
-        with synth._Run(chain, 0.010, seeds) as run:
+        with synth._Run(chain, 0.010, draw_ahead=True) as run:
             got = [assembled(run.stream(job)) for job, _, _ in jobs[:5]]
         got += [synth._trace(job, c, d, None) for job, c, d in jobs[5:]]
         hop = synth._block_sizes(chain.sample_rate)[2]
@@ -460,8 +459,10 @@ class TestQuantize:
         chain = DetectionChain(sample_rate=50e6)
         spec = loud_spectra() if loud else operating_point_spectra()
         k11, _, k22 = synth._kernels(synth._synthesis_job(spec, chain, seed), chain)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng.uniform(0.0, 2.0 * math.pi, 2)  # the spur phases, as a trace draws them first
         with synth._Run(chain, 0.010) as run:
-            synth._first_draw(seed, run._noise, run._spectra[0], run.hop)
+            synth._next_draw(rng, run._noise, run._spectra[0], run.hop, first=True)
             y = np.array([np.fft.irfft(x * k, n=run._signal.shape[-1])
                           for x, k in zip(run._spectra[0, :, 0], (k11, k22))])
         return chain, y[:, run.taps - 1:]
@@ -478,14 +479,25 @@ class TestQuantize:
         assert np.array_equal(codes, np.clip(rounded, -top, top - 1).astype(np.int16))
 
     @pytest.mark.parametrize("adc_bits", [14, 24])
-    def test_trace_codes_equal_the_stream_blocks(self, adc_bits):
+    def test_trace_codes_equal_the_stream_blocks(self, adc_bits, thread_starts):
         # a trace quantizes each block straight into its one allocation, a
-        # stream into one reused block buffer; several blocks and a partial one
+        # stream into one reused block buffer; several blocks and a partial
+        # one.  The stream's run draws ahead on exactly one worker, joined
+        # when the context is left
         chain = DetectionChain(sample_rate=50e6, adc_bits=adc_bits)
         want = synthesize(loud_spectra(), chain, 0.010, seed=13)
         assert want.n_samples % synth._block_sizes(chain.sample_rate)[2] != 0
-        with synth.synthesis_stream(loud_spectra(), chain, 0.010, 13) as stream:
-            got = np.concatenate([np.array(block) for block in stream.blocks], axis=1)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        # hand the GIL over often, so the main thread and the drawing worker interleave finely
+        sys.setswitchinterval(1e-6)
+        try:
+            with synth.synthesis_stream(loud_spectra(), chain, 0.010, 13) as stream:
+                got = np.concatenate([np.array(block) for block in stream.blocks], axis=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+        assert threading.active_count() == before
         assert got.dtype == want.samples_1.dtype
         assert np.array_equal(got, [want.samples_1, want.samples_2])
         assert (stream.clipped_1, stream.clipped_2) == (want.clipped_1, want.clipped_2) != (0, 0)
@@ -508,7 +520,8 @@ class TestQuantize:
 
 
 class TestSynthesisRun:
-    """Several traces through one run: shared buffers, one worker drawing ahead."""
+    """Several traces through one run: shared buffers, drawn on the calling
+    thread, or on one worker drawing ahead for synthesis_stream."""
 
     @staticmethod
     def assert_same(want, got):
@@ -523,16 +536,10 @@ class TestSynthesisRun:
         chain = DetectionChain(sample_rate=50e6)
         duration = 0.010 + 1 / chain.sample_rate  # odd n
         spec, loud = operating_point_spectra(), loud_spectra()
-        interval = sys.getswitchinterval()
-        # hand the GIL over often, so the main thread and the drawing worker interleave finely
-        sys.setswitchinterval(1e-6)
-        try:
-            with synth._Run(chain, duration, (7, 6, 8)) as run:
-                got = [assembled(witness_arm_traces(spec, chain, duration, 7, _run=run)),
-                       assembled(synthesize(loud, chain, duration, 6, _run=run)),
-                       assembled(shot_noise_pair(1.0, 0.5, chain, duration, 8, _run=run))]
-        finally:
-            sys.setswitchinterval(interval)
+        with synth._Run(chain, duration) as run:
+            got = [assembled(witness_arm_traces(spec, chain, duration, 7, _run=run)),
+                   assembled(synthesize(loud, chain, duration, 6, _run=run)),
+                   assembled(shot_noise_pair(1.0, 0.5, chain, duration, 8, _run=run))]
         want = [witness_arm_traces(spec, chain, duration, seed=7),
                 synthesize(loud, chain, duration, seed=6),
                 shot_noise_pair(1.0, 0.5, chain, duration, seed=8)]
@@ -540,14 +547,12 @@ class TestSynthesisRun:
         assert want[1].clipped_1 > 0 and want[1].clipped_2 > 0
         self.assert_same(want, got)
 
-    def test_witness_traces_equal_the_single_calls_and_join_the_worker(self, thread_starts):
+    def test_witness_traces_equal_the_single_calls_and_start_no_thread(self, thread_starts):
         chain = DetectionChain(sample_rate=50e6)
         spec = operating_point_spectra()
         seeds = np.random.SeedSequence(3).generate_state(3, dtype=np.uint64)
-        before = threading.active_count()
         got = [assembled(stream) for stream in synth.witness_streams(spec, chain, 0.010, seeds)]
-        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
-        assert threading.active_count() == before
+        assert thread_starts == []
         s_arm, s_ref, s_dark = (int(s) for s in seeds)
         self.assert_same([witness_arm_traces(spec, chain, 0.010, seed=s_arm),
                           shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, 0.010,
@@ -602,29 +607,39 @@ class TestSynthesisRun:
         assert "positive semidefinite at" in str(alone.value)
         before = threading.active_count()
         with pytest.raises(ValueError, match=re.escape(str(alone.value))):
-            with synth._Run(chain, 0.010, (7, 1, 8)) as run:
+            with synth._Run(chain, 0.010, draw_ahead=True) as run:
                 assert assembled(witness_arm_traces(operating_point_spectra(), chain, 0.010, 7,
                                                     _run=run)).n_samples == 500_000
-                synthesize(bad, chain, 0.010, 1, _run=run)  # drawn on the worker
+                synthesize(bad, chain, 0.010, 1, _run=run)
         assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
         assert threading.active_count() == before
 
-    def test_closing_witness_traces_early_ends_the_worker(self, thread_starts):
+    def test_closing_witness_traces_early_starts_no_thread(self, thread_starts):
         chain = DetectionChain(sample_rate=50e6)
-        before = threading.active_count()
         run = synth.witness_streams(operating_point_spectra(), chain, 0.010, (1, 2, 3))
         for _ in next(run).blocks:
-            pass  # the reference's draw is now under way on the worker
+            pass
+        next(next(run).blocks)  # the reference's first block
         run.close()
+        assert thread_starts == []
+
+    def test_a_draw_ahead_stream_closed_mid_trace_leaves_no_thread(self, thread_starts):
+        chain = DetectionChain(sample_rate=50e6)
+        before = threading.active_count()
+        with synth.synthesis_stream(operating_point_spectra(), chain, 0.010, 4) as stream:
+            next(stream.blocks)  # the next draw is now under way on the worker
+            stream.blocks.close()
         assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
         assert threading.active_count() == before
 
-    def test_a_trace_off_the_schedule_gets_its_own_draws(self):
+    def test_a_draw_ahead_stream_of_a_non_psd_job_starts_no_thread(self, thread_starts):
         chain = DetectionChain(sample_rate=50e6)
-        with synth._Run(chain, 0.010, (1, 2)) as run:
-            assembled(shot_noise_pair(1.0, 1.0, chain, 0.010, 1, _run=run))
-            got = assembled(shot_noise_pair(1.0, 1.0, chain, 0.010, 3, _run=run))  # the worker drew seed 2
-        self.assert_same([shot_noise_pair(1.0, 1.0, chain, 0.010, seed=3)], [got])
+        bad = coherent_spectra()
+        bad.c_x[:] = 2.5
+        with pytest.raises(ValueError, match="positive semidefinite at"):
+            with synth.synthesis_stream(bad, chain, 0.010, 4):
+                pass
+        assert thread_starts == []
 
     def test_a_trace_must_have_its_runs_chain_and_duration(self):
         chain = DetectionChain(sample_rate=50e6)

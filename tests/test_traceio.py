@@ -197,10 +197,11 @@ class TestValidation:
             read_trace(path, chain=other_bits)
 
     @staticmethod
-    def patched_header(tmp_path, offset, value, fmt="<d"):
-        """A trace file whose header holds value, packed as fmt, at offset."""
+    def patched_header(tmp_path, offset, value, fmt="<d", **chain_kw):
+        """A trace file, of small_trace(**chain_kw), whose header holds value,
+        packed as fmt, at offset."""
         path = str(tmp_path / "trace.bin")
-        write_trace(small_trace(), path)
+        write_trace(small_trace(**chain_kw), path)
         blob = bytearray(Path(path).read_bytes())
         field = struct.pack(fmt, value)
         blob[offset:offset + len(field)] = field
@@ -225,6 +226,16 @@ class TestValidation:
         for chain in (None, DetectionChain(sample_rate=50e6, adc_bits=20)):
             with pytest.raises(ValueError, match="trace files hold 16-bit samples"):
                 read_trace(path, chain=chain)
+
+    def test_codes_beyond_the_header_bit_depth_rejected(self, tmp_path):
+        # a 16-bit trace whose header says 12 bits: its codes, read with the
+        # 12-bit step, would give a matrix 16 times too large in amplitude
+        path = self.patched_header(tmp_path, 15, 12, fmt="<B", adc_bits=16)
+        for chain in (None, DetectionChain(sample_rate=50e6, adc_bits=12)):
+            with pytest.raises(ValueError, match="exceed the declared bit depth"):
+                read_trace(path, chain=chain)
+            with pytest.raises(ValueError, match="exceed the declared bit depth"):
+                cross_spectral_matrix(stream_trace(path, chain=chain), 100e3)
 
     def test_a_dark_trace_needs_its_chain(self, tmp_path):
         # a chain built from a dark header's dc 0 and 0 has an ADC step of
