@@ -8,16 +8,19 @@ are transformed in fixed-size blocks by a batched single-precision FFT, and
 P11, P22 and P12 = <X1* X2> are summed in double precision.  Every channel
 combination then follows algebraically, PSD(i1 +/- g i2) = P11 + g^2 P22
 +/- 2g Re P12.  The record may arrive whole or in pieces of any size, the
-blocks of a TraceStream: the pieces are gathered into whole blocks of
-segments from the record's start, and the half segment that two blocks
-share is carried over, so the matrix does not depend on how the samples
-arrive.  The CLI's witness and analyze push each block as it is
-synthesized or read and never hold a record.  Whole blocks are reduced on
-the calling thread and on one worker thread, and their sums are added in
-block order, so the matrix does not depend on which thread reduced which
-block either.  Memory stays bounded by the block size, whatever the record
+blocks of a TraceStream, and its length plans the estimate before the
+first piece: a record too short for the rbw is refused before anything is
+read or allocated, and pieces that do not add up to that length are
+refused.  The pieces are gathered into whole blocks of segments from the
+record's start, and the half segment that two blocks share is carried
+over, so the matrix does not depend on how the samples arrive.  The CLI's
+witness and analyze push each block as it is synthesized or read and never
+hold a record.  The last block is reduced on the calling thread, and any
+other on one worker thread when it is idle; the sums are added in block
+order, so the matrix does not depend on which thread reduced which block
+either.  Memory stays bounded by the block size, whatever the record
 length: two gathered blocks per channel, and per thread one segment buffer
-and one block-sized spectrum, per call.
+and one block-sized spectrum.
 
 The quoted n_averages is the non-overlapping segment count and sigma =
 power / sqrt(n_averages).  Per bin that is 1/0.775 of the scatter: the
@@ -57,7 +60,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +156,8 @@ class CrossSpectralMatrix:
 def _segment_length(sample_rate: float, rbw: float) -> int:
     if rbw <= 0:
         raise ValueError("rbw must be > 0")
+    if not math.isfinite(sample_rate / rbw):
+        raise ValueError("rbw too fine for the sample rate")
     nperseg = int(round(sample_rate / rbw))
     if nperseg < 8:
         raise ValueError("rbw too coarse for the sample rate")
@@ -177,14 +182,14 @@ def _power_in(buf, shape):
     return buf.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
 
 
-def _buffers(channels: int, nperseg: int, dtype):
-    """One thread's block buffers: the segments, channel 1's spectra and,
-    for two channels, _CROSS_ROWS of channel 2's."""
+def _buffers(channels: int, rows: int, nperseg: int, dtype):
+    """One thread's buffers for blocks of up to rows segments: the segments,
+    channel 1's spectra and, for two channels, _CROSS_ROWS of channel 2's."""
     spectra = np.result_type(dtype, np.complex64)
     bins = nperseg // 2 + 1
-    return (np.empty((_BLOCK_SEGMENTS, nperseg), dtype=dtype),
-            np.empty((_BLOCK_SEGMENTS, bins), dtype=spectra),
-            np.empty((_CROSS_ROWS, bins), dtype=spectra) if channels == 2 else None)
+    return (np.empty((rows, nperseg), dtype=dtype),
+            np.empty((rows, bins), dtype=spectra),
+            np.empty((min(rows, _CROSS_ROWS), bins), dtype=spectra) if channels == 2 else None)
 
 
 def _block_sums(channels, weights, nperseg: int, step: int, buffers):
@@ -226,124 +231,99 @@ def _idle(future) -> bool:
     return future is None or future.done()
 
 
-def _averaged_periodograms(blocks, scales, sample_rate: float, rbw: float, dtype):
+def _averaged_periodograms(blocks, n: int, scales, sample_rate: float, rbw: float, dtype):
     """Averaged periodograms of one or two equally long records in one pass.
 
-    blocks yields the records in pieces, in order: tuples with one array
-    per channel, of equal length; a piece may reuse the previous piece's
-    memory.  Channel k is multiplied by scales[k] and transformed in
-    precision dtype.  Returns the frequencies, the auto densities of every
-    channel followed, for two channels, by their cross density <X1* X2>,
-    the snapped rbw and the non-overlapping segment count.
+    blocks yields the records, n samples each, in pieces, in order: tuples
+    with one array per channel, of equal length; a piece may reuse the
+    previous piece's memory.  Channel k is multiplied by scales[k] and
+    transformed in precision dtype.  Returns the frequencies, the auto
+    densities of every channel followed, for two channels, by their cross
+    density <X1* X2>, the snapped rbw and the non-overlapping segment count.
 
-    The segments go through the FFT _BLOCK_SEGMENTS at a time from the
-    record's start.  The pieces are gathered into one block-sized buffer
-    per channel, in its own dtype, until a block is complete; the half
-    segment it shares with the next block stays.  Whole blocks are reduced
-    on this thread and on one worker thread: a complete block that finds
-    the worker idle waits while this thread gathers the next one into a
-    second staging buffer, and goes to the worker once that next block has
-    its first segment; otherwise this thread reduces it.  Each thread has
-    its own segment and spectrum buffers, and every buffer is allocated
-    here, so the worker allocates nothing block-sized.  The block sums are
-    added in block order, so the estimate depends on the records alone, not
-    on how they are cut into pieces or which thread reduced which block.  A
-    record within one block starts no thread, and the worker is joined
-    before the call returns or raises.
+    The plan comes from n: a record of fewer than 10 averages is refused
+    before a piece is taken or a buffer allocated, and pieces that do not
+    add up to n are refused once all are read.  The pieces are gathered
+    into one block-sized staging buffer per channel, in its own dtype, and
+    the half segment a complete block shares with the next one stays.  The
+    last block is reduced on this thread; any other goes to one worker
+    thread if it is idle, while this thread gathers on into a second
+    staging buffer, and is reduced here otherwise.  Every buffer, each
+    thread's segment and spectrum buffers too, is allocated on this thread.
+    The block sums are added in block order, so the estimate does not
+    depend on how the records are cut into pieces or which thread reduced
+    which block.  A record within one block starts no thread, and the
+    worker is joined before the call returns or raises.
     """
     nperseg = _segment_length(sample_rate, rbw)
+    n_averages = n // nperseg
+    if n_averages < 10:
+        raise ValueError("trace too short for the requested rbw: %d averages < 10" % n_averages)
     step = nperseg - nperseg // 2
+    n_segments = (n - nperseg) // step + 1
+    n_blocks = -(-n_segments // _BLOCK_SEGMENTS)
+    rows = min(n_segments, _BLOCK_SEGMENTS)  # segments of a whole block, or of the one block
+    # samples of such a block, and of the last block, with the segments that start in it
+    span = (rows - 1) * step + nperseg
+    last_span = (n_segments - 1) % _BLOCK_SEGMENTS * step + nperseg
+    shift = _BLOCK_SEGMENTS * step  # from one block's start to the next's
+    overlap = span - shift  # samples a whole block shares with the next one
     window = np.sin(np.pi * np.arange(nperseg) / nperseg)  # square root of periodic Hann
     weights = [(window * scale).astype(dtype) for scale in scales]
     bins = nperseg // 2 + 1
     sums = [np.zeros(bins) for _ in scales]
     if len(scales) == 2:
         sums.append(np.zeros(bins, dtype=complex))
-    span = (_BLOCK_SEGMENTS - 1) * step + nperseg  # samples of a whole block
-    shift = _BLOCK_SEGMENTS * step  # from one block's start to the next's
-    overlap = span - shift  # samples a block shares with the next one
-    # the staged blocks, the one being gathered and the one that waits for
-    # or is with the worker, and the block buffers of this thread and of
-    # the worker; the second of each is allocated when the worker is
-    # first needed
-    staged, buffers = [], []
-
-    def allocate(piece):
-        staged.append([np.empty(span, dtype=x.dtype) for x in piece])
-        buffers.append(_buffers(len(piece), nperseg, dtype))
-
-    def block_sums(block, length, own):
-        return _block_sums([s[:length] for s in staged[block]], weights, nperseg, step, own)
-
-    results = deque()  # every block's sums, as a Future, in block order
-
-    def reduce_here(block, length):
-        results.append(Future())
-        results[-1].set_result(block_sums(block, length, buffers[0]))
+    results = deque()  # every block's sums in block order, the worker's as a Future
 
     def add(wait=False):
         """Add the sums at the front of results that are done, or all if wait."""
-        while results and (wait or results[0].done() or len(results) > _HELD_BLOCKS):
-            for total, block_total in zip(sums, results.popleft().result()):
+        while results and (wait or len(results) > _HELD_BLOCKS
+                           or isinstance(results[0], list) or results[0].done()):
+            front = results.popleft()
+            for total, block_total in zip(sums, front if isinstance(front, list) else front.result()):
                 total += block_total
 
-    current = 0  # the staged block being gathered
-    ready = None  # a complete block, until the next block has a segment
-    worker, last = None, None  # the executor, once started, and its last block
-    n, filled = 0, 0  # samples seen, and samples of the current block staged
-    try:
+    # the staged blocks, the one being gathered and the one with the worker,
+    # and the block buffers of this thread and of the worker
+    staged = buffers = last = None  # last: the worker's last block
+    current, block, filled, seen = 0, 0, 0, 0
+    with ThreadPoolExecutor(max_workers=1) as worker:  # no thread until the first submit
         for piece in blocks:
-            if not staged:
-                allocate(piece)
-            length = len(piece[0])
-            if any(len(x) != length for x in piece):
+            size = len(piece[0])
+            if any(len(x) != size for x in piece):
                 raise ValueError("channels must have equal length")
-            n += length
+            if staged is None:
+                staged = [[np.empty(span, x.dtype) for x in piece] for _ in range(min(n_blocks, 2))]
+                buffers = [_buffers(len(piece), rows, nperseg, dtype) for _ in staged]
+            seen += size
             done = 0
-            while done < length:
-                take = min(span - filled, length - done)
+            while done < size and block < n_blocks:
+                length = last_span if block == n_blocks - 1 else span
+                take = min(length - filled, size - done)
                 for s, x in zip(staged[current], piece):
                     s[filled:filled + take] = x[done:done + take]
                 filled += take
                 done += take
-                if ready is not None and filled >= nperseg:
-                    # a next block exists: the waiting one goes to the worker
-                    if worker is None:
-                        worker = ThreadPoolExecutor(max_workers=1)
-                    last = worker.submit(block_sums, ready, span, buffers[1])
-                    results.append(last)
-                    ready = None
-                if filled == span:
+                if filled == length:
                     add()
-                    if _idle(last):
-                        # the worker holds no staged block: this one waits
-                        # while the next is gathered in the other
-                        if len(staged) == 1:
-                            allocate(piece)
-                        ready, current = current, 1 - current
-                        for s, t in zip(staged[ready], staged[current]):
-                            t[:overlap] = s[shift:]
+                    channels = [s[:length] for s in staged[current]]
+                    if block < n_blocks - 1 and _idle(last):
+                        last = worker.submit(_block_sums, channels, weights, nperseg, step,
+                                             buffers[1])
+                        results.append(last)
+                        following = 1 - current  # the worker's last staged block is free
                     else:
-                        reduce_here(current, span)
-                        for s in staged[current]:
-                            s[:overlap] = s[shift:]
-                    filled = overlap
-
-        n_averages = n // nperseg
-        if n_averages < 10:
-            raise ValueError(
-                "trace too short for the requested rbw: %d averages < 10" % n_averages
-            )
-        n_segments = (n - nperseg) // step + 1
-        if ready is not None:  # the record's one whole block
-            reduce_here(ready, span)
-        # the last block, with the segments that start in it
-        if n_segments % _BLOCK_SEGMENTS:
-            reduce_here(current, (n_segments % _BLOCK_SEGMENTS - 1) * step + nperseg)
+                        results.append(_block_sums(channels, weights, nperseg, step, buffers[0]))
+                        following = current
+                    block += 1
+                    if block < n_blocks:
+                        for s, t in zip(staged[current], staged[following]):
+                            t[:overlap] = s[shift:]
+                        current, filled = following, overlap
+        if seen != n:
+            raise ValueError("the pieces hold %d samples, not the record's %d" % (seen, n))
         add(wait=True)
-    finally:
-        if worker is not None:
-            worker.shutdown(wait=True)
 
     # density scaling, less the rfft's squared scale factor; every bin but DC
     # (and Nyquist for even nperseg) is doubled to fold in the negative frequencies
@@ -364,8 +344,8 @@ def welch_psd(x: np.ndarray, sample_rate: float, rbw: float) -> NoiseSpectrum:
     """
     x = np.asarray(x)
     dtype = np.result_type(x.dtype, np.float32)
-    freqs, (power,), rbw, n_averages = _averaged_periodograms(((x,),), (1.0,), sample_rate, rbw,
-                                                              dtype)
+    freqs, (power,), rbw, n_averages = _averaged_periodograms(((x,),), len(x), (1.0,), sample_rate,
+                                                              rbw, dtype)
     return NoiseSpectrum(freqs, power, rbw, n_averages, power / math.sqrt(n_averages))
 
 
@@ -379,7 +359,7 @@ def cross_spectral_matrix(trace: TwoChannelTrace | TraceStream, rbw: float) -> C
     # at about half the FFT cost of double
     chain = trace.chain
     freqs, (p11, p22, p12), rbw, n_averages = _averaged_periodograms(
-        trace.blocks, (chain.lsb(trace.dc_1), chain.lsb(trace.dc_2)),
+        trace.blocks, trace.n_samples, (chain.lsb(trace.dc_1), chain.lsb(trace.dc_2)),
         chain.sample_rate, rbw, np.float32,
     )
     return CrossSpectralMatrix(freqs, p11, p22, p12, rbw, n_averages, trace.dc_1, trace.dc_2)

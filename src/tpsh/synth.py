@@ -287,8 +287,10 @@ class TraceStream:
     The metadata of TwoChannelTrace, and n_samples per channel.  blocks
     yields (codes_1, codes_2) pairs of equal length in record order, once;
     a pair may reuse the previous pair's memory, so the caller is done
-    with it before it takes the next.  clipped_1/2 are complete once the
-    last block is taken (a stream read from a file counts none).
+    with it before it takes the next.  n_samples is a contract: the
+    cross-spectral estimate is planned from it before the first block and
+    refuses blocks that do not add up to it.  clipped_1/2 are complete once
+    the last block is taken (a stream read from a file counts none).
     """
 
     chain: DetectionChain
@@ -477,7 +479,8 @@ class _Run:
     filters a trace's blocks, the worker draws and transforms the noise of
     its next draw's blocks.  Either thread draws from the trace's own
     generator in turn, so the worker changes the speed, never the codes.  A
-    run without draw_ahead draws on the calling thread and starts no thread.
+    run without draw_ahead starts no thread: it draws each next draw on the
+    calling thread, into the spectra of the draw whose blocks it has filtered.
     Leaving the run joins the worker.
     """
 
@@ -489,11 +492,11 @@ class _Run:
         self.taps, fft, self.hop, per_draw = _block_sizes(chain.sample_rate)
         # allocated here, on the calling thread: the worker's own allocations
         # would come from its own malloc arena and add to the peak.  One
-        # draw of noise, which only the draws touch; two draws' spectra,
-        # transformed and filtered in turn, each channel's blocks in a row;
-        # and the filtered signal of one inverse call's blocks
+        # draw of noise, which only the draws touch; one draw's spectra (two
+        # for a run that draws ahead), each channel's blocks in a row; and
+        # the filtered signal of one inverse call's blocks
         self._noise = np.empty((2, self.taps - 1 + per_draw * self.hop), dtype=np.float32)
-        self._spectra = np.empty((2, 2, per_draw, fft // 2 + 1), dtype=np.complex64)
+        self._spectra = np.empty((1 + draw_ahead, 2, per_draw, fft // 2 + 1), dtype=np.complex64)
         self._signal = np.empty((2, min(per_draw, _BLOCKS_PER_CALL), fft), dtype=np.float32)
         self._codes = np.empty((2, self.hop), dtype=_code_dtype(chain))
         # the spur's cosine and sine over one block from phase 0, which each
@@ -540,17 +543,18 @@ class _Run:
         pending = None
         try:
             for turn, first in enumerate(range(0, n_blocks, per_draw)):
-                spectra = self._spectra[turn % 2]
-                if first + per_draw < n_blocks:
-                    following = rng, self._noise, self._spectra[(turn + 1) % 2], hop
-                    if self._worker is None:
-                        _next_draw(*following)
-                    else:
-                        pending = self._worker.submit(_next_draw, *following)
+                spectra = self._spectra[turn % len(self._spectra)]
+                following = rng, self._noise, self._spectra[(turn + 1) % len(self._spectra)], hop
+                more = first + per_draw < n_blocks
+                if more and self._worker is not None:
+                    pending = self._worker.submit(_next_draw, *following)
                 count = min(per_draw, n_blocks - first)
                 for start in range(0, count, per_call):
                     stop = min(start + per_call, count)
                     signal = self._filter(spectra[:, start:stop], kernels)
+                    if more and stop == count and self._worker is None:
+                        # the draw's blocks are filtered: the next draw takes its spectra
+                        _next_draw(*following)
                     for b in range(stop - start):
                         lo = (first + start + b) * hop
                         out = (self._codes if codes is None else codes[:, lo:])[:, :min(hop, self.n - lo)]

@@ -485,6 +485,10 @@ class TestEstimateThreads:
         span = (an._BLOCK_SEGMENTS - 1) * step + nperseg
         per_block = (2 * span * 2 + an._BLOCK_SEGMENTS * (nperseg * 4 + bins * 8)
                      + an._CROSS_ROWS * bins * 8)
+        # a process's first estimate peaks about 0.8 MB higher than later
+        # ones, so one untraced estimate runs first and the bounds hold
+        # whichever tests ran before
+        an.cross_spectral_matrix(long_stream(2_000_000), 100e3)
         peaks = []
         for n in (2_000_000, 8_000_000):  # 10 and 40 ms
             stream = long_stream(n)
@@ -496,6 +500,55 @@ class TestEstimateThreads:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + an._HELD_BLOCKS * 2 ** 15, peaks
         assert max(peaks) <= 2 * per_block + 2 ** 20, (peaks, per_block)
+
+
+class TestRecordPlan:
+    """The estimate is planned from the record's announced length."""
+
+    def test_too_short_record_is_refused_before_its_first_piece(self):
+        # 50 MS/s, 10 ms at 300 Hz: 2 averages of 166 667 samples, whose
+        # window alone would take 1.3 MB and a block's buffers about 180 MiB
+        pulled = []
+
+        def pieces():
+            pulled.append(True)
+            yield np.zeros(500_000, np.int16), np.zeros(500_000, np.int16)
+
+        stream = TraceStream(DetectionChain(sample_rate=50e6), 0.010, 1, 1.0, 0.8, 500_000,
+                             pieces())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2 averages < 10"):
+                an.cross_spectral_matrix(stream, 300.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pulled == []
+        assert peak < 2 ** 16, peak
+
+    @pytest.mark.parametrize("actual", [1_999_999, 1_000_000, 2_000_001, 2_007_110])
+    def test_pieces_that_miss_the_announced_length_are_refused(self, thread_starts, actual):
+        stream = long_stream(actual)
+        stream.n_samples = 2_000_000
+        with pytest.raises(ValueError, match="the pieces hold %d samples, not the record's "
+                                             "2000000" % actual):
+            an.cross_spectral_matrix(stream, 100e3)
+        assert all(not t.is_alive() for t in thread_starts)
+
+    def test_a_record_of_few_segments_gets_buffers_of_its_size(self, monkeypatch):
+        # 10 averages at 1 kHz, 19 segments: rows for those, not for a
+        # whole block of _BLOCK_SEGMENTS
+        sizes = []
+        buffers = an._buffers
+
+        def recording(*args):
+            made = buffers(*args)
+            sizes.append([b.shape for b in made])
+            return made
+
+        monkeypatch.setattr(an, "_buffers", recording)
+        an.cross_spectral_matrix(long_stream(2_000_000), 1e3)
+        assert sizes == [[(19, 200_000), (19, 100_001), (19, 100_001)]]
 
 
 class TestShotNoiseReference:

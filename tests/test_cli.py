@@ -346,12 +346,18 @@ class TestOneTraceAtATime:
         assert threading.active_count() == before
 
 
-def _python(code):
-    """Run code in a fresh interpreter on this checkout; its last stdout line as JSON."""
+def _checkout_env():
+    """The environment of a fresh interpreter that imports tpsh from this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return env
+
+
+def _python(code):
+    """Run code in a fresh interpreter on this checkout; its last stdout line as JSON."""
+    out = subprocess.run([sys.executable, "-c", code], env=_checkout_env(), capture_output=True,
+                         text=True)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -466,9 +472,7 @@ class TestFreshProcessMemory:
 
     def peak_mib(self, *argv):
         """ru_maxrss in MiB of a fresh `tpsh argv` on this checkout."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env = _checkout_env()
         env.pop("TPSH_DEFAULTS", None)
         out = subprocess.run(
             [sys.executable, "-c", self.LAUNCHER, sys.executable, "-c",
@@ -577,6 +581,36 @@ class TestErrors:
         assert err.count("\n") == 1
         assert "trace files hold 16-bit samples" in json.loads(err)["error"]
         assert calls == []
+
+    # 1e-6 Hz asks for segments of 5e13 samples: refused before the window
+    # or any block is allocated, where NumPy's MemoryError used to end the
+    # run; at 1e-303 Hz the segment length itself overflows
+    TOO_SHORT = "trace too short for the requested rbw: 0 averages < 10"
+
+    @pytest.mark.parametrize("rbw_khz, error", [
+        ("1e-9", TOO_SHORT),
+        ("1e-306", "rbw too fine for the sample rate"),
+    ])
+    def test_witness_refuses_a_too_fine_rbw(self, capsys, fast_conf, tmp_path, rbw_khz, error):
+        rc, out, err = run_cli(capsys, "witness", "--config", fast_conf, "--rbw-khz", rbw_khz)
+        assert rc == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": error}
+        assert not (tmp_path / "out" / "witness.json").exists()
+
+    def test_analyze_refuses_a_too_fine_rbw_and_closes_its_file(self, capsys, fast_conf):
+        _, out, _ = run_cli(capsys, "synth", "--config", fast_conf)
+        # in a fresh interpreter where a file left open is an error on stderr
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+             "import sys; from tpsh.cli import main; sys.exit(main(sys.argv[1:]))",
+             "analyze", json.loads(out)["written"], "--config", fast_conf, "--rbw-khz", "1e-9"],
+            env=_checkout_env(), capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert json.loads(proc.stderr) == {"error": self.TOO_SHORT}
 
     def test_bad_config_key(self, capsys, tmp_path):
         conf = tmp_path / "bad.conf"

@@ -641,6 +641,16 @@ class TestSynthesisRun:
                 pass
         assert thread_starts == []
 
+    def test_a_run_without_a_worker_holds_one_draws_spectra(self):
+        # the inline run draws each next draw into the spectra it has just
+        # filtered, and gives the codes of a run that draws ahead
+        chain = DetectionChain(sample_rate=50e6)
+        spec = operating_point_spectra()
+        with synth._Run(chain, 0.010) as inline, synth._Run(chain, 0.010, draw_ahead=True) as ahead:
+            assert len(inline._spectra) == 1 and len(ahead._spectra) == 2
+            self.assert_same([assembled(synthesize(spec, chain, 0.010, 5, _run=ahead))],
+                             [assembled(synthesize(spec, chain, 0.010, 5, _run=inline))])
+
     def test_a_trace_must_have_its_runs_chain_and_duration(self):
         chain = DetectionChain(sample_rate=50e6)
         with synth._Run(chain, 0.010) as run:
@@ -770,8 +780,8 @@ class TestSynthesisFidelity:
                 freqs, p11, p22, p12 = m.frequencies, m.p11, m.p22, m.p12
             else:
                 freqs, (p11, p22, p12), _, _ = an._averaged_periodograms(
-                    [circulant_synthesis(job, chain, n, seed)], (1.0, 1.0), chain.sample_rate, 100e3,
-                    np.float32)
+                    [circulant_synthesis(job, chain, n, seed)], n, (1.0, 1.0), chain.sample_rate,
+                    100e3, np.float32)
             sel = (freqs >= 0.5e6) & (freqs <= 20e6) & (np.arange(len(freqs)) % 2 == 0)
             for got, want, var in ((p11, e11, e11 ** 2), (p22, e22, e22 ** 2),
                                    (p12.real, e12, (e11 * e22 + e12 ** 2) / 2.0)):
@@ -785,9 +795,9 @@ class TestSynthesisFidelity:
 class TestMemoryAndCodeDtype:
     def test_witness_synthesis_memory_is_bounded(self):
         # 50 MS/s, 10 ms: the trace's codes are 1.9 MiB and the run's buffers,
-        # a draw's noise, two draws' spectra (one also the Box-Muller scratch)
-        # and one inverse call's signal, 3.5 MiB whatever the duration
-        # (4.7 MiB above the codes in all, the test run alone);
+        # a draw's noise, its spectra (also the Box-Muller scratch) and one
+        # inverse call's signal, 2.3 MiB whatever the duration
+        # (3.6 MiB above the codes in all, the test run alone);
         # the circulant form's grid-sized spectra and response took 13.2 MiB.  The ADC scaling is derived once per chain
         # beforehand (its 65537-point response alone takes 4 MiB)
         spec = operating_point_spectra()
