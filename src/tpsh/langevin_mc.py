@@ -15,16 +15,27 @@ with dW ~ N(0, dt) and x[i] independent of the step-i increments
 (non-anticipating).  The raw one-sided Welch level of a vacuum input is 2,
 so estimates are halved to the shot-noise = 1 normalization.
 
+The increments come from synth._normals, the float32 Box-Muller transform
+of the synthesis (Box & Muller 1958), _CHUNK deviates at a time, each
+chunk widened and scaled by sqrt(dt) in double precision (_normal).
+Euler-Maruyama needs only the increments' Gaussian moments (Kloeden &
+Platen 1992), and these stay far inside the percent-level standard errors
+of the estimates: the float32 rounding is about 6e-8 relative, and the
+24-bit uniforms cap |dW| at 5.77 sqrt(dt), beyond which the normal law
+holds 8e-9 of its mass.  The transform shares no code with
+noise.quadrature_spectra, and a fault in it would show in both the
+oracle's and the synthesis's comparisons with the closed form.
+
 Each sector (one realization of one quadrature) runs in two stages on two
 threads.  The draw stage, on one worker thread, is the only user of the
-generator: it draws dW0, dWl, dW1 and dW2, in that order, sector x then
-sector y, realization after realization, and folds dW0 and dWl into the
-drive.  The process stage, on the calling thread, runs the AR(1) step and
-builds the two output records chunk by chunk, then makes their Welch
-estimate.  The worker draws one sector ahead, into five records allocated
-by the caller and reused by every sector, so the estimates are those of
-drawing and processing each sector in turn.  The worker is joined when
-mc_spectra returns or raises.
+generator and of _normal's float32 scratch: it draws dW0, dWl, dW1 and
+dW2, in that order, sector x then sector y, realization after
+realization, and folds dW0 and dWl into the drive.  The process stage, on
+the calling thread, runs the AR(1) step and builds the two output records
+chunk by chunk, then makes their Welch estimate.  The worker draws one
+sector ahead, into five records allocated by the caller and reused by
+every sector, so the estimates are those of drawing and processing each
+sector in turn.  The worker is joined when mc_spectra returns or raises.
 
 The AR(1) step x[i+1] = c x[i] - d[i], c = 1 - D_q dt, is solved by scaled
 cumulative sums (_ar1): within a block of B samples,
@@ -58,6 +69,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cavity import SteadyState
 from .noise import QuadSpectra
+from .synth import _normals
 
 # samples per block of Welch segments: bounds the work arrays to a few 8 MiB
 # float64/complex128 blocks whatever the record length
@@ -156,30 +168,37 @@ def _welch_pair(rec1: np.ndarray, rec2: np.ndarray, window: np.ndarray, scale: f
     return p11, p22, p12
 
 
-def _normal(rng, out: np.ndarray, sd: float) -> np.ndarray:
-    """N(0, sd^2) deviates into out, as rng.normal(0.0, sd, len(out)) draws them.
+def _normal(rng, out: np.ndarray, sd: float, normals: np.ndarray) -> np.ndarray:
+    """N(0, sd^2) deviates into the float64 out, _CHUNK at a time.
 
-    Same stream and same values, but for the sign of an exact zero.
+    Each chunk is drawn by synth._normals into the float32 scratch normals
+    (4, >= min(_CHUNK, len(out)) / 2): its first two rows hold the chunk,
+    its last two the Box-Muller scratch.  The chunk is then widened and
+    scaled by sd in double precision.
     """
-    rng.standard_normal(out=out)
-    out *= sd
+    z, scratch = normals[:2].reshape(-1), normals[2:]
+    for start in range(0, len(out), _CHUNK):
+        chunk = out[start:start + _CHUNK]
+        _normals(rng, z[:len(chunk)], scratch)
+        np.multiply(z[:len(chunk)], sd, out=chunk, dtype=float)
     return out
 
 
-def _draw_drive(rng, drive, dw1, scratch, sd, glin_pair):
+def _draw_drive(rng, drive, dw1, scratch, normals, sd, glin_pair):
     """A sector's draw stage up to dW2: dW0, dWl and dW1, in that order.
 
     dW0 and dWl are folded into drive = sqrt(2 g_in) dW0 + sqrt(2 g_l) dWl,
-    dWl chunk by chunk through scratch; dW1 goes into dw1.
+    dWl chunk by chunk through scratch; dW1 goes into dw1.  normals is
+    _normal's float32 scratch.
     """
     g_in, g_l = glin_pair
-    _normal(rng, drive, sd)
+    _normal(rng, drive, sd, normals)
     drive *= math.sqrt(2.0 * g_in)
     for start in range(0, len(drive), len(scratch)):
-        dwl = _normal(rng, scratch[:len(drive) - start], sd)
+        dwl = _normal(rng, scratch[:len(drive) - start], sd, normals)
         dwl *= math.sqrt(2.0 * g_l)
         drive[start:start + len(dwl)] += dwl
-    _normal(rng, dw1, sd)
+    _normal(rng, dw1, sd, normals)
 
 
 def _ar1_step(decay: float):
@@ -266,12 +285,16 @@ def mc_spectra(
     """
     if n_realizations < 2:
         raise ValueError("n_realizations must be >= 2: the standard error is their scatter")
-    if not oversample > 0.5:
+    if not 0.5 < oversample < math.inf:
         # D_x dt = 1 / oversample: from 2 on, the Euler step diverges
-        raise ValueError("oversample must be > 0.5: the Euler step is unstable below")
+        raise ValueError("oversample must be finite and > 0.5: the Euler step is unstable below")
     if avg_bins < 0:
         raise ValueError("avg_bins must be >= 0")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    if freqs.size == 0:
+        raise ValueError("frequencies must not be empty")
+    if not np.all(np.isfinite(freqs)):
+        raise ValueError("frequencies must be finite")
     g1 = ss.rate_nl_port1
     g2 = ss.rate_nl_port2
     gnl = g1 + g2
@@ -294,6 +317,11 @@ def mc_spectra(
         raise ValueError("frequency too close to the simulation grid edge")
     sel = centers[:, None] + np.arange(-avg_bins, avg_bins + 1)[None, :]
 
+    n = n_steps + burn
+    # _normal's float32 chunk and Box-Muller scratch, used by the worker
+    # only.  Allocated before the records: after them, it came from fresh
+    # pages on every call (+390 minor faults per perfbench oracle operation)
+    normals = np.empty((4, (min(_CHUNK, n) + 1) // 2), dtype=np.float32)
     # five records of n_steps + burn samples hold two sectors' increments:
     # sector k's drive, dW1 and dW2 go into records 3k, 3k + 1 and 3k + 2
     # (mod 5), so its dW2 lands in sector k - 1's drive.  They are one array:
@@ -301,7 +329,6 @@ def mc_spectra(
     # mmap threshold, so the next call's arrays come from the heap rather
     # than from fresh pages the worker faults in (21,600 -> 5,400 minor
     # faults per perfbench oracle operation)
-    n = n_steps + burn
     records = np.empty((5, n))
     scratch = (np.empty(min(_CHUNK, n)), np.empty(min(_CHUNK, n)))
     sd = math.sqrt(dt)
@@ -317,8 +344,9 @@ def mc_spectra(
     # is free, while sector k is estimated
     with ThreadPoolExecutor(max_workers=1) as worker:
         drive, dw1, dw2 = slots(0)
-        pending = [worker.submit(_draw_drive, rng, drive, dw1, scratch[0], sd, glin_pair),
-                   worker.submit(_normal, rng, dw2, sd)]
+        pending = [worker.submit(_draw_drive, rng, drive, dw1, scratch[0], normals, sd,
+                                 glin_pair),
+                   worker.submit(_normal, rng, dw2, sd, normals)]
         # made while the first sector is drawn
         window, scale = _welch_window(nperseg, fs)
         buffers = _welch_buffers(nperseg, n_steps)
@@ -330,10 +358,11 @@ def mc_spectra(
             ahead = k + 1 < len(sectors)
             drive, dw1, dw2 = slots(k + 1)
             if ahead:
-                pending.append(worker.submit(_draw_drive, rng, drive, dw1, scratch[0], sd, glin_pair))
+                pending.append(worker.submit(_draw_drive, rng, drive, dw1, scratch[0],
+                                             normals, sd, glin_pair))
             out1, out2 = _outputs(slots(k), scratch[1], burn, dt, (g1, g2), steps[sector])
             if ahead:
-                pending.append(worker.submit(_normal, rng, dw2, sd))
+                pending.append(worker.submit(_normal, rng, dw2, sd, normals))
             p1, p2, cs = _welch_pair(out1, out2, window, scale, buffers)
             # one-sided vacuum level is 2; cross convention matches noise.QuadSpectra
             per_real["s_%s1" % sector].append(np.mean(p1[sel], axis=1) / 2.0)

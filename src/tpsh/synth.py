@@ -325,9 +325,14 @@ def _normals(rng, out: np.ndarray, scratch: np.ndarray) -> None:
     first half of out r cos(2 pi v) and the second r sin(2 pi v).  In single
     precision throughout, through scratch (2, >= len(out) / 2), this takes
     about 6 ns per sample against 12 for NumPy's float32 ziggurat (2-vCPU
-    x86).  NumPy picks its vectorized log, cos and sin by CPU feature, so
-    the last bit of a draw, and a code here and there, may differ between
-    CPU families; on one machine and NumPy build a seed gives the same codes.
+    x86).  The 24-bit uniforms cap |r| at sqrt(48 ln 2) = 5.77.  NumPy picks
+    its vectorized log, cos and sin by CPU feature, so the last bit of a
+    draw, and a code here and there, may differ between CPU families; on one
+    machine and NumPy build a seed gives the same codes.
+
+    The one normal source of the package: the synthesis's noise
+    (_next_draw) and the Monte-Carlo oracle's increments
+    (langevin_mc._normal) both draw through it.
     """
     half = (len(out) + 1) // 2
     rest = len(out) - half

@@ -7,10 +7,11 @@ a small fraction of comparisons may exceed 3 SE, none may exceed 6 SE.
 
 The oracle's own machinery is checked too: its Welch estimate and its
 AR(1) kernel against scipy.signal (welch, csd and lfilter, the references
-here only), its two-stage run (draws on a worker thread, one sector ahead)
-bit for bit against a serial reference that runs the kernel over whole
-records, the worker's lifetime, and the rejection of bad input, an Euler
-step that would diverge among it.
+here only), its normal draw against synth._normals chunk by chunk and
+against the normal law's mean, variance and kurtosis, its two-stage run
+(draws on a worker thread, one sector ahead) bit for bit against a serial
+reference that runs the kernel over whole records, the worker's lifetime,
+and the rejection of bad input, an Euler step that would diverge among it.
 """
 
 import math
@@ -20,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from tpsh import langevin_mc
+from tpsh import langevin_mc, synth
 from tpsh.cavity import CavityParams, steady_state
 from tpsh.langevin_mc import (
     _BLOCK_SAMPLES,
@@ -119,6 +120,10 @@ def test_welch_pair_matches_scipy(nperseg, n_samples):
 
 
 @pytest.mark.parametrize("kwargs, match", [
+    (dict(frequencies=[]), "empty"),
+    (dict(frequencies=[float("nan")]), "finite"),
+    (dict(frequencies=[6e6, float("inf")]), "finite"),
+    (dict(frequencies=[-float("inf")]), "finite"),
     (dict(n_realizations=1), "n_realizations"),
     (dict(n_realizations=0), "n_realizations"),
     (dict(oversample=0.0), "oversample"),
@@ -128,14 +133,45 @@ def test_welch_pair_matches_scipy(nperseg, n_samples):
     # D_x dt = 1 / oversample >= 2: the Euler step diverges
     (dict(oversample=0.5), "oversample"),
     (dict(oversample=0.3), "oversample"),
+    (dict(oversample=float("inf")), "oversample"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_mc_rejects_bad_input_before_drawing(kwargs, match, thread_starts):
     ss = steady_state(CavityParams())
-    args = dict(n_realizations=2, n_steps=1 << 16)
+    args = dict(frequencies=[6e6], n_realizations=2, n_steps=1 << 16)
     args.update(kwargs)
     with pytest.raises(ValueError, match=match):
-        mc_spectra(ss, [6e6], seed=1, **args)
+        mc_spectra(ss, seed=1, **args)
     assert thread_starts == []
+
+
+@pytest.mark.parametrize("n", [
+    16 * _CHUNK + 999,  # many chunks and a short last one
+    385 * 40 + 1001,  # shorter than one chunk, and odd
+])
+def test_normal_is_synth_normals_widened_and_scaled(n):
+    # the scratch mc_spectra allocates for records of n samples
+    normals = np.empty((4, (min(_CHUNK, n) + 1) // 2), dtype=np.float32)
+    sd = 0.37
+    out = langevin_mc._normal(np.random.default_rng(21), np.empty(n), sd, normals)
+
+    rng = np.random.default_rng(21)
+    expected = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        z = np.empty(min(_CHUNK, n - start), dtype=np.float32)
+        synth._normals(rng, z, np.empty((2, _CHUNK // 2), dtype=np.float32))
+        expected[start:start + len(z)] = z.astype(float) * sd
+    assert np.array_equal(out, expected)
+
+    # mean, variance and kurtosis within 5 standard errors of 0, sd^2 and 3
+    # (normal-theory errors sd / sqrt(n), sd^2 sqrt(2 / n), sqrt(24 / n)):
+    # for a seed drawn at random each check fails with probability 5.7e-7,
+    # the three together with at most 1.7e-6
+    mean, variance = out.mean(), out.var()
+    kurtosis = np.mean((out - mean) ** 4) / variance ** 2
+    assert abs(mean) <= 5.0 * sd / math.sqrt(n)
+    assert abs(variance - sd ** 2) <= 5.0 * sd ** 2 * math.sqrt(2.0 / n)
+    assert abs(kurtosis - 3.0) <= 5.0 * math.sqrt(24.0 / n)
 
 
 def _decay(sector, oversample):
@@ -219,10 +255,11 @@ def _serial_mc(ss, freqs, seed, n_realizations, n_steps, oversample=100.0,
                nperseg=1 << 16, avg_bins=2):
     """mc_spectra on one thread, each sector drawn and processed in turn.
 
-    The draws are made with rng.normal in the oracle's order (dW0, dWl, dW1,
-    dW2; sector x, then y; realization after realization) and the records
-    are built whole, with every temporary; the AR(1) kernel runs over the
-    whole record in one call.
+    The draws are made with the oracle's normal source, _normal, in the
+    oracle's order (dW0, dWl, dW1, dW2; sector x, then y; realization after
+    realization), each record in one call; the records are built whole,
+    with every temporary, and the AR(1) kernel runs over the whole record in
+    one call.
     """
     g1, g2 = ss.rate_nl_port1, ss.rate_nl_port2
     dx = ss.rate_input + ss.rate_loss + 3.0 * (g1 + g2)
@@ -231,6 +268,7 @@ def _serial_mc(ss, freqs, seed, n_realizations, n_steps, oversample=100.0,
     burn = int(10.0 / (dx * dt)) + 1
     n, sd = n_steps + burn, math.sqrt(dt)
     rng = np.random.default_rng(seed)
+    normals = np.empty((4, _CHUNK // 2), dtype=np.float32)
     fs = 1.0 / dt
     f = np.fft.rfftfreq(nperseg, 1.0 / fs)
     window, scale = _welch_window(nperseg, fs)
@@ -239,7 +277,8 @@ def _serial_mc(ss, freqs, seed, n_realizations, n_steps, oversample=100.0,
     per_real = {k: [] for k in FIELDS}
     for _ in range(n_realizations):
         for sector, damping in (("x", dx), ("y", dy)):
-            dw0, dwl, dw1, dw2 = (rng.normal(0.0, sd, n) for _ in range(4))
+            dw0, dwl, dw1, dw2 = (langevin_mc._normal(rng, np.empty(n), sd, normals)
+                                  for _ in range(4))
             drive = (dw0 * math.sqrt(2.0 * ss.rate_input) + dwl * math.sqrt(2.0 * ss.rate_loss)
                      + 2.0 * math.sqrt(g1) * dw1 + 2.0 * math.sqrt(g2) * dw2)
             _ar1(drive, 0.0, _ar1_step(1.0 - damping * dt))
