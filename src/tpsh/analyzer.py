@@ -139,8 +139,8 @@ class CrossSpectralMatrix:
         """
         if mode not in ("sum", "difference"):
             raise ValueError("mode must be 'sum' or 'difference'")
-        if gain < 0:
-            raise ValueError("gain must be >= 0")
+        if not 0 <= gain < math.inf:  # NaN included
+            raise ValueError("gain must be >= 0 and finite")
         power = self._psd(gain, mode)
         sigma = np.abs(power) / math.sqrt(self.n_averages)
         if self.floor is not None:
@@ -459,11 +459,11 @@ def _band_mask(freqs: np.ndarray, band, chain: DetectionChain, rbw: float) -> np
 
 
 def check_gain_settings(gain_mode: str, fixed_gain: float) -> None:
-    """Raise unless gain_mode is one of GAIN_MODES and fixed_gain is > 0."""
+    """Raise unless gain_mode is one of GAIN_MODES and fixed_gain is finite and > 0."""
     if gain_mode not in GAIN_MODES:
         raise ValueError("gain_mode must be one of %s" % (GAIN_MODES,))
-    if not fixed_gain > 0:  # NaN included
-        raise ValueError("fixed gain must be > 0")
+    if not 0 < fixed_gain < math.inf:  # NaN included
+        raise ValueError("fixed gain must be > 0 and finite")
 
 
 def _resolve_gain(signal: CrossSpectralMatrix, gain_mode, fixed_gain, mask) -> float:

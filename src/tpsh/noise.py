@@ -214,8 +214,8 @@ def sumdiff_variance(spec: QuadSpectra, gain: float = 1.0):
 
     At the operating point c_x < 0, so the sum is the suppressed one.
     """
-    if gain <= 0:
-        raise ValueError("gain must be > 0")
+    if not 0 < gain < math.inf:  # NaN included
+        raise ValueError("gain must be > 0 and finite")
     g = float(gain)
     norm = 1.0 + g * g
     base = spec.s_x1 + g * g * spec.s_x2
@@ -236,9 +236,7 @@ def optimal_gain(spec: QuadSpectra, freq: float) -> float:
     on the boundary (all weight on the quieter channel); that degenerate
     case returns 0 with a warning.
     """
-    idx = int(np.argmin(np.abs(spec.frequencies - freq)))
-    if abs(spec.frequencies[idx] - freq) > max(1.0, 0.05 * freq):
-        raise ValueError("frequency %g Hz not covered by the spectra grid" % freq)
+    idx = _grid_index(spec, freq)
     s1 = float(spec.s_x1[idx])
     s2 = float(spec.s_x2[idx])
     c = float(spec.c_x[idx])
@@ -248,6 +246,20 @@ def optimal_gain(spec: QuadSpectra, freq: float) -> float:
         warnings.warn("uncorrelated asymmetric channels: optimal gain is degenerate, returning 0")
         return 0.0
     return minimizing_gain(s1, s2, c)
+
+
+def _grid_index(spec: QuadSpectra, freq: float) -> int:
+    """Index of the spectra's grid point nearest freq (Hz).
+
+    Raises unless freq is finite and that point lies within 5 % (at least
+    1 Hz) of it.
+    """
+    if not math.isfinite(freq):
+        raise ValueError("frequency must be finite, found %r" % freq)
+    idx = int(np.argmin(np.abs(spec.frequencies - freq)))
+    if abs(spec.frequencies[idx] - freq) > max(1.0, 0.05 * freq):
+        raise ValueError("frequency %g Hz not covered by the spectra grid" % freq)
+    return idx
 
 
 def minimizing_gain(s1: float, s2: float, c: float) -> float:
@@ -298,7 +310,7 @@ def duan_sum(var_plus, var_minus):
 
 def witness_report(spec: QuadSpectra, freq: float) -> WitnessReport:
     """Model-derived WitnessReport at one analysis frequency (Hz)."""
-    idx = int(np.argmin(np.abs(spec.frequencies - freq)))
+    idx = _grid_index(spec, freq)
     vp, vm = witness_pair(spec)
     return WitnessReport(float(spec.frequencies[idx]), float(vp[idx]), float(vm[idx]),
                          optimal_gain(spec, freq))

@@ -21,12 +21,12 @@ SeedSequence, are filtered in blocks through transforms of at least eight
 kernel lengths: channel 1 = k11 * w1 and channel 2 = k21 * w1 + k22 * w2.
 The noise is drawn a draw of blocks at a time (_DRAW_SAMPLES per channel,
 four blocks at 200 MS/s); one rfft call transforms all of a draw's frames
-and one irfft call each _BLOCKS_PER_CALL of its blocks, both channels,
-since NumPy transforms four or more rows of one call together, at about
-half the time per row.  Each block then gets the spur, a cosine at
-exactly spur_freq, and is quantized.  The sample stream is the
-AC-coupled fluctuation; mean currents ride along as metadata because the
-bandpass would remove any embedded DC anyway.  Codes are int16 for ADCs of
+and one irfft call filters all of its blocks, both channels, since NumPy
+transforms four or more rows of one call together, at about half the time
+per row.  Each block then gets the spur, a cosine at exactly spur_freq,
+and is quantized.  The sample stream is the AC-coupled fluctuation; mean
+currents ride along as metadata because the bandpass would remove any
+embedded DC anyway.  Codes are int16 for ADCs of
 up to 16 bits (int32 above).
 
 No array spans the record but a trace's codes: a run's buffers hold a few
@@ -52,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -87,11 +88,6 @@ _FFT_PER_TAP = 8
 # about 3,500 times with one 15 361-sample block per draw and 1,100 with
 # eight, on a 2-vCPU x86 host)
 _DRAW_SAMPLES = 1 << 17
-# blocks per inverse call, at most: NumPy transforms four or more rows of a
-# call together (32 768-point float32 rows took 0.10-0.14 ms each so, and
-# 0.20-0.23 ms one or two at a time, on a 2-vCPU x86 host), and four keep
-# the signal buffer and the filter's temporaries small at any sample rate
-_BLOCKS_PER_CALL = 4
 
 
 @dataclass(frozen=True)
@@ -133,9 +129,10 @@ class DetectionChain:
         if not self.sample_rate > 2.0 * ANALYSIS_BAND[1]:
             raise ValueError("sample_rate must exceed twice the %g MHz analysis band"
                              % (ANALYSIS_BAND[1] / 1e6))
-        if not 8 <= int(self.adc_bits) <= 24:
-            raise ValueError("adc_bits must lie in [8, 24]")
-        object.__setattr__(self, "adc_bits", int(self.adc_bits))
+        bits = self.adc_bits  # 14.0 is 14; 14.7, NaN or "14" is no bit depth
+        if not (isinstance(bits, numbers.Real) and bits % 1 == 0 and 8 <= bits <= 24):
+            raise ValueError("adc_bits must be an integer in [8, 24]")
+        object.__setattr__(self, "adc_bits", int(bits))
         if not (self.dc_current_1 >= 0 and self.dc_current_2 >= 0):
             raise ValueError("dc currents must be >= 0")
         if not self.electronic_noise_rel >= 0:
@@ -474,51 +471,42 @@ def _quantize(y: np.ndarray, chain: DetectionChain, codes: np.ndarray):
 
 
 class _Run:
-    """The block buffers of one synthesis run, and its worker if it draws ahead.
+    """The block buffers of one synthesis run.
 
     A job is (matrix, dc_pair, seed): matrix = (spec_freqs, s11, s22, c12)
     holds normalized spectra on spec_freqs; each is interpolated onto the
     kernel grid (clamped beyond the ends) and then scaled to
     P11 = dc1 s11, P22 = dc2 s22 and P12 = sqrt(dc1 dc2) c12 / 2.  A run
-    made with draw_ahead draws on one worker thread: while the caller
-    filters a trace's blocks, the worker draws and transforms the noise of
-    its next draw's blocks.  Either thread draws from the trace's own
-    generator in turn, so the worker changes the speed, never the codes.  A
-    run without draw_ahead starts no thread: it draws each next draw on the
+    made with draw_ahead gives each trace one worker thread: while the
+    caller filters the trace's blocks, the worker draws and transforms the
+    noise of its next draw's blocks.  Either thread draws from the trace's
+    own generator in turn, so the worker changes the speed, never the codes.
+    The worker lives as long as the trace's blocks: taking them to the end,
+    or closing them, joins it, and a trace of one draw starts none.  A run
+    without draw_ahead starts no thread: it draws each next draw on the
     calling thread, into the spectra of the draw whose blocks it has filtered.
-    Leaving the run joins the worker.
     """
 
     def __init__(self, chain: DetectionChain, duration: float, *, draw_ahead: bool = False):
         if duration < 10e-3:
             raise ValueError("duration must be >= 10 ms")
-        self.chain, self.duration = chain, duration
+        self.chain, self.duration, self.draw_ahead = chain, duration, draw_ahead
         self.n = int(round(duration * chain.sample_rate))
         self.taps, fft, self.hop, per_draw = _block_sizes(chain.sample_rate)
         # allocated here, on the calling thread: the worker's own allocations
         # would come from its own malloc arena and add to the peak.  One
         # draw of noise, which only the draws touch; one draw's spectra (two
         # for a run that draws ahead), each channel's blocks in a row; and
-        # the filtered signal of one inverse call's blocks
+        # the filtered signal of one draw's blocks
         self._noise = np.empty((2, self.taps - 1 + per_draw * self.hop), dtype=np.float32)
         self._spectra = np.empty((1 + draw_ahead, 2, per_draw, fft // 2 + 1), dtype=np.complex64)
-        self._signal = np.empty((2, min(per_draw, _BLOCKS_PER_CALL), fft), dtype=np.float32)
+        self._signal = np.empty((2, per_draw, fft), dtype=np.float32)
         self._codes = np.empty((2, self.hop), dtype=_code_dtype(chain))
         # the spur's cosine and sine over one block from phase 0, which each
         # block turns to its phase
         self._omega = 2.0 * math.pi * chain.spur_freq / chain.sample_rate
         self._spur = np.array([f(self._omega * np.arange(self.hop)) for f in (np.cos, np.sin)],
                               dtype=np.float32)
-        # the executor starts its one thread at the first submit
-        self._worker = ThreadPoolExecutor(max_workers=1) if draw_ahead else None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._worker is not None:
-            self._worker.shutdown(wait=True)
-        return False
 
     def stream(self, job, codes: np.ndarray | None = None) -> TraceStream:
         """The trace of one job, its blocks quantized into codes (2, n) if given.
@@ -544,37 +532,32 @@ class _Run:
         amplitudes = _code_scale(self.chain, dcs) * [self.chain.spur_current_amplitude(dc) for dc in dcs]
         spur = list(zip(amplitudes, phases))
         n_blocks = -(-self.n // hop)
-        per_draw, per_call = self._spectra.shape[2], self._signal.shape[1]
-        pending = None
-        try:
+        per_draw = self._spectra.shape[2]
+        # the trace's own worker, whose thread starts at the first submit; leaving
+        # the executor waits for a draw under way, so closing the blocks joins it
+        with ThreadPoolExecutor(max_workers=1) if self.draw_ahead else contextlib.nullcontext() as worker:
             for turn, first in enumerate(range(0, n_blocks, per_draw)):
                 spectra = self._spectra[turn % len(self._spectra)]
                 following = rng, self._noise, self._spectra[(turn + 1) % len(self._spectra)], hop
                 more = first + per_draw < n_blocks
-                if more and self._worker is not None:
-                    pending = self._worker.submit(_next_draw, *following)
+                pending = worker.submit(_next_draw, *following) if more and worker is not None else None
                 count = min(per_draw, n_blocks - first)
-                for start in range(0, count, per_call):
-                    stop = min(start + per_call, count)
-                    signal = self._filter(spectra[:, start:stop], kernels)
-                    if more and stop == count and self._worker is None:
-                        # the draw's blocks are filtered: the next draw takes its spectra
-                        _next_draw(*following)
-                    for b in range(stop - start):
-                        lo = (first + start + b) * hop
-                        out = (self._codes if codes is None else codes[:, lo:])[:, :min(hop, self.n - lo)]
-                        clipped_1, clipped_2 = self._finish(signal[:, b], lo, spur, out)
-                        stream.clipped_1 += clipped_1
-                        stream.clipped_2 += clipped_2
-                        yield out[0], out[1]
+                signal = self._filter(spectra[:, :count], kernels)
+                if more and worker is None:
+                    # the draw's blocks are filtered: the next draw takes its spectra
+                    _next_draw(*following)
+                for b in range(count):
+                    lo = (first + b) * hop
+                    out = (self._codes if codes is None else codes[:, lo:])[:, :min(hop, self.n - lo)]
+                    clipped_1, clipped_2 = self._finish(signal[:, b], lo, spur, out)
+                    stream.clipped_1 += clipped_1
+                    stream.clipped_2 += clipped_2
+                    yield out[0], out[1]
                 if pending:
                     pending.result()  # the next draw is ready
-        finally:
-            if pending:
-                pending.result()  # before anything else writes the noise
 
     def _filter(self, spectra, kernels):
-        """The filtered noise of some blocks, in code units, from their
+        """The filtered noise of a draw's blocks, in code units, from their
         frames' spectra (2, blocks, fft // 2 + 1), filtered in place: a view
         of the signal buffer, (2, blocks, fft).
 
@@ -616,11 +599,11 @@ def _trace(job, chain: DetectionChain, duration: float, run: _Run | None):
         if (run.chain, run.duration) != (chain, duration):
             raise ValueError("a trace must have its run's chain and duration")
         return run.stream(job)
-    with _Run(chain, duration) as own:
-        codes = np.empty((2, own.n), dtype=_code_dtype(chain))
-        stream = own.stream(job, codes)
-        for _ in stream.blocks:
-            pass
+    own = _Run(chain, duration)
+    codes = np.empty((2, own.n), dtype=_code_dtype(chain))
+    stream = own.stream(job, codes)
+    for _ in stream.blocks:
+        pass
     return TwoChannelTrace(codes[0], codes[1], chain, duration, stream.seed,
                            stream.dc_1, stream.dc_2, stream.clipped_1, stream.clipped_2)
 
@@ -697,10 +680,10 @@ def witness_streams(spec: QuadSpectra, chain: DetectionChain, duration: float, s
     thread: the consumer's estimate has a worker of its own.
     """
     s_arm, s_ref, s_dark = (int(s) for s in seeds)
-    with _Run(chain, duration) as run:
-        yield witness_arm_traces(spec, chain, duration, s_arm, _run=run)
-        yield shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, duration, s_ref, _run=run)
-        yield dark_trace(chain, duration, s_dark, _run=run)
+    run = _Run(chain, duration)
+    yield witness_arm_traces(spec, chain, duration, s_arm, _run=run)
+    yield shot_noise_pair(chain.dc_current_1, chain.dc_current_2, chain, duration, s_ref, _run=run)
+    yield dark_trace(chain, duration, s_dark, _run=run)
 
 
 @contextlib.contextmanager
@@ -708,8 +691,9 @@ def synthesis_stream(spec: QuadSpectra, chain: DetectionChain, duration: float, 
     """synthesize's trace as a TraceStream, with a worker that draws ahead.
 
     Its blocks hold the codes of synthesize's trace; leaving the context
-    joins the worker.  The worker is for a consumer that has no thread of
-    its own, such as a file writer.
+    closes them, which joins the worker.  The worker is for a consumer that
+    has no thread of its own, such as a file writer.
     """
-    with _Run(chain, duration, draw_ahead=True) as run:
-        yield synthesize(spec, chain, duration, seed, _run=run)
+    stream = synthesize(spec, chain, duration, seed, _run=_Run(chain, duration, draw_ahead=True))
+    with contextlib.closing(stream.blocks):
+        yield stream

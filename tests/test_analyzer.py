@@ -802,6 +802,19 @@ class TestRoundTrip:
 class TestWitnessFromMatrices:
     """The matrix-level core against its trace-level view and the old closed forms."""
 
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_rejected(self, records, gain):
+        # refused where the gain enters, not later as a NaN power or a
+        # negative witness variance
+        chain, ab, _, _ = records
+        with pytest.raises(ValueError, match="fixed gain must be > 0 and finite"):
+            an.check_gain_settings("fixed", gain)
+        matrix = an.cross_spectral_matrix(ab, 100e3)
+        with pytest.raises(ValueError, match="fixed gain must be > 0 and finite"):
+            an.witness_from_matrices(matrix, None, None, chain, (4.5e6, 5.5e6), "fixed", gain)
+        with pytest.raises(ValueError, match="gain must be >= 0 and finite"):
+            matrix.combination(gain, "sum")
+
     @pytest.fixture(scope="class")
     def records(self):
         params = CavityParams(pump_power=0.023)

@@ -132,6 +132,11 @@ class TestSumDiff:
         with pytest.raises(ValueError):
             sumdiff_variance(spec, gain=0.0)
 
+    @pytest.mark.parametrize("gain", [math.nan, math.inf])
+    def test_non_finite_gain_rejected(self, gain):
+        with pytest.raises(ValueError, match="gain must be > 0 and finite"):
+            sumdiff_variance(spectra_at(0.034), gain=gain)
+
     @given(st.floats(min_value=0.05, max_value=5.0))
     @settings(max_examples=30, deadline=None)
     def test_coherent_any_gain(self, g):
@@ -194,6 +199,14 @@ class TestOptimalGain:
         spec = spectra_at(0.034, freqs=np.array([5e6, 6e6]))
         with pytest.raises(ValueError):
             optimal_gain(spec, 50e6)
+
+    @pytest.mark.parametrize("freq", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("lookup", [optimal_gain, witness_report])
+    def test_non_finite_frequency_rejected(self, lookup, freq):
+        # NaN and +inf make the coverage comparison false, so a nearest-point
+        # lookup alone would report the grid's first point
+        with pytest.raises(ValueError, match="frequency must be finite"):
+            lookup(spectra_at(0.034), freq)
 
 
 class TestWitness:

@@ -157,6 +157,16 @@ class TestDeterminismAndValidation:
         with pytest.raises(ValueError):
             shot_noise_pair(-1e-3, 1e-3, quiet_chain(), 0.010, seed=1)
 
+    @pytest.mark.parametrize("bits", [14.7, 24.9, "14"])
+    def test_non_integral_adc_bits_rejected(self, bits):
+        # never truncated to a bit depth the value does not state
+        with pytest.raises(ValueError, match="adc_bits must be an integer"):
+            DetectionChain(adc_bits=bits)
+
+    def test_integral_float_adc_bits_accepted(self):
+        chain = DetectionChain(adc_bits=14.0)
+        assert type(chain.adc_bits) is int and chain == DetectionChain(adc_bits=14)
+
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DetectionChain)])
     def test_nan_chain_parameter_rejected(self, name):
         with pytest.raises(ValueError):
@@ -366,7 +376,7 @@ class TestBlockwiseSynthesis:
         """The run's block buffers, carried frame tails and draw-ahead give
         the codes of blocks cut from the whole record and filtered apart,
         at 50 MS/s; with four times the taps, at 200 MS/s; and at 400 MS/s,
-        whose draws hold two blocks, fewer than an inverse call takes."""
+        whose draws hold two blocks."""
         chain, fast = DetectionChain(sample_rate=50e6), DetectionChain()
         fastest = DetectionChain(sample_rate=400e6)
         jobs = [(job, chain, 0.010) for job in self.all_jobs(chain)] + [
@@ -376,12 +386,12 @@ class TestBlockwiseSynthesis:
             (synth._arm_job(operating_point_spectra(), fast, 12), fast, 0.010),
             (synth._synthesis_job(operating_point_spectra(), fastest, 13), fastest, 0.010),
         ]
-        with synth._Run(chain, 0.010, draw_ahead=True) as run:
-            got = [assembled(run.stream(job)) for job, _, _ in jobs[:5]]
+        run = synth._Run(chain, 0.010, draw_ahead=True)
+        got = [assembled(run.stream(job)) for job, _, _ in jobs[:5]]
         got += [synth._trace(job, c, d, None) for job, c, d in jobs[5:]]
         hop = synth._block_sizes(chain.sample_rate)[2]
         assert got[-3].n_samples % 2 == 1 and got[-3].n_samples % hop != 0
-        assert synth._block_sizes(fastest.sample_rate)[3] == 2 < synth._BLOCKS_PER_CALL
+        assert synth._block_sizes(fastest.sample_rate)[3] == 2
         assert synth._block_sizes(fast.sample_rate)[0] == 4 * synth._block_sizes(chain.sample_rate)[0]
         assert got[1].clipped_1 > 0 and got[1].clipped_2 > 0
         for (job, c, duration), tr in zip(jobs, got):
@@ -390,22 +400,26 @@ class TestBlockwiseSynthesis:
             assert np.array_equal(tr.samples_2, c2)
             assert (tr.clipped_1, tr.clipped_2) == (k1, k2)
 
-    def test_each_draw_is_transformed_in_one_call_each_way(self, fft_calls):
-        # 200 MS/s, 10 ms: 70 blocks in 18 draws of four (the last draw's
-        # frames are all transformed, but only two of its blocks filtered).
-        # One forward call per draw over both channels' frames and one
-        # inverse call per draw's blocks; one call per block and channel
-        # took 72 forward and 140 inverse calls of one or two rows, which
-        # NumPy transforms row by row
-        chain = DetectionChain()
-        taps, fft, hop, per_draw = synth._block_sizes(chain.sample_rate)
-        assert (-(-int(round(0.010 * chain.sample_rate)) // hop), per_draw) == (70, 4)
+    @pytest.mark.parametrize("rate, per_draw", [(50e6, 18), (100e6, 9), (200e6, 4), (400e6, 2)])
+    def test_each_draw_is_transformed_in_one_call_each_way(self, fft_calls, rate, per_draw):
+        # 10 ms is 70 blocks at every rate, in draws of per_draw blocks (the
+        # last draw's frames are all transformed, but only its remaining
+        # blocks filtered).  One forward call per draw over both channels'
+        # frames and one inverse call over all of the draw's blocks; one
+        # call per block and channel took 72 forward and 140 inverse calls
+        # of one or two rows at 200 MS/s, which NumPy transforms row by row
+        chain = DetectionChain(sample_rate=rate)
+        taps, fft, hop, drawn = synth._block_sizes(chain.sample_rate)
+        n_blocks = -(-int(round(0.010 * chain.sample_rate)) // hop)
+        assert (n_blocks, drawn) == (70, per_draw)
+        draws = -(-n_blocks // per_draw)
         synthesize(operating_point_spectra(), chain, 0.010, seed=1)
         shapes = {name: [shape for called, dtype, shape, _ in fft_calls
                          if called == name and dtype in (np.float32, np.complex64)]
                   for name in ("rfft", "irfft")}
-        assert shapes["rfft"] == [(2, per_draw, fft)] * 18
-        assert shapes["irfft"] == [(2, per_draw, fft // 2 + 1)] * 17 + [(2, 2, fft // 2 + 1)]
+        assert shapes["rfft"] == [(2, per_draw, fft)] * draws
+        last = n_blocks - (draws - 1) * per_draw
+        assert shapes["irfft"] == [(2, per_draw, fft // 2 + 1)] * (draws - 1) + [(2, last, fft // 2 + 1)]
 
     def test_a_shorter_trace_is_the_start_of_a_longer_one(self):
         # the noise is drawn in the same blocks from the same stream, however
@@ -461,10 +475,10 @@ class TestQuantize:
         k11, _, k22 = synth._kernels(synth._synthesis_job(spec, chain, seed), chain)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         rng.uniform(0.0, 2.0 * math.pi, 2)  # the spur phases, as a trace draws them first
-        with synth._Run(chain, 0.010) as run:
-            synth._next_draw(rng, run._noise, run._spectra[0], run.hop, first=True)
-            y = np.array([np.fft.irfft(x * k, n=run._signal.shape[-1])
-                          for x, k in zip(run._spectra[0, :, 0], (k11, k22))])
+        run = synth._Run(chain, 0.010)
+        synth._next_draw(rng, run._noise, run._spectra[0], run.hop, first=True)
+        y = np.array([np.fft.irfft(x * k, n=run._signal.shape[-1])
+                      for x, k in zip(run._spectra[0, :, 0], (k11, k22))])
         return chain, y[:, run.taps - 1:]
 
     @pytest.mark.parametrize("loud", [False, True])
@@ -536,10 +550,10 @@ class TestSynthesisRun:
         chain = DetectionChain(sample_rate=50e6)
         duration = 0.010 + 1 / chain.sample_rate  # odd n
         spec, loud = operating_point_spectra(), loud_spectra()
-        with synth._Run(chain, duration) as run:
-            got = [assembled(witness_arm_traces(spec, chain, duration, 7, _run=run)),
-                   assembled(synthesize(loud, chain, duration, 6, _run=run)),
-                   assembled(shot_noise_pair(1.0, 0.5, chain, duration, 8, _run=run))]
+        run = synth._Run(chain, duration)
+        got = [assembled(witness_arm_traces(spec, chain, duration, 7, _run=run)),
+               assembled(synthesize(loud, chain, duration, 6, _run=run)),
+               assembled(shot_noise_pair(1.0, 0.5, chain, duration, 8, _run=run))]
         want = [witness_arm_traces(spec, chain, duration, seed=7),
                 synthesize(loud, chain, duration, seed=6),
                 shot_noise_pair(1.0, 0.5, chain, duration, seed=8)]
@@ -606,11 +620,11 @@ class TestSynthesisRun:
             synthesize(bad, chain, 0.010, seed=1)
         assert "positive semidefinite at" in str(alone.value)
         before = threading.active_count()
+        run = synth._Run(chain, 0.010, draw_ahead=True)
+        assert assembled(witness_arm_traces(operating_point_spectra(), chain, 0.010, 7,
+                                            _run=run)).n_samples == 500_000
         with pytest.raises(ValueError, match=re.escape(str(alone.value))):
-            with synth._Run(chain, 0.010, draw_ahead=True) as run:
-                assert assembled(witness_arm_traces(operating_point_spectra(), chain, 0.010, 7,
-                                                    _run=run)).n_samples == 500_000
-                synthesize(bad, chain, 0.010, 1, _run=run)
+            synthesize(bad, chain, 0.010, 1, _run=run)
         assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
         assert threading.active_count() == before
 
@@ -632,6 +646,27 @@ class TestSynthesisRun:
         assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("end", ["taken", "closed", "left"])
+    def test_a_draw_ahead_streams_worker_is_joined_with_its_blocks(self, thread_starts, end):
+        # the worker belongs to the trace, not to the run: its blocks taken
+        # to the end, or closed mid-trace, join it with no context to leave;
+        # leaving synthesis_stream's context mid-trace closes the blocks
+        chain = DetectionChain(sample_rate=50e6)
+        before = threading.active_count()
+        if end == "left":
+            with synth.synthesis_stream(operating_point_spectra(), chain, 0.010, 4) as stream:
+                next(stream.blocks)  # the next draw is now under way on the worker
+        else:
+            run = synth._Run(chain, 0.010, draw_ahead=True)
+            stream = synthesize(operating_point_spectra(), chain, 0.010, 4, _run=run)
+            if end == "taken":
+                assert assembled(stream).n_samples == 500_000
+            else:
+                next(stream.blocks)
+                stream.blocks.close()
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+        assert threading.active_count() == before
+
     def test_a_draw_ahead_stream_of_a_non_psd_job_starts_no_thread(self, thread_starts):
         chain = DetectionChain(sample_rate=50e6)
         bad = coherent_spectra()
@@ -646,18 +681,18 @@ class TestSynthesisRun:
         # filtered, and gives the codes of a run that draws ahead
         chain = DetectionChain(sample_rate=50e6)
         spec = operating_point_spectra()
-        with synth._Run(chain, 0.010) as inline, synth._Run(chain, 0.010, draw_ahead=True) as ahead:
-            assert len(inline._spectra) == 1 and len(ahead._spectra) == 2
-            self.assert_same([assembled(synthesize(spec, chain, 0.010, 5, _run=ahead))],
-                             [assembled(synthesize(spec, chain, 0.010, 5, _run=inline))])
+        inline, ahead = synth._Run(chain, 0.010), synth._Run(chain, 0.010, draw_ahead=True)
+        assert len(inline._spectra) == 1 and len(ahead._spectra) == 2
+        self.assert_same([assembled(synthesize(spec, chain, 0.010, 5, _run=ahead))],
+                         [assembled(synthesize(spec, chain, 0.010, 5, _run=inline))])
 
     def test_a_trace_must_have_its_runs_chain_and_duration(self):
         chain = DetectionChain(sample_rate=50e6)
-        with synth._Run(chain, 0.010) as run:
-            for other_chain, other_duration in ((chain, 0.020),
-                                                (dataclasses.replace(chain, adc_bits=16), 0.010)):
-                with pytest.raises(ValueError, match="run's chain and duration"):
-                    dark_trace(other_chain, other_duration, 1, _run=run)
+        run = synth._Run(chain, 0.010)
+        for other_chain, other_duration in ((chain, 0.020),
+                                            (dataclasses.replace(chain, adc_bits=16), 0.010)):
+            with pytest.raises(ValueError, match="run's chain and duration"):
+                dark_trace(other_chain, other_duration, 1, _run=run)
 
 
 def target_matrix(job, chain, freqs):

@@ -17,7 +17,8 @@ The recipe, at 50 and 200 MS/s with 10 ms traces, seed 11 and 23 mW pump:
     with no record, --reference, --dark and both: report.json and the sum
     and difference spectrum CSVs;
   - spectra: spectra.csv; sweep: sweep.csv.
-run.log holds timestamps and is not hashed.  The Monte-Carlo oracle follows
+At 100 and 400 MS/s, whose synthesis draws hold 9 and 2 blocks (50 MS/s:
+18, 200 MS/s: 4), only synth's trace.bin.  run.log holds timestamps and is not hashed.  The Monte-Carlo oracle follows
 as oracle/cavity<i>/spec and oracle/cavity<i>/se: the bytes of mc_spectra's
 spectra and standard errors (every QuadSpectra field in order) on the three
 criterion-7 cavities, seed 11, 8 realizations of 65 536 steps.  Needs tpsh
@@ -46,6 +47,7 @@ from tpsh.synth import dark_trace, shot_noise_pair  # noqa: E402
 from tpsh.traceio import write_trace  # noqa: E402
 
 SAMPLE_RATES_MHZ = (50, 200)
+SYNTH_ONLY_RATES_MHZ = (100, 400)
 GAIN_MODES = ("fixed", "optimal", "dc_balance")
 CONFIG = """\
 cavity.pump_power = 23 mW
@@ -77,6 +79,13 @@ def _write_records(config: str, out: str) -> None:
 
 def produce(root: str) -> None:
     """Write every artifact of the recipe under root."""
+    for rate in SYNTH_ONLY_RATES_MHZ:
+        base = os.path.join(root, "%dMSps" % rate)
+        os.makedirs(base)
+        config = os.path.join(base, "synth.conf")
+        with open(config, "w") as fh:
+            fh.write(CONFIG.format(rate=rate, mode="dc_balance"))
+        _run(["synth", "--config", config, "--out", os.path.join(base, "records")])
     for rate in SAMPLE_RATES_MHZ:
         base = os.path.join(root, "%dMSps" % rate)
         os.makedirs(base)
