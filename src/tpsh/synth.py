@@ -1,14 +1,11 @@
 """Synthetic two-channel photocurrent traces from target quadrature spectra.
 
 Current-unit convention: a channel with mean photocurrent dc has a flat
-one-sided shot-noise PSD equal to dc (current^2/Hz).  Normalized spectra map
-to PSDs as
-
-    P_11 = dc_1 * s_x1,   P_22 = dc_2 * s_x2,   P_12 = sqrt(dc_1 dc_2) * c_x / 2
-
-(the 1/2 undoes the symmetrized-cross-spectrum convention).  Every trace is
-a job, such a normalized matrix (s_11, s_22, c_12 on a frequency grid), the
-DC pair and a seed, realized by a synthesis run (_Run).
+one-sided shot-noise PSD equal to dc (current^2/Hz).  Every trace is a job,
+a normalized matrix (s_11, s_22, c_12 on a frequency grid), the DC pair and
+a seed, realized by a synthesis run (_Run).  _job_matrix states the PSD
+matrix a job stands for, in current units and with electronic noise (the
+1/2 of its P12 undoes the symmetrized-cross-spectrum convention).
 
 Traces are white noise filtered by overlap-save FIR convolution (Oppenheim
 & Schafer).  The per-bin Cholesky factors of the 2x2 PSD matrix (electronic
@@ -385,10 +382,18 @@ def _transform(noise: np.ndarray, spectra: np.ndarray, hop: int) -> None:
     np.fft.rfft(frames, axis=-1, norm="forward", out=spectra)
 
 
+def _job_matrix(job, chain: DetectionChain, freqs):
+    """P11 = dc1 s11 + e, P22 = dc2 s22 + e and P12 = sqrt(dc1 dc2) c12 / 2 of job at freqs."""
+    (spec_freqs, s11, s22, c12), (dc1, dc2), _ = job
+    return (dc1 * np.interp(freqs, spec_freqs, s11) + chain.electronic_noise_psd,
+            dc2 * np.interp(freqs, spec_freqs, s22) + chain.electronic_noise_psd,
+            math.sqrt(dc1 * dc2) / 2.0 * np.interp(freqs, spec_freqs, c12))
+
+
 def _kernels(job, chain: DetectionChain):
     """The transforms of job's kernels k11, k21 and k22, at _block_sizes' fft points, times fft.
 
-    Each kernel is the irfft of its Cholesky factor times the chain
+    Each kernel is the irfft of its Cholesky factor of _job_matrix times the chain
     response on the kernel grid (_block_sizes' taps points), scaled so that unit white noise
     filtered by it has that factor's PSD (one-sided: 2 |K|^2 / fs), and
     centred.  The factors are rounded to single precision, as PSD
@@ -398,21 +403,13 @@ def _kernels(job, chain: DetectionChain):
     Raises at the first of the spectra's points where the matrix is not
     positive semidefinite.
     """
-    (spec_freqs, s11, s22, c12), (dc1, dc2), _ = job
+    (spec_freqs, *_), (dc1, dc2), _ = job
     fs = chain.sample_rate
-    psd_e = chain.electronic_noise_psd
-    g12 = math.sqrt(dc1 * dc2) / 2.0
-
-    def psd_matrix(freqs):
-        return (dc1 * np.interp(freqs, spec_freqs, s11) + psd_e,
-                dc2 * np.interp(freqs, spec_freqs, s22) + psd_e,
-                g12 * np.interp(freqs, spec_freqs, c12))
-
     # np.interp joins the spectra's points by straight lines and clamps
     # beyond the ends, and positive semidefinite matrices form a convex set,
     # so the matrix is PSD at every frequency up to Nyquist if it is at these
     check = np.r_[0.0, spec_freqs[(spec_freqs > 0) & (spec_freqs < fs / 2.0)], fs / 2.0]
-    p11, p22, p12 = psd_matrix(check)
+    p11, p22, p12 = _job_matrix(job, chain, check)
     bad = (p11 < 0) | (p22 < 0)
     bad |= p11 * p22 - p12 * p12 < -1e-12 * np.maximum(p11 * p22, 1e-300)
     if np.any(bad):
@@ -421,7 +418,7 @@ def _kernels(job, chain: DetectionChain):
 
     taps, fft, _, _ = _block_sizes(fs)
     freqs = np.fft.rfftfreq(taps, 1.0 / fs)
-    p11, p22, p12 = psd_matrix(freqs)
+    p11, p22, p12 = _job_matrix(job, chain, freqs)
     l11 = np.sqrt(p11)
     with np.errstate(invalid="ignore", divide="ignore"):
         l21 = np.where(l11 > 0, p12 / np.where(l11 > 0, l11, 1.0), 0.0)
@@ -440,8 +437,8 @@ def _check(job) -> None:
     low, high = ANALYSIS_BAND
     if np.min(spec_freqs) > low + 1.0 or np.max(spec_freqs) < high - 1.0:
         raise ValueError("input spectra must cover %g to %g MHz" % (low / 1e6, high / 1e6))
-    if min(dc_pair) < 0:
-        raise ValueError("dc currents must be >= 0")
+    if not all(0 <= dc < math.inf for dc in dc_pair):  # NaN included
+        raise ValueError("dc currents must be finite and >= 0")
 
 
 def _code_dtype(chain: DetectionChain):
@@ -474,13 +471,12 @@ class _Run:
     """The block buffers of one synthesis run.
 
     A job is (matrix, dc_pair, seed): matrix = (spec_freqs, s11, s22, c12)
-    holds normalized spectra on spec_freqs; each is interpolated onto the
-    kernel grid (clamped beyond the ends) and then scaled to
-    P11 = dc1 s11, P22 = dc2 s22 and P12 = sqrt(dc1 dc2) c12 / 2.  A run
-    made with draw_ahead gives each trace one worker thread: while the
-    caller filters the trace's blocks, the worker draws and transforms the
-    noise of its next draw's blocks.  Either thread draws from the trace's
-    own generator in turn, so the worker changes the speed, never the codes.
+    holds normalized spectra on spec_freqs; the run realizes their
+    _job_matrix on the kernel grid.  A run made with draw_ahead gives each
+    trace one worker thread: while the caller filters the trace's blocks,
+    the worker draws and transforms the noise of its next draw's blocks.
+    Either thread draws from the trace's own generator in turn, so the
+    worker changes the speed, never the codes.
     The worker lives as long as the trace's blocks: taking them to the end,
     or closing them, joins it, and a trace of one draw starts none.  A run
     without draw_ahead starts no thread: it draws each next draw on the
@@ -488,8 +484,8 @@ class _Run:
     """
 
     def __init__(self, chain: DetectionChain, duration: float, *, draw_ahead: bool = False):
-        if duration < 10e-3:
-            raise ValueError("duration must be >= 10 ms")
+        if not 10e-3 <= duration < math.inf:  # NaN included
+            raise ValueError("duration must be finite and >= 10 ms")
         self.chain, self.duration, self.draw_ahead = chain, duration, draw_ahead
         self.n = int(round(duration * chain.sample_rate))
         self.taps, fft, self.hop, per_draw = _block_sizes(chain.sample_rate)
@@ -563,13 +559,15 @@ class _Run:
 
         One inverse call for all the blocks: each channel's spectra are a
         run of rows, which NumPy transforms together if there are four or
-        more.
+        more.  k21 x1 is formed in the signal buffer, which holds 2 fft
+        floats per block against its fft + 2 and is free until that call.
         """
         k11, k21, k22 = kernels
         x1, x2 = spectra
         x2 *= k22
         if k21 is not None:
-            x2 += k21 * x1
+            cross = self._signal.reshape(-1)[:2 * x1.size].view(np.complex64).reshape(x1.shape)
+            x2 += np.multiply(k21, x1, out=cross)
         x1 *= k11
         signal = self._signal[:, :spectra.shape[1]]
         np.fft.irfft(spectra, n=signal.shape[-1], out=signal)

@@ -24,6 +24,7 @@ from tpsh.synth import (DetectionChain, TraceStream, TwoChannelTrace, dark_trace
                         synthesize, witness_arm_traces)
 from tpsh.traceio import read_trace, write_trace
 from tpsh import analyzer as an
+from tpsh import synth
 
 
 def coherent_spectra():
@@ -783,20 +784,39 @@ class TestRoundTrip:
             params.total_detection_efficiency,
         )
         chain = quiet_chain(adc_bits=16)
+        job = synth._synthesis_job(spec, chain, None)
         worst = 0.0
         for seed in range(20):
             tr = synthesize(spec, chain, 0.010, seed=1000 + seed)
-            est = an.combined_spectrum(tr, 1.0, "sum", 100e3)
+            matrix = an.cross_spectral_matrix(tr, 100e3)
+            est = matrix.combination(1.0, "sum")
+            model = an.expected_matrix(job, chain, matrix)
             sel = (est.frequencies >= 4e6) & (est.frequencies <= 8e6)
-            f = est.frequencies[sel]
-            h2 = an.chain_power_response(chain, f)
-            s1 = np.interp(f, spec.frequencies, spec.s_x1)
-            s2 = np.interp(f, spec.frequencies, spec.s_x2)
-            c = np.interp(f, spec.frequencies, spec.c_x)
-            model = 1e-3 * (s1 + s2 + c) * h2
-            z = np.abs(est.power[sel] - model) / est.sigma[sel]
+            z = np.abs(est.power - model.combination(1.0, "sum").power)[sel] / est.sigma[sel]
             worst = max(worst, float(z.max()))
         assert worst < 3.0
+
+
+class TestModelMatrices:
+    @pytest.mark.parametrize("sample_rate", [50e6, 200e6])
+    def test_floors_equal_their_closed_forms_bit_for_bit(self, sample_rate):
+        # unequal DC pairs: the chain's configured pair sets e, the grid's the rest
+        chain = DetectionChain(sample_rate=sample_rate, dc_current_1=1e-3, dc_current_2=1.2e-3)
+        dc_1, dc_2 = 0.9e-3, 1.3e-3
+        freqs = np.fft.rfftfreq(2000, 1.0 / sample_rate)
+        zeros = np.zeros(len(freqs))
+        grid = an.CrossSpectralMatrix(freqs, zeros, zeros, zeros + 0j, sample_rate / 2000, 100.0,
+                                      dc_1, dc_2)
+        h2 = an.chain_power_response(chain, freqs)
+        e, quant = chain.electronic_noise_psd, 6.0 * sample_rate
+        for model, want in (
+                (an.analytic_dark_matrix(chain, grid),
+                 (e * h2 + chain.lsb(dc_1) ** 2 / quant, e * h2 + chain.lsb(dc_2) ** 2 / quant)),
+                (an.analytic_qnl_matrix(chain, grid), (dc_1 * h2, dc_2 * h2))):
+            assert np.array_equal(model.p11, want[0]) and np.array_equal(model.p22, want[1])
+            assert np.array_equal(model.p12, zeros)
+            assert (model.rbw, model.n_averages, model.dc_1, model.dc_2) == (
+                grid.rbw, math.inf, dc_1, dc_2)
 
 
 class TestWitnessFromMatrices:

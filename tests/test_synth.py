@@ -131,10 +131,11 @@ class TestDeterminismAndValidation:
         with pytest.raises(ValueError, match="positive semidefinite at"):
             synthesize(spec, chain, 0.010, seed=1)
 
-    def test_duration_minimum(self):
+    @pytest.mark.parametrize("duration", [0.005, math.inf, math.nan])
+    def test_duration_minimum(self, duration):
         chain = quiet_chain()
-        with pytest.raises(ValueError, match="10 ms"):
-            synthesize(coherent_spectra(), chain, 0.005, seed=1)
+        with pytest.raises(ValueError, match="duration must be finite and >= 10 ms"):
+            synthesize(coherent_spectra(), chain, duration, seed=1)
 
     def test_spectra_must_cover_analysis_band(self):
         f = np.linspace(1e6, 10e6, 64)
@@ -153,9 +154,12 @@ class TestDeterminismAndValidation:
             TwoChannelTrace(samples_1=bad, samples_2=good, chain=chain,
                             duration=n / 50e6, seed=0, dc_1=1e-3, dc_2=1e-3)
 
-    def test_negative_dc_rejected(self):
-        with pytest.raises(ValueError):
-            shot_noise_pair(-1e-3, 1e-3, quiet_chain(), 0.010, seed=1)
+    @pytest.mark.parametrize("dc", [-1e-3, math.inf, math.nan])
+    def test_negative_or_non_finite_dc_rejected(self, dc):
+        # a NaN or infinite current would scale its channel's codes to 0
+        for pair in ((dc, 1e-3), (1e-3, dc)):
+            with pytest.raises(ValueError, match="dc currents must be finite and >= 0"):
+                shot_noise_pair(*pair, quiet_chain(), 0.010, seed=1)
 
     @pytest.mark.parametrize("bits", [14.7, 24.9, "14"])
     def test_non_integral_adc_bits_rejected(self, bits):
@@ -697,12 +701,8 @@ class TestSynthesisRun:
 
 def target_matrix(job, chain, freqs):
     """P11, P22 and P12 that job's kernels aim at, chain response included."""
-    (spec_freqs, s11, s22, c12), (dc1, dc2), _ = job
     h2 = np.abs(chain.response(freqs)) ** 2
-    psd_e = chain.electronic_noise_psd
-    return (h2 * (dc1 * np.interp(freqs, spec_freqs, s11) + psd_e),
-            h2 * (dc2 * np.interp(freqs, spec_freqs, s22) + psd_e),
-            h2 * np.sqrt(dc1 * dc2) / 2.0 * np.interp(freqs, spec_freqs, c12))
+    return tuple(h2 * p for p in synth._job_matrix(job, chain, freqs))
 
 
 def expected_welch(p, sample_rate, nperseg):
@@ -724,14 +724,11 @@ def circulant_synthesis(job, chain, n, seed):
     bin of the record.  Returns both channels' currents, unquantized and
     without the spur.
     """
-    (spec_freqs, s11, s22, c12), (dc1, dc2), _ = job
     fs = chain.sample_rate
     f = np.fft.rfftfreq(n, 1.0 / fs)
-    psd_e = chain.electronic_noise_psd
-    p11 = dc1 * np.interp(f, spec_freqs, s11) + psd_e
-    p22 = dc2 * np.interp(f, spec_freqs, s22) + psd_e
+    p11, p22, p12 = synth._job_matrix(job, chain, f)
     l11 = np.sqrt(p11)
-    l21 = np.sqrt(dc1 * dc2) / 2.0 * np.interp(f, spec_freqs, c12) / l11
+    l21 = p12 / l11
     l22 = np.sqrt(p22 - l21 ** 2)
     rng = np.random.default_rng(seed)
     z1, z2 = rng.standard_normal((2, len(f))) + 1j * rng.standard_normal((2, len(f)))
@@ -845,6 +842,25 @@ class TestMemoryAndCodeDtype:
         finally:
             tracemalloc.stop()
         assert peak <= trace.samples_1.base.nbytes + 6 * 2 ** 20
+
+    @pytest.mark.parametrize("sample_rate", [50e6, 200e6])
+    def test_filtering_a_draw_allocates_less_than_its_spectra(self, sample_rate):
+        # k21 x1 is formed in the signal buffer, so no (blocks, fft/2 + 1)
+        # complex64 temporary is made per draw
+        chain = DetectionChain(sample_rate=sample_rate)
+        job = synth._arm_job(operating_point_spectra(), chain, 1)
+        kernels = synth._kernels(job, chain)
+        assert kernels[1] is not None
+        run = synth._Run(chain, 0.010)
+        spectra = run._spectra[0]
+        synth._next_draw(np.random.default_rng(1), run._noise, spectra, run.hop, first=True)
+        tracemalloc.start()
+        try:
+            run._filter(spectra, kernels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spectra[0].nbytes
 
     def test_code_dtype_follows_adc_bits(self):
         for bits, dtype in ((14, np.int16), (16, np.int16), (20, np.int32)):
